@@ -31,7 +31,7 @@ def main() -> None:
     # --- 1. One request against the live server -------------------------
     server, _, _ = demo_server(rng=11)
     request = PredictRequest(
-        request_id="r-1", client_id="scheduler", model="sor-1600",
+        request_id=1, client_id="scheduler", model="sor-1600",
         submitted=server.now,
     )
     server.submit(request)
@@ -47,12 +47,12 @@ def main() -> None:
         server, server.models, ClosedLoop(clients=64), max_requests=1000, rng=11
     ).run()
     cache = plan_cache_stats()
-    print("\n64 closed-loop clients, 1000 requests (batched mode):")
+    print("\n64 closed-loop clients, 1000 requests:")
     print("  " + report.summary().replace("\n", "\n  "))
     batch_p50 = server.metrics.histogram("batch_size", _BATCH_BUCKETS).quantile(0.50)
     print(f"  median batch size: {batch_p50:.0f}")
-    print(f"  compiled plans: {cache['misses']} (3 model sizes share the "
-          f"expression -> {cache['hits']} cache hits)")
+    print(f"  compiled plans: {cache['misses']} (3 model sizes share one "
+          "expression)")
 
     # --- 3. Open-loop overload: shed, don't fail ------------------------
     server, _, _ = demo_server(

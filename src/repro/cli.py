@@ -469,7 +469,6 @@ def _cmd_serve(args) -> int:
     if args.precision is not None:
         precision = PrecisionTarget.parse(args.precision, max_samples=args.samples)
     config = ServerConfig(
-        mode=args.mode,
         batch_max=args.batch_max,
         n_samples=args.samples,
         admission=AdmissionPolicy(
@@ -799,40 +798,6 @@ def _cmd_bench_cluster(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench_serve(args) -> int:
-    from repro.serving import ClosedLoop, LoadDriver, ServerConfig, demo_server
-    from repro.structural.engine import clear_plan_cache
-
-    def drive(mode: str, requests: int):
-        clear_plan_cache()
-        server, _, _ = demo_server(config=ServerConfig(mode=mode), rng=args.seed)
-        driver = LoadDriver(
-            server,
-            server.models,
-            ClosedLoop(clients=args.clients),
-            max_requests=requests,
-            rng=args.seed,
-        )
-        return driver.run()
-
-    batched = drive("batched", args.requests)
-    reference = drive("reference", max(args.clients, args.requests // args.ref_divisor))
-    speedup = batched.qps_wall / reference.qps_wall if reference.qps_wall else float("inf")
-    print(
-        format_table(
-            ["mode", "requests", "ok", "p50 (s)", "p99 (s)", "wall q/s", "sim q/s"],
-            [
-                [m, r.submitted, r.ok, f"{r.latency_p50:.4f}", f"{r.latency_p99:.4f}",
-                 f"{r.qps_wall:,.0f}", f"{r.qps_sim:,.0f}"]
-                for m, r in (("batched", batched), ("reference", reference))
-            ],
-            title=f"Serving throughput at {args.clients} closed-loop clients (seed {args.seed})",
-        )
-    )
-    print(f"\nbatched vs reference wall throughput: {speedup:.1f}x")
-    return 0 if speedup >= args.min_speedup and batched.errors == 0 else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     """The repro CLI argument parser."""
     parser = argparse.ArgumentParser(
@@ -938,7 +903,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--think-time", type=float, default=0.0)
     p.add_argument("--duration", type=float, default=None,
                    help="simulated drive window in seconds")
-    p.add_argument("--mode", choices=("batched", "reference"), default="batched")
     p.add_argument("--batch-max", type=int, default=64)
     p.add_argument("--samples", type=int, default=400)
     p.add_argument("--max-queue", type=int, default=256)
@@ -1048,20 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--min-scaling", type=float, default=3.0)
     p.add_argument("--seed", type=int, default=11)
     p.set_defaults(func=_cmd_bench_cluster)
-
-    p = sub.add_parser(
-        "bench-serve",
-        help="serving throughput: the vectorised batched path (fused "
-        "multi-request evaluations on cached plans) vs the per-request "
-        "reference loop",
-    )
-    p.add_argument("--requests", type=int, default=2000)
-    p.add_argument("--clients", type=int, default=64)
-    p.add_argument("--ref-divisor", type=int, default=8,
-                   help="reference leg runs requests/ref-divisor requests")
-    p.add_argument("--min-speedup", type=float, default=5.0)
-    p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(func=_cmd_bench_serve)
 
     p = sub.add_parser("advise", help="SOR decomposition advice on Platform 2")
     p.add_argument("--size", type=int, default=1600)

@@ -390,9 +390,10 @@ class ServingCluster:
 
         Anything that makes routing or delivery stateful per request —
         a fault schedule (crash migration needs the in-flight
-        registry), elasticity, the cluster token bucket, tracing, or a
-        worker feature off the columnar path — falls back to the scalar
-        submit/step surface.
+        registry), elasticity, the cluster token bucket or tracing —
+        falls back to the scalar submit/step surface.  Worker features
+        (precision, calibration) never do: every worker serves every
+        config on its columnar core.
         """
         return (
             not self.faults.machine_crashes
@@ -401,7 +402,6 @@ class ServingCluster:
             and not self._draining
             and self._bucket is None
             and not self.tracer.enabled
-            and all(w.columnar_fast_path for w in self.workers.values())
         )
 
     def submit_batch(self, batch: RequestBatch) -> ResponseBatch:

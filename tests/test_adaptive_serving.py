@@ -122,14 +122,6 @@ class TestAdaptiveServer:
         out = server.step(70.0)
         assert all(r.precision is not None and r.precision.draws > 0 for r in out)
 
-    def test_reference_mode_ignores_targets(self):
-        server, _, _ = demo_server(
-            duration=300.0, config=ServerConfig(mode="reference")
-        )
-        _submit(server, 2, precision=TARGET)
-        out = server.step(70.0)
-        assert all(r.ok and r.precision is None for r in out)
-
     def test_clamps_cap_and_tolerance_to_server_limits(self):
         server, _, _ = demo_server(
             duration=300.0, config=ServerConfig(n_samples=200, min_rel_tol=0.01)

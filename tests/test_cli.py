@@ -133,15 +133,6 @@ class TestCommands:
         snapshot = json.loads(out[out.index("{"):])
         assert snapshot["metrics"]["counters"]["responses_ok"] == 20
 
-    def test_bench_serve_gate(self, capsys):
-        assert main([
-            "bench-serve", "--requests", "128", "--clients", "16",
-            "--ref-divisor", "8", "--min-speedup", "2",
-        ]) == 0
-        out = capsys.readouterr().out
-        assert "batched" in out and "reference" in out
-        assert "wall throughput" in out
-
     def test_chaos_command_zero_rates_is_healthy(self, capsys):
         assert main([
             "chaos", "--size", "400", "--iterations", "5",
