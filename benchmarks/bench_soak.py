@@ -1,26 +1,13 @@
-"""Soak + microbench gates for the columnar serving hot path.
+"""Lossless soak gate for the columnar serving hot path.
 
-Not a paper artifact — the performance contract of the struct-of-arrays
-refactor (``repro.serving.columnar``, ``docs/serving.md``):
-
-* **Microbench** — the same single-server Platform 1 deployment is
-  driven with the same open-loop Poisson workload through the
-  per-request object path (:class:`~repro.serving.driver.LoadDriver`,
-  one ``PredictRequest`` dataclass per submission) and through the
-  columnar path (:class:`~repro.serving.driver.ColumnarLoadDriver`,
-  arrivals built directly as ``RequestBatch`` columns), as
-  :data:`MICRO_PAIRS` interleaved pairs.  The best pairwise ratio must
-  reach :data:`MIN_SPEEDUP` (20x) and the columnar leg must clear a
-  conservative absolute floor so an environment-wide slowdown still
-  fails loudly; the 100k wall-QPS design target is measured and
-  reported (``meets_target_qps``).
-* **Soak** — :data:`SOAK_REQUESTS` requests (1M by default; CI's
-  ``soak-smoke`` job scales down via ``REPRO_SOAK_REQUESTS``) flow
-  through a 4-worker sharded cluster in one run.  Delivery must be
-  *provably lossless*: the driver checks every ``request_id`` off a
-  bitmap, and the gate is zero lost and zero duplicate answers.  A
-  wall-QPS step summary (cumulative throughput at each progress mark)
-  lands in ``benchmarks/out/BENCH_soak.json``.
+Not a paper artifact — the delivery contract of the struct-of-arrays
+core (``repro.serving.columnar``, ``docs/serving.md``):
+:data:`SOAK_REQUESTS` requests (1M by default; CI's ``soak-smoke`` job
+scales down via ``REPRO_SOAK_REQUESTS``) flow through a 4-worker sharded
+cluster in one run.  Delivery must be *provably lossless*: the driver
+checks every ``request_id`` off a bitmap, and the gate is zero lost and
+zero duplicate answers.  A wall-QPS step summary (cumulative throughput
+at each progress mark) lands in ``benchmarks/out/BENCH_soak.json``.
 
 Everything runs in simulated time, so shed/latency numbers are
 deterministic per seed; only the wall-clock throughput depends on the
@@ -29,7 +16,6 @@ machine.
 
 import json
 import os
-import time
 
 from conftest import emit
 
@@ -37,22 +23,12 @@ from repro.serving import (
     AdmissionPolicy,
     ClusterConfig,
     ColumnarLoadDriver,
-    LoadDriver,
-    OpenLoop,
     ServerConfig,
     demo_cluster,
-    demo_server,
 )
 from repro.util.tables import format_table
 
 SEED = 11
-RATE = 900.0  # offered load, requests per simulated second (server capacity ~992/s)
-MICRO_COLUMNAR_REQUESTS = 50_000
-MICRO_SCALAR_REQUESTS = 5_000  # rate-based comparison; 50k scalar would take minutes
-MICRO_PAIRS = 3  # interleaved (columnar, scalar) pairs; best ratio gated
-MIN_SPEEDUP = 20.0
-TARGET_COLUMNAR_QPS = 100_000.0  # the design target, measured and reported
-MIN_COLUMNAR_QPS = 25_000.0  # absolute wall-clock floor, deliberately conservative
 
 SOAK_REQUESTS = int(os.environ.get("REPRO_SOAK_REQUESTS", "1000000"))
 SOAK_RATE = 2500.0  # 4 workers x ~992/s capacity; comfortable headroom
@@ -67,112 +43,6 @@ def _server_config() -> ServerConfig:
         batch_max=512,
         admission=AdmissionPolicy(max_queue=8192),
     )
-
-
-def _leg(report, wall):
-    return {
-        "requests": report.submitted,
-        "ok": report.ok,
-        "shed": report.shed,
-        "errors": report.errors,
-        "latency_p50_s": report.latency_p50,
-        "latency_p99_s": report.latency_p99,
-        "qps_wall": report.qps_wall,
-        "qps_sim": report.qps_sim,
-        "wall_s": wall,
-    }
-
-
-def _columnar_leg():
-    server, _, _ = demo_server(config=_server_config(), rng=SEED)
-    driver = ColumnarLoadDriver(
-        server,
-        server.models,
-        rate=RATE,
-        max_requests=MICRO_COLUMNAR_REQUESTS,
-        rng=SEED,
-    )
-    t0 = time.perf_counter()
-    report = driver.run()
-    return report, time.perf_counter() - t0
-
-
-def _scalar_leg():
-    server, _, _ = demo_server(config=_server_config(), rng=SEED)
-    driver = LoadDriver(
-        server,
-        server.models,
-        OpenLoop(rate=RATE),
-        max_requests=MICRO_SCALAR_REQUESTS,
-        rng=SEED,
-    )
-    t0 = time.perf_counter()
-    report = driver.run()
-    return report, time.perf_counter() - t0
-
-
-def test_columnar_microbench_speedup(out_dir):
-    # Interleaved (columnar, scalar) pairs, gating the best pairwise
-    # ratio — the bench_tracing idiom: back-to-back pairing cancels
-    # machine drift, and the extreme over pairs is robust against
-    # per-run scheduler noise while a genuine regression still drags
-    # every pair below the gate.
-    pairs = []
-    for _ in range(MICRO_PAIRS):
-        rep_c, wall_c = _columnar_leg()
-        rep_s, wall_s = _scalar_leg()
-        pairs.append((rep_c, wall_c, rep_s, wall_s))
-
-    ratios = [c.qps_wall / s.qps_wall for c, _, s, _ in pairs]
-    speedup = max(ratios)
-    best = max(range(len(pairs)), key=lambda i: ratios[i])
-    rep_c, wall_c, rep_s, wall_s = pairs[best]
-    best_columnar_qps = max(c.qps_wall for c, _, _, _ in pairs)
-
-    emit(
-        f"Columnar vs per-request serving at {RATE:.0f} q/s offered "
-        f"(seed {SEED}, best of {MICRO_PAIRS} pairs)",
-        format_table(
-            ["path", "requests", "ok", "p50 (s)", "wall q/s", "sim q/s"],
-            [
-                [name, r.submitted, r.ok, f"{r.latency_p50:.3f}",
-                 f"{r.qps_wall:,.0f}", f"{r.qps_sim:,.0f}"]
-                for name, r in (("columnar", rep_c), ("per-request", rep_s))
-            ],
-        )
-        + f"\nspeedup: {speedup:.1f}x (gate: >= {MIN_SPEEDUP}x, "
-        f"pairs: {', '.join(f'{r:.1f}x' for r in ratios)}), "
-        f"columnar floor: >= {MIN_COLUMNAR_QPS:,.0f} q/s, "
-        f"target: {TARGET_COLUMNAR_QPS:,.0f} q/s",
-    )
-
-    payload = {
-        "seed": SEED,
-        "rate": RATE,
-        "pairs": MICRO_PAIRS,
-        "columnar": _leg(rep_c, wall_c),
-        "per_request": _leg(rep_s, wall_s),
-        "speedup_wall": speedup,
-        "speedup_pairs": ratios,
-        "min_speedup": MIN_SPEEDUP,
-        "min_columnar_qps": MIN_COLUMNAR_QPS,
-        "target_columnar_qps": TARGET_COLUMNAR_QPS,
-        "meets_target_qps": best_columnar_qps >= TARGET_COLUMNAR_QPS,
-    }
-    out = out_dir / "BENCH_soak.json"
-    doc = json.loads(out.read_text()) if out.exists() else {}
-    doc["microbench"] = payload
-    out.write_text(json.dumps(doc, indent=2))
-
-    # Correctness riders: every leg answers everything, losslessly.
-    for rep_ci, _, rep_si, _ in pairs:
-        assert rep_ci.lost == 0 and rep_ci.duplicates == 0
-        assert rep_ci.errors == 0 and rep_si.errors == 0
-        assert rep_ci.ok + rep_ci.shed == MICRO_COLUMNAR_REQUESTS
-        assert rep_si.ok + rep_si.shed == MICRO_SCALAR_REQUESTS
-
-    assert speedup >= MIN_SPEEDUP
-    assert best_columnar_qps >= MIN_COLUMNAR_QPS
 
 
 def test_cluster_soak_lossless(out_dir):

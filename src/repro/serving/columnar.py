@@ -25,9 +25,10 @@ This module is the array-native core that removes it:
   (property-tested in ``tests/test_columnar.py``).
 
 Ragged per-request payloads (override dicts, precision targets) do not
-vectorise; they ride as optional tuple sidecars, and the server routes
-requests that carry them through the scalar path (see
-``docs/serving.md`` for exactly when the scalar path still runs).
+vectorise; they ride as optional tuple sidecars through the server's
+one queue, and the evaluation reads them row by row where it must (see
+``docs/serving.md``, "One path").  Rich answer blocks ride back the
+same way, as whole responses in the ``messages`` sidecar.
 
 Deadlines are stored as ``float64`` with ``+inf`` standing in for
 "wait forever", so deadline checks are a single array comparison.  The
@@ -251,18 +252,6 @@ class RequestBatch:
             if self.precision is None
             else tuple(self.precision[i] for i in index),
         )
-
-    @property
-    def has_ragged(self) -> np.ndarray:
-        """Mask of rows carrying overrides or precision sidecar payloads."""
-        mask = np.zeros(len(self), dtype=bool)
-        if self.overrides is not None:
-            mask |= np.fromiter((bool(o) for o in self.overrides), dtype=bool, count=len(self))
-        if self.precision is not None:
-            mask |= np.fromiter(
-                (p is not None for p in self.precision), dtype=bool, count=len(self)
-            )
-        return mask
 
     @classmethod
     def concat(cls, batches) -> "RequestBatch":

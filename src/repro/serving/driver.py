@@ -376,10 +376,10 @@ class ColumnarLoadDriver:
     Works against any server exposing ``submit_batch`` / ``step_batch``
     / ``now`` / ``queue_depth`` (a single
     :class:`~repro.serving.server.PredictionServer` or a
-    :class:`~repro.serving.cluster.ServingCluster`); when the target's
-    columnar fast path is gated off it transparently degrades to the
-    scalar path inside ``submit_batch``, slower but identical in
-    outcome.
+    :class:`~repro.serving.cluster.ServingCluster`); a cluster whose
+    columnar path is gated off (crash faults, elasticity, a global
+    bucket, tracing) routes row by row inside ``submit_batch``, slower
+    but identical in outcome.
 
     Parameters
     ----------

@@ -153,7 +153,7 @@ def _draw_samples(
     return draws
 
 
-def _propagate_reference(
+def _reference_loop(
     expression: Expr,
     bindings: Bindings,
     sampled_names: list[str],
@@ -250,7 +250,7 @@ def monte_carlo_predict(
             out = plan.evaluate(draws, bindings, n_samples=n_samples)
             return EmpiricalValue(out)
 
-    out = _propagate_reference(expression, bindings, sampled_names, draws, n_samples, pol)
+    out = _reference_loop(expression, bindings, sampled_names, draws, n_samples, pol)
     return EmpiricalValue(out)
 
 
@@ -293,7 +293,7 @@ def _monte_carlo_adaptive(
             if plan is not None:
                 chunk = plan.evaluate(draws, bindings, n_samples=need)
             else:
-                chunk = _propagate_reference(
+                chunk = _reference_loop(
                     expression, bindings, sampled_names, draws, need, pol
                 )
             out[filled:total] = chunk
