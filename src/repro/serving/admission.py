@@ -32,6 +32,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.util.validation import check_nonnegative, check_positive
 
 __all__ = [
@@ -137,12 +139,24 @@ class TokenBucket:
 
     def allow(self, now: float) -> bool:
         """Spend one token if available at ``now``."""
-        avail = self.tokens(now)
-        if avail >= 1.0 - SPEND_EPS:
-            self._tokens = max(0.0, avail - 1.0)
-            self._anchor = max(self._anchor, now)
-            return True
-        return False
+        return bool(self.allow_many((now,))[0])
+
+    def allow_many(self, times) -> np.ndarray:
+        """Try to spend one token at each instant of ``times`` in turn;
+        the grant mask.  One loop over Python floats: the grants and the
+        state left behind are those of calling :meth:`allow` per instant.
+        """
+        tokens, anchor, rate, burst = self._tokens, self._anchor, self.rate, self.burst
+        granted = []
+        for now in np.asarray(times, dtype=float).tolist():
+            avail = tokens if now <= anchor else min(burst, tokens + rate * (now - anchor))
+            ok = avail >= 1.0 - SPEND_EPS
+            if ok:
+                tokens = max(0.0, avail - 1.0)
+                anchor = max(anchor, now)
+            granted.append(ok)
+        self._tokens, self._anchor = tokens, anchor
+        return np.array(granted, dtype=bool)
 
 
 class AdmissionController:

@@ -18,10 +18,10 @@ own shards rather than every worker paging through every model.
 **Failover.**  A seeded :class:`~repro.faults.plan.FaultPlan` (the
 ``machine_crashes`` schedule, keyed by worker name) crashes and restarts
 workers.  The cluster's event loop processes crash boundaries exactly:
-at a crash instant the dead worker is drained — its queued and
-in-flight requests are re-routed to the shard's replicas from the
-cluster's own in-flight registry — and routing skips it until the
-restart instant, when it re-registers cold (forecast cache invalidated,
+at a crash instant the dead worker is drained — every request it had
+not answered, queued or served but undelivered, comes back in admission
+order and is re-routed to the shard's replicas — and routing skips it
+until the restart instant, when it re-registers cold (forecast cache invalidated,
 clock jumped over the downtime).  A replica's answer is *never silent*
 about the transition: it is delivered with ``failover=True`` and a
 quality tag degraded to at least ``stale``, because a standby serves the
@@ -50,6 +50,14 @@ resurrect at the fault window's end.  With ``elastic=None`` (the
 default) none of this code runs and the cluster is bit-identical to the
 fixed-fleet version, golden traces included.
 
+**One path.**  Every config runs on columns: ``submit_batch`` routes
+one decision per distinct model, meters the cluster bucket in one loop
+and hands each target worker one sub-batch; ``step_batch`` steps the
+workers between fault and elastic boundaries and stamps deliveries
+batch-wise.  The workers are the in-flight registry, and a ``failover``
+column rides from the request rows to the answers, so the healthy path
+keeps no per-request state.  ``submit``/``step`` are one-row views.
+
 **Observability.**  The cluster keeps its own metrics registry
 (cluster-wide latency/queue-depth exact-quantile histograms, failover /
 shard-migration / crash counters) and ``snapshot()`` merges per-worker
@@ -67,7 +75,7 @@ from repro.faults.plan import FaultPlan
 from repro.nws.service import QUALITIES, NetworkWeatherService
 from repro.obs.tracer import STAGE_CLUSTER, STAGE_ELASTIC, as_tracer
 from repro.serving.admission import TokenBucket
-from repro.serving.columnar import RequestBatch, ResponseBatch
+from repro.serving.columnar import REASONS, STATUSES, RequestBatch, ResponseBatch
 from repro.serving.elastic import Autoscaler, ElasticConfig
 from repro.serving.forecasts import SharedRefreshLedger
 from repro.serving.metrics import Histogram, MetricsRegistry, _sanitise
@@ -75,14 +83,18 @@ from repro.serving.protocol import (
     SHED_DEADLINE,
     SHED_THROTTLED,
     SHED_UNAVAILABLE,
-    ErrorResponse,
-    OverloadedResponse,
     PredictRequest,
     PredictResponse,
     Response,
 )
 from repro.serving.router import ClusterRouter, bindings_fingerprint
-from repro.serving.server import _BATCH_BUCKETS, ModelSpec, PredictionServer, ServerConfig
+from repro.serving.server import (
+    _BATCH_BUCKETS,
+    ModelSpec,
+    PredictionServer,
+    ServerConfig,
+    _answers,
+)
 from repro.structural.engine import plan_cache_stats
 from repro.util.rng import as_generator
 
@@ -91,10 +103,14 @@ __all__ = ["ClusterConfig", "ServingCluster"]
 #: Queue-depth histogram bucket bounds (requests waiting per worker).
 _DEPTH_BUCKETS = (1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0, 256.0)
 
-
-def _degraded(quality: str, floor: str = "stale") -> str:
-    """``quality`` degraded to at least ``floor`` (never upgraded)."""
-    return QUALITIES[max(QUALITIES.index(quality), QUALITIES.index(floor))]
+#: Columnar codes the cluster stamps.
+_ST_OK = STATUSES.index("ok")
+_ST_OVERLOADED = STATUSES.index("overloaded")
+_ST_ERROR = STATUSES.index("error")
+_RE_THROTTLED = REASONS.index(SHED_THROTTLED)
+_RE_DEADLINE = REASONS.index(SHED_DEADLINE)
+_RE_UNAVAILABLE = REASONS.index(SHED_UNAVAILABLE)
+_STALE = QUALITIES.index("stale")
 
 
 @dataclass(frozen=True)
@@ -136,15 +152,6 @@ class ClusterConfig:
             raise ValueError(f"cluster_rate must be >= 0, got {self.cluster_rate}")
         if self.cluster_burst < 1.0:
             raise ValueError(f"cluster_burst must be >= 1, got {self.cluster_burst}")
-
-
-@dataclass
-class _InFlight:
-    """Where an admitted request currently lives."""
-
-    request: PredictRequest
-    worker: str
-    failover: bool
 
 
 class ServingCluster:
@@ -223,7 +230,6 @@ class ServingCluster:
             else None
         )
         self._shards: dict[str, str] = {}  # model name -> shard key
-        self._inflight: dict[tuple[str, int], _InFlight] = {}
 
         # Elastic state.  All empty/inert when elasticity is off.
         self.elastic = elastic
@@ -314,263 +320,216 @@ class ServingCluster:
     # ------------------------------------------------------------------
     # Submission
     # ------------------------------------------------------------------
+    @property
+    def columnar_fast_path(self) -> bool:
+        """Always ``True``: every config is served on the columnar path.
+
+        Kept read-only for callers that record which path served them.
+        """
+        return True
+
     def submit(self, request: PredictRequest) -> Response | None:
         """Admit and route ``request``, or answer it immediately.
 
-        Mirrors :meth:`PredictionServer.submit`: ``None`` means admitted
+        The one-row view of :meth:`submit_batch`: ``None`` means admitted
         (a later :meth:`step` answers it); anything else is the final
         typed response.
         """
-        now = max(self._clock, request.submitted)
-        self.metrics.counter("requests_total").inc()
-
-        shard = self._shards.get(request.model)
-        if shard is None:
-            self.metrics.counter("errors_total").inc()
-            return ErrorResponse(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                completed=now,
-                message=f"unknown model {request.model!r}; registered: {self.models}",
-            )
-        self.shard_arrivals[shard] = self.shard_arrivals.get(shard, 0) + 1
-        if self._bucket is not None and not self._bucket.allow(now):
-            return self._shed(request, SHED_THROTTLED, now)
-
-        target, failover = self.router.route(shard, self._healthy_set())
-        if target is None:
-            return self._shed(request, SHED_UNAVAILABLE, now)
-        if self.tracer.enabled:
-            self.tracer.start_span(
-                "cluster.route",
-                now,
-                stage=STAGE_CLUSTER,
-                new_trace=True,
-                request_id=request.request_id,
-                client_id=request.client_id,
-                shard=shard,
-                target=target,
-                failover=failover,
-            ).finish(now)
-        return self._place(request, target, failover)
-
-    def _place(self, request: PredictRequest, target: str, failover: bool) -> Response | None:
-        """Hand ``request`` to ``target``; track it while in flight."""
-        immediate = self.workers[target].submit(request)
-        if immediate is not None:
-            return self._account(replace(immediate, worker=target))
-        self._inflight[(request.client_id, request.request_id)] = _InFlight(
-            request=request, worker=target, failover=failover
-        )
-        return None
-
-    def _shed(self, request: PredictRequest, reason: str, at: float) -> OverloadedResponse:
-        drain = sum(
-            self.workers[n].config.drain_rate() for n in self.workers if self._up[n]
-        )
-        return self._account(
-            OverloadedResponse(
-                request_id=request.request_id,
-                client_id=request.client_id,
-                completed=at,
-                reason=reason,
-                retry_after=(self.queue_depth / drain) if drain > 0.0 else float("inf"),
-            )
-        )
-
-    def _healthy_set(self) -> set:
-        return {name for name, up in self._up.items() if up}
-
-    # ------------------------------------------------------------------
-    # Columnar hot path (see docs/serving.md, "The columnar hot path")
-    # ------------------------------------------------------------------
-    @property
-    def columnar_fast_path(self) -> bool:
-        """True when whole batches can route without per-request objects.
-
-        Anything that makes routing or delivery stateful per request —
-        a fault schedule (crash migration needs the in-flight
-        registry), elasticity, the cluster token bucket or tracing —
-        falls back to the scalar submit/step surface.  Worker features
-        (precision, calibration) never do: every worker serves every
-        config on its columnar core.
-        """
-        return (
-            not self.faults.machine_crashes
-            and self.autoscaler is None
-            and not self._provisioning
-            and not self._draining
-            and self._bucket is None
-            and not self.tracer.enabled
-        )
+        rb = self.submit_batch(RequestBatch.from_requests([request]))
+        return rb.response(0) if len(rb) else None
 
     def submit_batch(self, batch: RequestBatch) -> ResponseBatch:
         """Route a whole :class:`RequestBatch` to its shard owners.
 
-        The columnar twin of :meth:`submit`: rows are routed per model
-        (one routing decision per *distinct* model in the batch, not per
-        row), handed to each target worker as one sub-batch, and the
-        immediate responses come back as one :class:`ResponseBatch`.
-        On the fast path no in-flight registry entries are kept — with
-        no faults and no elasticity nothing can strand a request, which
-        is exactly what makes the hot path allocation-free.
+        Rows naming an unknown model are answered with an error; the
+        rest pass the cluster token bucket (one grant per row, in row
+        order) and are routed with one decision per *distinct* model,
+        each target worker receiving its rows as one sub-batch.  The
+        immediate responses — errors, cluster sheds and the workers'
+        own admission sheds — come back in row order, with the verdicts
+        and bucket state of submitting the rows one at a time.
         """
-        if len(batch) == 0:
-            return ResponseBatch.empty()
-        if not self.columnar_fast_path:
-            return ResponseBatch.from_responses(
-                [r for r in map(self.submit, batch) if r is not None]
-            )
         n = len(batch)
+        if n == 0:
+            return ResponseBatch.empty()
         self.metrics.counter("requests_total").inc(n)
-        model_counts = np.bincount(batch.model, minlength=len(batch.models))
+        now = np.maximum(batch.submitted, self._clock)
+        known = np.fromiter(
+            (m in self._shards for m in batch.models), dtype=bool, count=len(batch.models)
+        )[batch.model]
+        if known.all():
+            return self._admit(batch, now)[1]
+        bad, rows = np.flatnonzero(~known), np.flatnonzero(known)
+        self.metrics.counter("errors_total").inc(bad.size)
+        errors = _answers(
+            batch.select(bad),
+            status=np.full(bad.size, _ST_ERROR, np.int8),
+            completed=now[bad],
+            messages=tuple(
+                f"unknown model {batch.models[c]!r}; registered: {self.models}"
+                for c in batch.model[bad].tolist()
+            ),
+        )
+        if not rows.size:
+            return errors
+        idx, admitted = self._admit(batch.select(rows), now[rows])
+        order = np.argsort(np.concatenate([bad, rows[idx]]), kind="stable")
+        return ResponseBatch.concat([errors, admitted]).select(order)
 
+    def _admit(self, batch: RequestBatch, now: np.ndarray) -> tuple[np.ndarray, ResponseBatch]:
+        """Known-model rows through the front door: count shard
+        arrivals, meter the cluster bucket, route (see :meth:`_dispatch`)."""
+        codes, first = np.unique(batch.model, return_index=True)
+        counts = np.bincount(batch.model, minlength=len(batch.models))
+        for code in codes[np.argsort(first)].tolist():
+            shard = self._shards[batch.models[code]]
+            self.shard_arrivals[shard] = self.shard_arrivals.get(shard, 0) + int(counts[code])
+        reason = np.zeros(len(batch), dtype=np.int8)
+        if self._bucket is not None:
+            reason[~self._bucket.allow_many(now)] = _RE_THROTTLED
+        return self._dispatch(batch, reason, now, set(self.healthy_workers))[:2]
+
+    def _dispatch(
+        self,
+        batch: RequestBatch,
+        reason: np.ndarray,
+        at: np.ndarray,
+        healthy: set,
+        *,
+        migrating: bool = False,
+    ) -> tuple[np.ndarray, ResponseBatch, np.ndarray]:
+        """Route rows to their shard owners; shed the ones that cannot go.
+
+        ``reason`` holds each row's cluster-level shed reason decided
+        upstream (a :data:`REASONS` code; 0 routes the row), ``at`` the
+        instant each row is routed or shed.  Rows whose every owner is
+        down are shed ``unavailable``.  The rest go to their target as
+        one submission per worker, tagged ``failover`` when the target
+        is a standby — always, when ``migrating``.  Each cluster shed's
+        ``retry_after`` reads the cluster queue depth at its own row:
+        the depth before the call plus the rows admitted ahead of it.
+
+        Returns ``(rows, responses, routed)``: the immediate responses
+        in row order with the row index each answers, and the mask of
+        rows handed to a worker.
+        """
+        n = len(batch)
+        reason = reason.copy()
+        depth0 = self.queue_depth
+        targets: list[str] = []
+        target_of = np.full(len(batch.models), -1)
+        standby = np.zeros(len(batch.models), dtype=bool)
+        for code in np.unique(batch.model[reason == 0]).tolist():
+            name, failover = self.router.route(self._shards[batch.models[code]], healthy)
+            if name is None:
+                continue
+            if name not in targets:
+                targets.append(name)
+            target_of[code] = targets.index(name)
+            standby[code] = failover
+        target = target_of[batch.model]
+        reason[(reason == 0) & (target < 0)] = _RE_UNAVAILABLE
+        routed = reason == 0
+        failover = np.ones(n, dtype=bool) if migrating else standby[batch.model]
+        if self.tracer.enabled:
+            for i in np.flatnonzero(routed).tolist():
+                self.tracer.start_span(
+                    "cluster.route",
+                    float(at[i]),
+                    stage=STAGE_CLUSTER,
+                    new_trace=not migrating,
+                    request_id=int(batch.request_id[i]),
+                    client_id=batch.clients[batch.client[i]],
+                    shard=self._shards[batch.models[batch.model[i]]],
+                    target=targets[target[i]],
+                    failover=bool(failover[i]),
+                ).finish(float(at[i]))
+
+        admitted = np.zeros(n, dtype=bool)
         parts: list[ResponseBatch] = []
-        healthy = self._healthy_set()
-        target_of: dict[int, str] = {}
-        unknown: list[int] = []
-        for code, model in enumerate(batch.models):
-            if not model_counts[code]:
-                continue
-            shard = self._shards.get(model)
-            if shard is None:
-                unknown.append(code)
-                continue
-            self.shard_arrivals[shard] = (
-                self.shard_arrivals.get(shard, 0) + int(model_counts[code])
+        rows_of: list[np.ndarray] = []
+        for j, name in enumerate(targets):
+            rows = np.flatnonzero(routed & (target == j))
+            flags = failover[rows] if failover[rows].any() else None
+            if rows.size == n and flags is None and batch.failover is None:
+                sub = batch
+            else:
+                sub = batch.select(rows)
+                sub.failover = flags
+            immediate, ok = self.workers[name]._submit(sub)
+            admitted[rows[ok]] = True
+            if len(immediate):
+                parts.append(immediate.with_worker(name))
+                rows_of.append(rows[~ok])
+        shed = np.flatnonzero(~routed)
+        if shed.size:
+            drain = sum(
+                self.workers[w].config.drain_rate() for w in self.workers if self._up[w]
             )
-            # Healthy fleet, no failover possible: the primary serves.
-            target_of[code] = self.router.route(shard, healthy)[0]
-
-        if unknown:
-            bad = np.isin(batch.model, unknown)
-            sub = batch.select(bad)
-            self.metrics.counter("errors_total").inc(len(sub))
-            now = np.maximum(sub.submitted, self._clock)
+            depth = (depth0 + np.cumsum(admitted) - admitted)[shed]
             parts.append(
-                ResponseBatch.from_responses(
-                    [
-                        ErrorResponse(
-                            request_id=req.request_id,
-                            client_id=req.client_id,
-                            completed=float(at),
-                            message=(
-                                f"unknown model {req.model!r}; "
-                                f"registered: {self.models}"
-                            ),
-                        )
-                        for req, at in zip(sub, now)
-                    ]
+                _answers(
+                    batch.select(shed),
+                    status=np.full(shed.size, _ST_OVERLOADED, np.int8),
+                    reason=reason[shed],
+                    completed=at[shed],
+                    retry_after=depth / drain if drain > 0.0 else np.full(shed.size, np.inf),
                 )
             )
-            batch = batch.select(~bad)
-
-        targets = sorted(set(target_of.values()))
-        for name in targets:
-            codes = [c for c, t in target_of.items() if t == name]
-            group = (
-                batch
-                if len(targets) == 1 and not len(parts)
-                else batch.select(np.isin(batch.model, codes))
-            )
-            if not len(group):
-                continue
-            immediate = self.workers[name].submit_batch(group)
-            if len(immediate):
-                parts.append(self._account_batch(immediate.with_worker(name)))
-        return ResponseBatch.concat(parts)
-
-    def step_batch(self, to: float) -> ResponseBatch:
-        """Columnar event loop: step every worker, deliver in one pass.
-
-        With no faults and no elasticity the window has no boundaries to
-        cut, so each worker steps straight to ``to`` through its own
-        columnar loop; deliveries are stamped with worker attribution
-        batch-wise and returned in completion order.
-        """
-        if not self.columnar_fast_path:
-            return ResponseBatch.from_responses(self.step(to))
-        if to < self._clock:
-            raise ValueError(f"cannot step the cluster backwards from {self._clock} to {to}")
-        parts: list[ResponseBatch] = []
-        for name in sorted(self.workers):
-            delivered = self.workers[name].step_batch(to)
-            if len(delivered):
-                if self._inflight:
-                    # Requests admitted through the scalar surface keep
-                    # registry entries; pop them so mixed use stays sane.
-                    for i in range(len(delivered)):
-                        self._inflight.pop(
-                            (
-                                delivered.clients[delivered.client[i]],
-                                int(delivered.request_id[i]),
-                            ),
-                            None,
-                        )
-                parts.append(self._account_batch(delivered.with_worker(name)))
-        self._clock = to
-        depth_hist = self.metrics.histogram("worker_queue_depth", _DEPTH_BUCKETS)
-        for worker in self.workers.values():
-            depth_hist.observe(worker.queue_depth)
-        return ResponseBatch.concat(parts).sorted_by_completion()
-
-    def _account_batch(self, rb: ResponseBatch) -> ResponseBatch:
-        """Vectorised mirror of :meth:`_account` for a response batch."""
-        counts = rb.status_counts()
-        if counts["ok"]:
-            self.metrics.counter("responses_ok").inc(counts["ok"])
-            for quality, c in rb.quality_counts().items():
-                self.metrics.counter(f"quality_{quality}").inc(c)
-            self.metrics.histogram("latency_s").observe_many(rb.latency[rb.ok_mask])
-        if counts["overloaded"]:
-            self.metrics.counter("shed_total").inc(counts["overloaded"])
-            for reason, c in rb.reason_counts().items():
-                self.metrics.counter(f"shed_{reason}").inc(c)
-        if counts["error"]:
-            self.metrics.counter("errors_total").inc(counts["error"])
-        return rb
+            rows_of.append(shed)
+        if not parts:
+            return np.zeros(0, dtype=np.int64), ResponseBatch.empty(), routed
+        idx = np.concatenate(rows_of)
+        order = np.argsort(idx, kind="stable")
+        return idx[order], self._account_batch(ResponseBatch.concat(parts).select(order)), routed
 
     # ------------------------------------------------------------------
     # Event loop
     # ------------------------------------------------------------------
     def step(self, to: float) -> list[Response]:
+        """Run the event loop up to ``to``: the one-row view of
+        :meth:`step_batch`, returning each response as its dataclass."""
+        return self.step_batch(to).to_responses()
+
+    def step_batch(self, to: float) -> ResponseBatch:
         """Run every worker's event loop up to ``to``, with failover.
 
         Crash and restart instants inside the window are processed
         exactly: workers are stepped segment by segment between fault
+        (and, with elasticity, control, ready and drain-deadline)
         boundaries, a worker crossing into a crash window is drained
-        (its unanswered requests re-route to replicas), and one crossing
-        out is restarted cold.  Responses are returned in completion
-        order with worker attribution and failover tagging applied.
+        (its unanswered rows re-route to replicas), and one crossing out
+        is restarted cold.  Each worker's deliveries are stamped with
+        worker attribution and failover tagging batch-wise; everything
+        comes back in completion order.
         """
         if to < self._clock:
             raise ValueError(f"cannot step the cluster backwards from {self._clock} to {to}")
-        out: list[Response] = []
+        parts: list[ResponseBatch] = []
         controls = (
             set(self.autoscaler.control_times(self._clock, to))
             if self.autoscaler is not None
             else ()
         )
         for t in self._boundaries(self._clock, to, controls):
-            for name in list(self.workers):
+            for name, worker in self.workers.items():
                 if self._up[name]:
-                    for resp in self.workers[name].step(t):
-                        out.append(self._deliver(name, resp))
+                    delivered = worker.step_batch(t)
+                    if len(delivered):
+                        parts.append(self._delivered(name, delivered))
             if self._provisioning:
                 self._commission_ready(t)
-            self._apply_transitions(t, out)
+            self._apply_transitions(t, parts)
             if self._draining:
-                self._finalize_drains(t, out)
+                self._finalize_drains(t, parts)
             if self.autoscaler is not None and t in controls:
                 self.autoscaler.control(t)
             self._clock = t
+        depth_hist = self.metrics.histogram("worker_queue_depth", _DEPTH_BUCKETS)
         for name, worker in self.workers.items():
             if self._up[name]:
-                self.metrics.histogram("worker_queue_depth", _DEPTH_BUCKETS).observe(
-                    worker.queue_depth
-                )
-        out.sort(key=lambda r: r.completed)
-        return out
+                depth_hist.observe(worker.queue_depth)
+        return ResponseBatch.concat(parts).sorted_by_completion()
 
     def _boundaries(self, t0: float, t1: float, extra=()) -> list[float]:
         """Event instants in ``(t0, t1]``, ending with ``t1``.
@@ -594,14 +553,14 @@ class ServingCluster:
             out.append(t1)
         return out
 
-    def _apply_transitions(self, t: float, out: list[Response]) -> None:
+    def _apply_transitions(self, t: float, parts: list[ResponseBatch]) -> None:
         """Crash/restart workers whose fault state flips at ``t``.
 
         A worker that crashes *while draining* is a special case: the
-        crash path migrates its unanswered work exactly once (requeue
-        pops the in-flight registry, so the drain finalizer cannot see
-        those requests again), and the worker is retired immediately —
-        it is already off the ring, and letting the fault window's end
+        crash path migrates its unanswered work exactly once (drain
+        empties the worker, so the drain finalizer cannot see those
+        requests again), and the worker is retired immediately — it is
+        already off the ring, and letting the fault window's end
         "restart" a retired worker would resurrect a ghost no request
         can ever route to.
         """
@@ -610,7 +569,7 @@ class ServingCluster:
             if down_now and self._up[name]:
                 self._up[name] = False
                 self.metrics.counter("worker_crashes_total").inc()
-                self._migrate(name, worker, t, out)
+                parts.append(self._migrate(name, t, set(self.healthy_workers)))
                 if name in self._draining:
                     self._retire(name, t, reason="crashed_while_draining")
             elif not down_now and not self._up[name]:
@@ -619,80 +578,45 @@ class ServingCluster:
                 self.metrics.counter("worker_recoveries_total").inc()
         self.metrics.gauge("workers_up").set(sum(self._up.values()))
 
-    def _migrate(self, dead: str, worker: PredictionServer, t: float, out: list[Response]) -> None:
-        """Re-route everything the crashed worker had not answered."""
-        worker.drain()
-        healthy = self._healthy_set()
-        stranded = [
-            key for key, entry in self._inflight.items() if entry.worker == dead
-        ]
+    def _migrate(self, name: str, t: float, healthy: set, **attrs) -> ResponseBatch:
+        """Re-route everything worker ``name`` had not answered onto
+        ``healthy`` workers; the immediate responses come back."""
+        rows = self.workers[name].drain()
         if not self.tracer.enabled:
-            self._requeue(stranded, t, healthy, out)
-            return
+            return self._requeue(rows, t, healthy)[0]
         with self.tracer.span(
             "cluster.failover",
             t,
             stage=STAGE_CLUSTER,
             new_trace=True,
-            worker=dead,
-            stranded=len(stranded),
+            worker=name,
+            stranded=len(rows),
+            **attrs,
         ) as sp:
-            requeued, shed = self._requeue(stranded, t, healthy, out)
+            out, requeued, shed = self._requeue(rows, t, healthy)
             sp.set(requeued=requeued, shed=shed)
+        return out
 
     def _requeue(
-        self, stranded: list, t: float, healthy: set, out: list[Response]
-    ) -> tuple[int, int]:
-        """Re-route ``stranded`` in-flight requests onto ``healthy`` workers.
+        self, rows: RequestBatch, t: float, healthy: set
+    ) -> tuple[ResponseBatch, int, int]:
+        """Re-route stranded ``rows`` (in admission order) at ``t``.
 
-        Returns ``(requeued, shed)`` counts.  With tracing enabled each
-        re-routed request records a ``cluster.route`` span tagged
-        ``failover=True`` — the hop a replica's answer must carry.
+        Returns ``(immediate responses, requeued, shed)``.  A deadline
+        strictly before ``t`` sheds on the spot — the same inclusive
+        boundary as worker-side shedding (``PredictRequest.deadline``):
+        re-routing it would only have a replica shed it later with a
+        misleading timestamp.  With tracing enabled each re-routed row
+        records a ``cluster.route`` span tagged ``failover=True`` — the
+        hop a replica's answer must carry.
         """
-        requeued = shed = 0
-        moved_shards = set()
-        for key in stranded:
-            entry = self._inflight.pop(key)
-            deadline = entry.request.deadline
-            if deadline is not None and deadline < t:
-                # Same inclusive boundary as worker-side shedding
-                # (PredictRequest.deadline): a deadline equal to the
-                # migration instant is still servable; a strictly
-                # earlier one is dead on arrival, so re-routing it
-                # would only have a replica shed it later with a
-                # misleading timestamp.
-                out.append(self._shed(entry.request, SHED_DEADLINE, t))
-                shed += 1
-                continue
-            shard = self._shards[entry.request.model]
-            target, failover = self.router.route(shard, healthy)
-            if target is None:
-                out.append(self._shed(entry.request, SHED_UNAVAILABLE, t))
-                shed += 1
-                continue
-            moved_shards.add(shard)
-            self.metrics.counter("requeued_total").inc()
-            requeued += 1
-            if self.tracer.enabled:
-                self.tracer.start_span(
-                    "cluster.route",
-                    t,
-                    stage=STAGE_CLUSTER,
-                    request_id=entry.request.request_id,
-                    client_id=entry.request.client_id,
-                    shard=shard,
-                    target=target,
-                    failover=True,
-                ).finish(t)
-            immediate = self.workers[target].submit(entry.request)
-            if immediate is not None:
-                out.append(self._account(replace(immediate, worker=target)))
-            else:
-                self._inflight[key] = _InFlight(
-                    request=entry.request, worker=target, failover=True
-                )
-        self.metrics.counter("shard_migrations_total").inc(len(moved_shards))
-        return requeued, shed
+        n = len(rows)
+        reason = np.where(rows.deadline < t, _RE_DEADLINE, 0).astype(np.int8)
+        _, out, routed = self._dispatch(rows, reason, np.full(n, t), healthy, migrating=True)
+        requeued = int(np.count_nonzero(routed))
+        self.metrics.counter("requeued_total").inc(requeued)
+        self.metrics.counter("shard_migrations_total").inc(np.unique(rows.model[routed]).size)
+        return out, requeued, n - requeued
 
     # ------------------------------------------------------------------
     # Elastic membership
@@ -833,38 +757,21 @@ class ServingCluster:
                 **(provenance or {}),
             ).finish(t)
 
-    def _finalize_drains(self, t: float, out: list[Response]) -> None:
+    def _finalize_drains(self, t: float, parts: list[ResponseBatch]) -> None:
         """Retire draining workers that emptied out or hit their deadline.
 
-        Pending work is read from the *live* in-flight registry at the
-        moment of retirement — never from a snapshot taken at drain
-        start — so a request the worker answered during the grace
-        period can never also be re-routed (the delivery already popped
-        its registry entry), and one it did not answer is re-routed
-        exactly once (the requeue pops it).
+        Pending work is read from the worker itself at the moment of
+        retirement — never from a snapshot taken at drain start — so a
+        request it answered during the grace period can never also be
+        re-routed, and one it did not answer is re-routed exactly once
+        (drain empties the worker).
         """
         for name in list(self._draining):
-            worker = self.workers[name]
-            pending = [key for key, entry in self._inflight.items() if entry.worker == name]
-            if not pending:
+            if not self.workers[name].in_flight:
                 self._retire(name, t, reason="drained_clean")
             elif t >= self._draining[name]:
-                worker.drain()
-                healthy = self._healthy_set() - {name}
-                if self.tracer.enabled:
-                    with self.tracer.span(
-                        "cluster.failover",
-                        t,
-                        stage=STAGE_CLUSTER,
-                        new_trace=True,
-                        worker=name,
-                        stranded=len(pending),
-                        drain_deadline=True,
-                    ) as sp:
-                        requeued, shed = self._requeue(pending, t, healthy, out)
-                        sp.set(requeued=requeued, shed=shed)
-                else:
-                    self._requeue(pending, t, healthy, out)
+                healthy = set(self.healthy_workers) - {name}
+                parts.append(self._migrate(name, t, healthy, drain_deadline=True))
                 self._retire(name, t, reason="drain_deadline")
 
     def _retire(self, name: str, t: float, *, reason: str) -> None:
@@ -887,44 +794,61 @@ class ServingCluster:
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
-    def _deliver(self, name: str, resp: Response) -> Response:
-        """Stamp worker attribution and failover degradation on ``resp``."""
-        entry = self._inflight.pop((resp.client_id, resp.request_id), None)
-        failover = entry.failover if entry is not None else False
-        if isinstance(resp, PredictResponse) and failover:
-            resp = replace(
-                resp, worker=name, failover=True, quality=_degraded(resp.quality)
-            )
-            self.metrics.counter("failovers_total").inc()
-        else:
-            resp = replace(resp, worker=name)
-        if self.tracer.enabled:
-            attrs = {"quality": resp.quality} if isinstance(resp, PredictResponse) else {}
-            self.tracer.start_span(
-                "cluster.deliver",
-                resp.completed,
-                stage=STAGE_CLUSTER,
-                new_trace=True,
-                request_id=resp.request_id,
-                client_id=resp.client_id,
-                worker=name,
-                failover=failover,
-                status=resp.status,
-                **attrs,
-            ).finish(resp.completed)
-        return self._account(resp)
+    def _delivered(self, name: str, rb: ResponseBatch) -> ResponseBatch:
+        """Stamp worker attribution and failover degradation on worker
+        ``name``'s deliveries, then account them.
 
-    def _account(self, resp: Response) -> Response:
-        if resp.status == "ok":
-            self.metrics.counter("responses_ok").inc()
-            self.metrics.counter(f"quality_{resp.quality}").inc()
-            self.metrics.histogram("latency_s").observe(resp.latency)
-        elif resp.status == "overloaded":
-            self.metrics.counter("shed_total").inc()
-            self.metrics.counter(f"shed_{resp.reason}").inc()
-        else:
-            self.metrics.counter("errors_total").inc()
-        return resp
+        An answer a standby served (its row's ``failover`` flag) is
+        tagged ``failover=True`` and degraded to at least ``stale``.
+        """
+        rb = rb.with_worker(name)
+        flags = rb.failover
+        if flags is not None:
+            hit = flags & rb.ok_mask
+            if hit.any():
+                rb.quality = np.where(hit, np.maximum(rb.quality, _STALE), rb.quality)
+                if rb.messages is not None:
+                    # Rich answers ride whole; stamp them like the columns.
+                    rb.messages = tuple(
+                        replace(m, failover=True, quality=QUALITIES[q])
+                        if h and isinstance(m, PredictResponse)
+                        else m
+                        for m, h, q in zip(rb.messages, hit.tolist(), rb.quality.tolist())
+                    )
+                self.metrics.counter("failovers_total").inc(int(np.count_nonzero(hit)))
+        if self.tracer.enabled:
+            for i in range(len(rb)):
+                at = float(rb.completed[i])
+                ok = rb.status[i] == _ST_OK
+                self.tracer.start_span(
+                    "cluster.deliver",
+                    at,
+                    stage=STAGE_CLUSTER,
+                    new_trace=True,
+                    request_id=int(rb.request_id[i]),
+                    client_id=rb.clients[rb.client[i]],
+                    worker=name,
+                    failover=flags is not None and bool(flags[i]),
+                    status=STATUSES[rb.status[i]],
+                    **({"quality": QUALITIES[rb.quality[i]]} if ok else {}),
+                ).finish(at)
+        return self._account_batch(rb)
+
+    def _account_batch(self, rb: ResponseBatch) -> ResponseBatch:
+        """Count a response batch into the cluster metrics."""
+        counts = rb.status_counts()
+        if counts["ok"]:
+            self.metrics.counter("responses_ok").inc(counts["ok"])
+            for quality, c in rb.quality_counts().items():
+                self.metrics.counter(f"quality_{quality}").inc(c)
+            self.metrics.histogram("latency_s").observe_many(rb.latency[rb.ok_mask])
+        if counts["overloaded"]:
+            self.metrics.counter("shed_total").inc(counts["overloaded"])
+            for reason, c in rb.reason_counts().items():
+                self.metrics.counter(f"shed_{reason}").inc(c)
+        if counts["error"]:
+            self.metrics.counter("errors_total").inc(counts["error"])
+        return rb
 
     # ------------------------------------------------------------------
     # Introspection
@@ -1028,7 +952,7 @@ class ServingCluster:
                 "shards": self.router.placement(self._shards.values()),
                 "forecast_ledger": self.ledger.stats(),
                 "plan_cache": plan_cache_stats(),
-                "in_flight": len(self._inflight),
+                "in_flight": sum(w.in_flight for w in self.workers.values()),
                 "elastic": None
                 if self.autoscaler is None
                 else {

@@ -7,7 +7,7 @@ moment evaluation was vectorised, and object plumbing took its place.
 This module is the array-native core that removes it:
 
 * :class:`RequestBatch` — parallel NumPy arrays (submitted, deadline,
-  model code, client code, n_samples, precision) describing many
+  model code, client code, precision) describing many
   requests at once, with small interning tables for the string-valued
   columns.  The typed protocol survives as a **lazy view**: indexing a
   batch materialises the exact :class:`~repro.serving.protocol.PredictRequest`
@@ -116,16 +116,16 @@ class RequestBatch:
     client, clients / model, models:
         Interned string columns: ``client``/``model`` are integer codes
         into the ``clients``/``models`` tables.
-    n_samples:
-        Per-request draw budget; ``0`` means "the server's configured
-        default".  The scalar protocol has no such field yet, so
-        round-tripping through dataclass views keeps it at 0 — it
-        exists so batch producers can pre-negotiate budgets without a
-        per-request object.
     overrides, precision:
         Optional tuple sidecars (one entry per request) for the ragged
         payloads the protocol allows.  ``None`` (the hot-path case)
         means "all empty"/"all None".
+    failover:
+        Optional bool column marking rows a serving cluster routed to a
+        standby owner or migrated off a crashed or drained worker; it
+        rides through the worker to the answer, which the cluster then
+        tags and degrades.  ``None`` means no row failed over.  Routing
+        state, not protocol: :meth:`request` does not carry it.
     """
 
     __slots__ = (
@@ -136,9 +136,9 @@ class RequestBatch:
         "models",
         "submitted",
         "deadline",
-        "n_samples",
         "overrides",
         "precision",
+        "failover",
     )
 
     def __init__(
@@ -150,9 +150,9 @@ class RequestBatch:
         models: tuple,
         submitted: np.ndarray,
         deadline: np.ndarray,
-        n_samples: np.ndarray | None = None,
         overrides: tuple | None = None,
         precision: tuple | None = None,
+        failover: np.ndarray | None = None,
     ):
         self.request_id = np.asarray(request_id, dtype=np.int64)
         self.client = np.asarray(client, dtype=np.int32)
@@ -162,20 +162,16 @@ class RequestBatch:
         self.submitted = np.asarray(submitted, dtype=float)
         self.deadline = np.asarray(deadline, dtype=float)
         n = self.request_id.shape[0]
-        self.n_samples = (
-            np.zeros(n, dtype=np.int32)
-            if n_samples is None
-            else np.asarray(n_samples, dtype=np.int32)
-        )
         self.overrides = overrides
         self.precision = precision
-        for name in ("client", "model", "submitted", "deadline", "n_samples"):
+        self.failover = failover
+        for name in ("client", "model", "submitted", "deadline"):
             arr = getattr(self, name)
             if arr.shape != (n,):
                 raise ValueError(
                     f"column {name!r} has shape {arr.shape}, expected ({n},)"
                 )
-        for name in ("overrides", "precision"):
+        for name in ("overrides", "precision", "failover"):
             side = getattr(self, name)
             if side is not None and len(side) != n:
                 raise ValueError(f"sidecar {name!r} has {len(side)} entries, expected {n}")
@@ -244,13 +240,13 @@ class RequestBatch:
             models=self.models,
             submitted=self.submitted[index],
             deadline=self.deadline[index],
-            n_samples=self.n_samples[index],
             overrides=None
             if self.overrides is None
             else tuple(self.overrides[i] for i in index),
             precision=None
             if self.precision is None
             else tuple(self.precision[i] for i in index),
+            failover=None if self.failover is None else self.failover[index],
         )
 
     @classmethod
@@ -275,7 +271,6 @@ class RequestBatch:
             models=models,
             submitted=np.concatenate([b.submitted for b in batches]),
             deadline=np.concatenate([b.deadline for b in batches]),
-            n_samples=np.concatenate([b.n_samples for b in batches]),
             overrides=None
             if not any_over
             else tuple(
@@ -286,7 +281,17 @@ class RequestBatch:
             else tuple(
                 p for b in batches for p in (b.precision or (None,) * len(b))
             ),
+            failover=_concat_flags([b.failover for b in batches], batches),
         )
+
+
+def _concat_flags(columns, batches) -> np.ndarray | None:
+    """Concatenate optional bool columns (``None`` reads as all False)."""
+    if all(c is None for c in columns):
+        return None
+    return np.concatenate(
+        [np.zeros(len(b), dtype=bool) if c is None else c for c, b in zip(columns, batches)]
+    )
 
 
 def _merge_tables(columns) -> tuple[tuple[str, ...], list[np.ndarray]]:
@@ -313,7 +318,9 @@ class ResponseBatch:
     ``ok`` rows; ``retry_after`` only on ``overloaded`` rows; the
     ``messages`` sidecar only on ``error`` rows.  ``quality`` indexes
     :data:`~repro.nws.service.QUALITIES`; ``status`` indexes
-    :data:`STATUSES`; ``reason`` indexes :data:`REASONS`.
+    :data:`STATUSES`; ``reason`` indexes :data:`REASONS`.  The optional
+    ``failover`` column (``None``: no row failed over) marks answers a
+    standby served; it is carried over from the request rows.
     """
 
     __slots__ = (
@@ -336,6 +343,7 @@ class ResponseBatch:
         "worker",
         "workers",
         "messages",
+        "failover",
     )
 
     def __init__(
@@ -359,6 +367,7 @@ class ResponseBatch:
         worker=None,
         workers=("",),
         messages=None,
+        failover=None,
     ):
         self.request_id = np.asarray(request_id, dtype=np.int64)
         n = self.request_id.shape[0]
@@ -384,6 +393,9 @@ class ResponseBatch:
         self.messages = messages
         if messages is not None and len(messages) != n:
             raise ValueError(f"messages sidecar has {len(messages)} entries, expected {n}")
+        self.failover = failover
+        if failover is not None and len(failover) != n:
+            raise ValueError(f"failover column has {len(failover)} entries, expected {n}")
 
     # ------------------------------------------------------------------
     def __len__(self) -> int:
@@ -417,6 +429,7 @@ class ResponseBatch:
         latency = np.zeros(n)
         batch_size = np.ones(n, dtype=np.int32)
         retry_after = np.zeros(n)
+        failover = np.zeros(n, dtype=bool)
         messages = [None] * n
         any_message = False
         for i, r in enumerate(responses):
@@ -428,6 +441,7 @@ class ResponseBatch:
                 staleness[i] = r.staleness
                 latency[i] = r.latency
                 batch_size[i] = r.batch_size
+                failover[i] = r.failover
                 if r.precision is not None or r.distribution is not None or r.failover:
                     # Rich per-answer blocks do not columnise; keep the
                     # original object so the view stays byte-identical.
@@ -459,6 +473,7 @@ class ResponseBatch:
             worker=worker,
             workers=workers,
             messages=tuple(messages) if any_message else None,
+            failover=failover if failover.any() else None,
         )
 
     def response(self, i: int) -> Response:
@@ -483,6 +498,7 @@ class ResponseBatch:
                 latency=float(self.latency[i]),
                 batch_size=int(self.batch_size[i]),
                 model=self.models[self.model[i]],
+                failover=self.failover is not None and bool(self.failover[i]),
             )
         if status == _STATUS_OVERLOADED:
             return OverloadedResponse(
@@ -555,6 +571,7 @@ class ResponseBatch:
             messages=None
             if self.messages is None
             else tuple(self.messages[i] for i in index),
+            failover=None if self.failover is None else self.failover[index],
         )
 
     def with_worker(self, name: str) -> "ResponseBatch":
@@ -609,6 +626,7 @@ class ResponseBatch:
             else tuple(
                 m for b in batches for m in (b.messages or (None,) * len(b))
             ),
+            failover=_concat_flags([b.failover for b in batches], batches),
         )
 
     def sorted_by_completion(self) -> "ResponseBatch":

@@ -268,6 +268,7 @@ def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
         clients=batch.clients,
         model=batch.model,
         models=batch.models,
+        failover=batch.failover,
         **cols,
     )
 
@@ -299,9 +300,16 @@ class PredictionServer:
         self._models: dict[str, ModelSpec] = {}
         # Admitted rows awaiting service, as RequestBatch segments in
         # arrival order (coalesced into one segment before each batch is
-        # formed), and computed answers awaiting their delivery instant.
+        # formed) with each row's admission number alongside; served rows
+        # whose answers are not yet delivered, as (rows, numbers,
+        # completion instant); and those computed answers.  Together the
+        # first two are every unanswered row, which drain() hands back
+        # in admission order.
         self._queue: list[RequestBatch] = []
+        self._qseq: list[np.ndarray] = []
         self._qlen = 0
+        self._seq = 0
+        self._served: list[tuple[RequestBatch, np.ndarray, float]] = []
         self._pending: list[ResponseBatch] = []
         # Per-model compiled plan (or the compile error of a plan that
         # does not lower).  The engine's own plan cache already dedupes
@@ -382,6 +390,12 @@ class PredictionServer:
         return self._qlen
 
     @property
+    def in_flight(self) -> int:
+        """Rows admitted and not yet answered: queued, or served with the
+        answer still awaiting its delivery instant."""
+        return self._qlen + sum(len(rows) for rows, _, _ in self._served)
+
+    @property
     def columnar_fast_path(self) -> bool:
         """Always ``True``: every config is served by the columnar core.
 
@@ -419,9 +433,14 @@ class PredictionServer:
         delivered; rejected rows record an instant ``serving.reject``
         span instead.
         """
+        return self._submit(batch)[0]
+
+    def _submit(self, batch: RequestBatch) -> tuple[ResponseBatch, np.ndarray]:
+        """:meth:`submit_batch`, also returning the mask of admitted rows
+        (a cluster needs to know which of the rows it placed stayed)."""
         n = len(batch)
         if n == 0:
-            return ResponseBatch.empty()
+            return ResponseBatch.empty(), np.zeros(0, dtype=bool)
         self.metrics.counter("requests_total").inc(n)
         depth0 = self._qlen
         errors = self._invalid_rows(batch)
@@ -446,12 +465,14 @@ class PredictionServer:
                     self.metrics.counter(f"shed_{name}").inc(int(reason_counts[code]))
         if n_admitted:
             self._queue.append(batch if n_admitted == n else batch.select(admitted))
+            self._qseq.append(np.arange(self._seq, self._seq + n_admitted))
+            self._seq += n_admitted
             self._qlen += n_admitted
             self.metrics.gauge("queue_depth").set(self._qlen)
         if self.tracer.enabled:
             self._trace_submissions(batch, errors, verdict)
         if n_admitted == n:
-            return ResponseBatch.empty()
+            return ResponseBatch.empty(), admitted
 
         # Each shed row's retry hint reads the queue depth at its own
         # instant in the submission order.
@@ -464,7 +485,7 @@ class PredictionServer:
             rows = np.flatnonzero(rejected).tolist()
             messages = tuple(errors[i][1] if i in errors else None for i in rows)
             status[[i in errors for i in rows]] = _ST_ERROR
-        return _answers(
+        immediate = _answers(
             sub,
             status=status,
             reason=np.maximum(verdict[rejected], 0),
@@ -472,6 +493,7 @@ class PredictionServer:
             retry_after=retry[rejected],
             messages=messages,
         )
+        return immediate, admitted
 
     def _invalid_rows(self, batch: RequestBatch) -> dict[int, tuple[str, str]]:
         """``{row: (why, message)}`` for rows naming an unknown model or
@@ -550,20 +572,24 @@ class PredictionServer:
         while self._qlen:
             if len(self._queue) > 1:
                 self._queue = [RequestBatch.concat(self._queue)]
+                self._qseq = [np.concatenate(self._qseq)]
             t_start = max(self._busy_until, self._clock, float(self._queue[0].submitted[0]))
             if t_start > to:
                 break
             self._expire(t_start)
             if not self._qlen:
                 break
-            batch = self._next_batch()
+            batch, seq = self._next_batch()
             t_start = max(t_start, float(batch.submitted.max()))
             self._pending.append(self._serve(batch, t_start))
+            self._served.append((batch, seq, self._busy_until))
             self.metrics.counter("batches_total").inc()
             self.metrics.histogram("batch_size", _BATCH_BUCKETS).observe(len(batch))
         self._clock = to
         self.forecasts.ingest_to(to)
         self.metrics.gauge("queue_depth").set(self._qlen)
+        if self._served:
+            self._served = [s for s in self._served if s[2] > to]
         return self._deliver(to)
 
     def _expire(self, t: float) -> None:
@@ -597,20 +623,22 @@ class PredictionServer:
                     sp.set(outcome=f"shed:{SHED_DEADLINE}").finish(t)
         rest = queue.select(~expired)
         self._queue = [rest] if len(rest) else []
+        self._qseq = [self._qseq[0][~expired]] if len(rest) else []
         self._qlen = len(rest)
 
-    def _next_batch(self) -> RequestBatch:
-        """Head-of-queue model's rows, FIFO up to ``batch_max``."""
-        queue = self._queue[0]
+    def _next_batch(self) -> tuple[RequestBatch, np.ndarray]:
+        """Head-of-queue model's rows, FIFO up to ``batch_max``, with
+        their admission numbers."""
+        queue, seq = self._queue[0], self._qseq[0]
         idx = np.flatnonzero(queue.model == queue.model[0])[: self.config.batch_max]
         if idx.size == len(queue):
-            self._queue, self._qlen = [], 0
-            return queue
+            self._queue, self._qseq, self._qlen = [], [], 0
+            return queue, seq
         keep = np.ones(len(queue), dtype=bool)
         keep[idx] = False
         rest = queue.select(keep)
-        self._queue, self._qlen = [rest], len(rest)
-        return queue.select(idx)
+        self._queue, self._qseq, self._qlen = [rest], [seq[keep]], len(rest)
+        return queue.select(idx), seq[idx]
 
     def _deliver(self, to: float) -> ResponseBatch:
         """Computed answers whose completion instant has been reached,
@@ -663,19 +691,21 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Cluster lifecycle hooks
     # ------------------------------------------------------------------
-    def drain(self) -> list[PredictRequest]:
-        """Crash hook: abandon all pending work and return the queue.
+    def drain(self) -> RequestBatch:
+        """Crash hook: abandon all pending work, return every unanswered row.
 
         Called by a serving cluster the instant this worker's host
-        crashes.  Queued requests are returned (the cluster re-routes
-        them to the shard's replicas); responses computed but not yet
-        delivered are discarded — a dead worker cannot deliver, and the
-        cluster re-issues those requests from its own in-flight registry
-        — and the in-service window is cancelled so a later restart does
-        not resume a half-finished batch.
+        crashes, or a drain's grace runs out.  The queued rows and the
+        rows of batches served but not yet delivered come back as one
+        :class:`RequestBatch` in admission order, for the cluster to
+        re-route; the undelivered answers are discarded — a dead worker
+        cannot deliver — and the in-service window is cancelled so a
+        later restart does not resume a half-finished batch.
         """
-        dropped = [req for seg in self._queue for req in seg.to_requests()]
-        self._queue, self._qlen = [], 0
+        parts = self._queue + [rows for rows, _, _ in self._served]
+        seqs = self._qseq + [seq for _, seq, _ in self._served]
+        self._queue, self._qseq, self._qlen = [], [], 0
+        self._served.clear()
         self._pending.clear()
         self._busy_until = self._clock
         self.metrics.gauge("queue_depth").set(0)
@@ -683,7 +713,10 @@ class PredictionServer:
             for sp in self._req_spans.values():
                 sp.set(outcome="drained").finish(self._clock)
             self._req_spans.clear()
-        return dropped
+        if not parts:
+            return RequestBatch.from_requests(())
+        order = np.argsort(np.concatenate(seqs), kind="stable")
+        return RequestBatch.concat(parts).select(order)
 
     def restart(self, at: float) -> None:
         """Recovery hook: bring a crashed worker back cold at time ``at``.
@@ -696,7 +729,8 @@ class PredictionServer:
         """
         if at < self._clock:
             raise ValueError(f"cannot restart at {at}, before the clock ({self._clock})")
-        self._queue, self._qlen = [], 0
+        self._queue, self._qseq, self._qlen = [], [], 0
+        self._served.clear()
         self._pending.clear()
         self._clock = at
         self._busy_until = at

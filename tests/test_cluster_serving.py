@@ -11,17 +11,20 @@ import json
 import pytest
 
 from repro.faults import FaultPlan
+from repro.obs import Tracer
 from repro.serving import (
+    AdmissionPolicy,
     ClosedLoop,
     ClusterConfig,
     Histogram,
     LoadDriver,
     PredictRequest,
+    RequestBatch,
     ServerConfig,
     demo_cluster,
     demo_server,
 )
-from repro.serving.protocol import SHED_THROTTLED, SHED_UNAVAILABLE
+from repro.serving.protocol import SHED_QUEUE_FULL, SHED_THROTTLED, SHED_UNAVAILABLE
 from repro.serving.router import ClusterRouter, HashRing, bindings_fingerprint, stable_hash
 from repro.structural.parameters import Bindings
 
@@ -195,9 +198,28 @@ class TestWorkerHooks:
             assert server.submit(request("sor-600", request_id=i)) is None
         assert server.queue_depth == 5
         dropped = server.drain()
-        assert [r.request_id for r in dropped] == [0, 1, 2, 3, 4]
-        assert server.queue_depth == 0
+        assert isinstance(dropped, RequestBatch)
+        assert dropped.request_id.tolist() == [0, 1, 2, 3, 4]
+        assert server.queue_depth == 0 and server.in_flight == 0
         assert server.step(server.now + 5.0) == []
+
+    def test_drain_returns_served_undelivered_rows_in_admission_order(self):
+        # Rows 0 and 2 share a model, so they are served together ahead
+        # of row 1; their answers are still in service when the worker
+        # is drained, and every row comes back in admission order.
+        server, _, _ = demo_server(
+            duration=300.0, config=ServerConfig(service_time_base=5.0), rng=3
+        )
+        t0 = server.now
+        for rid, model in enumerate(("sor-600", "sor-1000", "sor-600")):
+            assert server.submit(request(model, request_id=rid, submitted=t0)) is None
+        assert server.step(t0 + 1.0) == []
+        assert server.queue_depth == 1 and server.in_flight == 3
+        dropped = server.drain()
+        assert dropped.request_id.tolist() == [0, 1, 2]
+        assert [r.model for r in dropped] == ["sor-600", "sor-1000", "sor-600"]
+        assert server.in_flight == 0
+        assert server.step(t0 + 30.0) == []
 
     def test_restart_jumps_the_clock_and_colds_the_cache(self):
         server, _, _ = demo_server(duration=300.0, rng=3)
@@ -291,3 +313,99 @@ class TestDrivenCluster:
             for r in report.responses
         ]
         assert [r.value for r in replay.responses] == [r.value for r in report.responses]
+
+
+class TestRequeueOrder:
+    """A crash re-routes a worker's unanswered rows in admission order,
+    not served-first: rows A1, B1, A2 with A1 and A2 served together but
+    undelivered reach the replica as A1, B1, A2."""
+
+    def test_replica_receives_rows_in_admission_order(self):
+        config = ClusterConfig(
+            n_workers=2,
+            replication=2,
+            worker=ServerConfig(
+                service_time_base=5.0, admission=AdmissionPolicy(max_queue=3)
+            ),
+        )
+        probe, _, _ = demo_cluster(duration=300.0, config=config, rng=5)
+        by_primary: dict = {}
+        for m in probe.models:
+            by_primary.setdefault(probe.owners(m)[0], []).append(m)
+        victim = next(w for w, ms in by_primary.items() if len(ms) >= 2)
+        (replica,) = set(probe.workers) - {victim}
+        model_a, model_b = by_primary[victim][:2]
+        model_c = by_primary[replica][0]
+        crash = probe.now + 1.0
+        tracer = Tracer()
+        cluster, _, _ = demo_cluster(
+            duration=300.0,
+            config=config,
+            faults=FaultPlan.crashes({victim: [(crash, 200.0)]}),
+            rng=5,
+            tracer=tracer,
+        )
+        t0 = cluster.now
+
+        def submit(at, *rows):
+            return cluster.submit_batch(
+                RequestBatch.from_requests(
+                    [
+                        PredictRequest(request_id=rid, client_id=name, model=model, submitted=at)
+                        for rid, model, name in rows
+                    ]
+                )
+            )
+
+        # The replica starts serving C1 while the victim serves A1+A2
+        # together and queues B1; C2 then queues behind C1.
+        rows = [(10, model_c, "C1"), (1, model_a, "A1"), (2, model_b, "B1"), (3, model_a, "A2")]
+        assert len(submit(t0, *rows)) == 0
+        assert cluster.step(t0 + 0.5) == []
+        assert len(submit(t0 + 0.5, (11, model_c, "C2"))) == 0
+        names = {rid: name for rid, _, name in rows}
+        out = {r.request_id: r for r in cluster.step(t0 + 60.0)}
+        assert len(out) == len(rows) + 1
+
+        # The trace: the hops nested under the migration, in order.
+        (migration,) = tracer.find(name="cluster.failover")
+        hops = [
+            names[sp.attrs["request_id"]]
+            for sp in tracer.find(name="cluster.route", failover=True)
+            if sp.parent_id == migration.span_id
+        ]
+        assert hops == ["A1", "B1", "A2"]
+        # The answers: the replica's queue (bound 3, C2 already waiting)
+        # takes A1 and B1 and sheds A2, the last row to arrive.
+        assert out[3].status == "overloaded" and out[3].reason == SHED_QUEUE_FULL
+        for rid in (1, 2):
+            assert out[rid].status == "ok"
+            assert out[rid].failover and out[rid].worker == replica
+
+
+class TestInFlight:
+    def test_snapshot_counts_the_workers_unanswered_rows(self):
+        cluster, _, _ = demo_cluster(rng=5)
+        t0 = cluster.now
+        immediate = cluster.submit_batch(
+            RequestBatch.from_requests(
+                [
+                    PredictRequest(
+                        request_id=i,
+                        client_id=f"c{i % 8}",
+                        model=cluster.models[i % len(cluster.models)],
+                        submitted=t0,
+                    )
+                    for i in range(2000)
+                ]
+            )
+        )
+        admitted = 2000 - len(immediate)
+        assert admitted > 0
+        snap = cluster.snapshot()
+        assert snap["in_flight"] == cluster.queue_depth == admitted
+        cluster.step(t0 + 0.01)  # some batches served, answers pending
+        snap = cluster.snapshot()
+        assert snap["in_flight"] > cluster.queue_depth
+        cluster.step(t0 + 60.0)
+        assert cluster.snapshot()["in_flight"] == 0

@@ -12,12 +12,9 @@ contract:
   same verdicts as feeding the stream through the scalar
   :class:`~repro.serving.admission.AdmissionController` one request at
   a time, and leaves the token buckets in the same state.
-* **Path equivalence** — the same seeded workload submitted per-request
-  vs as one ``RequestBatch`` produces bit-identical responses from a
-  cluster (values, tags, sheds, worker attribution), with and without
-  precision and calibration on the workers.  A single server has one
-  path; ``tests/test_serving_matrix.py`` pins both of its APIs to one
-  frozen golden.
+* **Path equivalence** — server and cluster each have one path;
+  ``tests/test_serving_matrix.py`` and ``tests/test_cluster_matrix.py``
+  pin both of their APIs to one frozen golden each.
 * **Bugfix regressions** — delivery preserves stable completion order;
   the deadline boundary is inclusive (equal instant is served) on both
   the server path and cluster re-routing; a batch is admitted and
@@ -28,7 +25,6 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.calib.loop import CalibrationConfig
 from repro.core.stochastic import StochasticValue
 from repro.nws.service import QUALITIES
 from repro.serving.admission import (
@@ -36,6 +32,7 @@ from repro.serving.admission import (
     AdmissionController,
     AdmissionPolicy,
 )
+from repro.faults import FaultPlan
 from repro.serving.cluster import ClusterConfig
 from repro.serving.columnar import (
     ADMIT,
@@ -275,7 +272,7 @@ class TestAdmissionParity:
 
 
 # ----------------------------------------------------------------------
-# Path equivalence: the cluster's per-request vs columnar paths
+# Path equivalence
 # ----------------------------------------------------------------------
 def _mixed_requests(models, n=240, t0=0.0):
     """A deterministic stream exercising every admission outcome."""
@@ -299,73 +296,7 @@ def _mixed_requests(models, n=240, t0=0.0):
     return reqs
 
 
-def _equivalence_config():
-    return ServerConfig(
-        n_samples=32,
-        batch_max=16,
-        admission=AdmissionPolicy(max_queue=48, client_rate=40.0, client_burst=4.0),
-    )
-
-
 class TestPathEquivalence:
-    def test_cluster_columnar_answers_bit_identical(self):
-        c_scalar, _, _ = demo_cluster(rng=5)
-        c_columnar, _, _ = demo_cluster(rng=5)
-        assert c_columnar.columnar_fast_path
-        reqs = _mixed_requests(c_scalar.models, n=200)
-
-        out_scalar = []
-        for r in reqs:
-            immediate = c_scalar.submit(r)
-            if immediate is not None:
-                out_scalar.append(immediate)
-        out_scalar += list(c_scalar.step(120.0))
-
-        batch = RequestBatch.from_requests(reqs)
-        rb = c_columnar.submit_batch(batch)
-        out_columnar = rb.to_responses() + c_columnar.step_batch(120.0).to_responses()
-
-        by_id_s = {r.request_id: r for r in out_scalar}
-        by_id_c = {r.request_id: r for r in out_columnar}
-        assert set(by_id_s) == set(by_id_c) == {r.request_id for r in reqs}
-        for rid in by_id_s:
-            # Includes worker attribution: views must carry the shard
-            # owner's name exactly as the scalar path stamps it.
-            assert by_id_s[rid] == by_id_c[rid]
-
-    def test_feature_cluster_columnar_answers_bit_identical(self):
-        # Precision and calibration on the workers no longer demote the
-        # cluster to its per-request path; both surfaces must agree,
-        # worker stamps on the rich (precision/distribution) answers
-        # included.
-        config = ClusterConfig(
-            worker=ServerConfig(
-                n_samples=256,
-                precision=_PRECISION,
-                calibration=CalibrationConfig(truth_spread_scale=2.0, flush_every=16),
-            )
-        )
-        c_scalar, _, _ = demo_cluster(config=config, rng=5)
-        c_columnar, _, _ = demo_cluster(config=config, rng=5)
-        assert c_columnar.columnar_fast_path
-        reqs = _mixed_requests(c_scalar.models, n=120)
-
-        out_scalar = [r for r in map(c_scalar.submit, reqs) if r is not None]
-        out_scalar += c_scalar.step(120.0)
-        rb = c_columnar.submit_batch(RequestBatch.from_requests(reqs))
-        out_columnar = rb.to_responses() + c_columnar.step_batch(120.0).to_responses()
-
-        by_id_s = {r.request_id: r for r in out_scalar}
-        by_id_c = {r.request_id: r for r in out_columnar}
-        assert set(by_id_s) == set(by_id_c) == {r.request_id for r in reqs}
-        rich = [r for r in by_id_c.values() if r.ok]
-        assert rich and all(
-            r.precision is not None and r.distribution is not None and r.worker
-            for r in rich
-        )
-        for rid in by_id_s:
-            assert by_id_s[rid] == by_id_c[rid]
-
     def test_unknown_model_errors_match_scalar_messages(self):
         s_scalar, _, _ = demo_server(rng=5)
         s_columnar, _, _ = demo_server(rng=5)
@@ -476,30 +407,34 @@ class TestDeadlineBoundary:
         # shed `deadline <= t` while worker-side shedding used
         # `deadline < t`, so the same trace shed different requests
         # depending on whether a crash happened to move it.
-        cluster, _, _ = demo_cluster(rng=5)
-        healthy = set(cluster.workers)
+        crash = 61.0
+        slow = ClusterConfig(n_workers=3, worker=ServerConfig(service_time_base=5.0))
+        probe, _, _ = demo_cluster(config=slow, rng=5)
+        model = probe.models[0]
+        primary, replica = probe.owners(model)
+        cluster, _, _ = demo_cluster(
+            config=slow, faults=FaultPlan.crashes({primary: [(crash, 100.0)]}), rng=5
+        )
+        t0 = cluster.now
+        # The first request keeps the primary busy past the crash, so the
+        # next two are still queued there when it hits.
+        assert cluster.submit(PredictRequest(request_id=0, client_id="ann",
+                                             model=model, submitted=t0)) is None
+        assert cluster.step(t0 + 0.5) == []
+        for rid, deadline in ((1, crash), (2, crash - 1e-9)):
+            assert cluster.submit(PredictRequest(request_id=rid, client_id="bob",
+                                                 model=model, submitted=t0 + 0.5,
+                                                 deadline=deadline)) is None
+        out = {r.request_id: r for r in cluster.step(t0 + 30.0)}
 
-        served = PredictRequest(request_id=1, client_id="ann",
-                                model=cluster.models[0], submitted=0.0,
-                                deadline=50.0)
-        cluster.submit(served)
-        out: list = []
-        key = ("ann", 1)
-        assert key in cluster._inflight
-        requeued, shed = cluster._requeue([key], 50.0, healthy, out)
-        assert (requeued, shed) == (1, 0)
-        assert not any(r.status == "overloaded" for r in out)
-
-        dead = PredictRequest(request_id=2, client_id="bob",
-                              model=cluster.models[0], submitted=0.0,
-                              deadline=50.0)
-        cluster.submit(dead)
-        out = []
-        key = ("bob", 2)
-        requeued, shed = cluster._requeue([key], 50.0 + 1e-9, healthy, out)
-        assert (requeued, shed) == (0, 1)
-        assert out[0].status == "overloaded"
-        assert out[0].reason == SHED_DEADLINE
+        # Equal to the migration instant: still servable, re-routed.
+        assert out[1].status == "ok"
+        assert out[1].failover and out[1].worker == replica
+        # Strictly before it: shed on the spot, by the cluster.
+        assert out[2].status == "overloaded" and out[2].reason == SHED_DEADLINE
+        assert out[2].completed == crash and out[2].worker == ""
+        counters = cluster.snapshot()["cluster"]["counters"]
+        assert counters["requeued_total"] == 2  # requests 0 and 1
 
 
 class TestRowOrder:
