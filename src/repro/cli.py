@@ -15,6 +15,7 @@ Examples
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 from repro.experiments.dedicated import run_dedicated_validation
@@ -565,6 +566,41 @@ def _cmd_soak(args) -> int:
     return 0 if report.errors == 0 and report.lost == 0 and report.duplicates == 0 else 1
 
 
+def _at_least(lo, kind=int, *, strict=False):
+    """argparse type: a ``kind`` number no smaller than ``lo`` (greater
+    than it when ``strict``)."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
+        if not (value > lo if strict else value >= lo):  # NaN fails both
+            raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {lo}, got {text}")
+        return value
+
+    return parse
+
+
+def _check_serve_cluster(parser: argparse.ArgumentParser, args) -> None:
+    """Cross-argument checks of ``serve-cluster``: a ``--crash`` must name
+    a worker of this cluster and an outage window that ends after it
+    starts.  Exits with status 2 and a usage message otherwise."""
+    names = [f"worker-{i}" for i in range(args.workers)]
+    for worker, start, end in args.crash:
+        if worker not in names:
+            parser.error(
+                f"argument --crash: unknown worker {worker!r}; this cluster has "
+                f"{names[0]} .. {names[-1]}"
+            )
+        try:
+            a, b = float(start), float(end)
+        except ValueError:
+            parser.error(f"argument --crash: START and END must be numbers, got {start!r} {end!r}")
+        if not a < b:
+            parser.error(f"argument --crash: START must be before END, got {start} {end}")
+
+
 def _cmd_serve_cluster(args) -> int:
     from repro.faults import FaultPlan
     from repro.serving import AdmissionPolicy, ClusterConfig, LoadDriver, ServerConfig, demo_cluster
@@ -924,19 +960,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser("serve-cluster", help="drive the sharded multi-worker cluster")
-    p.add_argument("--workers", type=int, default=4)
-    p.add_argument("--replication", type=int, default=2)
-    p.add_argument("--requests", type=int, default=500)
-    p.add_argument("--clients", type=int, default=16)
-    p.add_argument("--rate", type=float, default=None,
+    p.add_argument("--workers", type=_at_least(1), default=4)
+    p.add_argument("--replication", type=_at_least(1), default=2)
+    p.add_argument("--requests", type=_at_least(1), default=500)
+    p.add_argument("--clients", type=_at_least(1), default=16)
+    p.add_argument("--rate", type=_at_least(0.0, float, strict=True), default=None,
                    help="open-loop arrival rate in req/s (default: closed loop)")
-    p.add_argument("--think-time", type=float, default=0.0)
-    p.add_argument("--duration", type=float, default=None,
+    p.add_argument("--think-time", type=_at_least(0.0, float), default=0.0)
+    p.add_argument("--duration", type=_at_least(0.0, float, strict=True), default=None,
                    help="simulated drive window in seconds")
-    p.add_argument("--batch-max", type=int, default=64)
-    p.add_argument("--samples", type=int, default=400)
-    p.add_argument("--max-queue", type=int, default=256)
-    p.add_argument("--cluster-rate", type=float, default=0.0,
+    p.add_argument("--batch-max", type=_at_least(1), default=64)
+    p.add_argument("--samples", type=_at_least(2), default=400)
+    p.add_argument("--max-queue", type=_at_least(1), default=256)
+    p.add_argument("--cluster-rate", type=_at_least(0.0, float), default=0.0,
                    help="global admission rate in req/s (0 disables)")
     p.add_argument("--crash", nargs=3, action="append", default=[],
                    metavar=("WORKER", "START", "END"),
@@ -949,7 +985,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --calibrate: chaos knob multiplying the "
                    "spread outcomes are drawn with")
     p.add_argument("--json", action="store_true", help="dump the full cluster snapshot")
-    p.set_defaults(func=_cmd_serve_cluster)
+    p.set_defaults(func=_cmd_serve_cluster, check=functools.partial(_check_serve_cluster, p))
 
     p = sub.add_parser(
         "soak",
@@ -1027,6 +1063,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """CLI entry point; returns a process exit code."""
     args = build_parser().parse_args(argv)
+    if getattr(args, "check", None) is not None:
+        args.check(args)
     return args.func(args)
 
 

@@ -167,3 +167,38 @@ class TestCommands:
         assert main(["scenarios", "--scenario", str(path), "--policy", "static"]) == 0
         out = capsys.readouterr().out
         assert "tiny [static]" in out and "PASS" in out
+
+
+class TestServeClusterArguments:
+    """Invalid ``serve-cluster`` input exits 2 with a usage message,
+    never a traceback from deep inside or a silently ignored flag."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["--workers", "0"], "argument --workers: must be >= 1, got 0"),
+            (["--requests", "-3"], "argument --requests: must be >= 1, got -3"),
+            (["--samples", "1"], "argument --samples: must be >= 2, got 1"),
+            (["--rate", "0"], "argument --rate: must be > 0.0, got 0"),
+            (["--cluster-rate", "nan"], "argument --cluster-rate: must be >= 0.0"),
+            (["--workers", "two"], "argument --workers: expected int, got 'two'"),
+            (
+                ["--workers", "4", "--crash", "worker-9", "60", "61"],
+                "unknown worker 'worker-9'; this cluster has worker-0 .. worker-3",
+            ),
+            (["--crash", "worker-1", "61", "60"], "START must be before END"),
+            (["--crash", "worker-1", "soon", "60"], "START and END must be numbers"),
+        ],
+    )
+    def test_invalid_input_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(["serve-cluster", *argv])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "repro serve-cluster: error:" in err and message in err
+        assert "Traceback" not in err
+
+    def test_valid_crash_still_runs(self, capsys):
+        argv = ["serve-cluster", "--requests", "60", "--crash", "worker-0", "60.4", "61.2"]
+        assert main(argv) == 0
+        assert "worker_crashes_total" in capsys.readouterr().out
