@@ -19,15 +19,16 @@ own shards rather than every worker paging through every model.
 ``machine_crashes`` schedule, keyed by worker name) crashes and restarts
 workers.  The cluster's event loop processes crash boundaries exactly:
 at a crash instant the dead worker is drained — every request it had
-not answered, queued or served but undelivered, comes back in admission
-order and is re-routed to the shard's replicas — and routing skips it
-until the restart instant, when it re-registers cold (forecast cache invalidated,
-clock jumped over the downtime).  A replica's answer is *never silent*
-about the transition: it is delivered with ``failover=True`` and a
-quality tag degraded to at least ``stale``, because a standby serves the
-migrated shard from standby-grade state.  The worst a client ever sees
-is a typed :class:`~repro.serving.protocol.OverloadedResponse` — a
-crash never surfaces as an error.
+not answered, queued or served but undelivered, comes back in
+admission order and is re-routed to the shard's replicas — and routing
+skips it until the restart instant, when it re-registers cold
+(forecast cache invalidated, clock jumped over the downtime).  A
+replica's answer is *never silent* about the transition: it is
+delivered with ``failover=True`` and a quality tag degraded to at least
+``stale``, because a standby serves the migrated shard from
+standby-grade state.  The worst a client ever sees is a typed
+:class:`~repro.serving.protocol.OverloadedResponse` — a crash never
+surfaces as an error.
 
 **Admission.**  A global token bucket meters the whole cluster before
 per-worker queues apply their own bounds, so an aggregate overload sheds
@@ -450,7 +451,8 @@ class ServingCluster:
         rows_of: list[np.ndarray] = []
         for j, name in enumerate(targets):
             rows = np.flatnonzero(routed & (target == j))
-            flags = failover[rows] if failover[rows].any() else None
+            flags = failover[rows]
+            flags = flags if flags.any() else None
             if rows.size == n and flags is None and batch.failover is None:
                 sub = batch
             else:

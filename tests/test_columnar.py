@@ -403,7 +403,7 @@ class TestDeadlineBoundary:
         assert out[2].status == "overloaded" and out[2].reason == SHED_DEADLINE
 
     def test_cluster_requeue_uses_the_same_boundary(self):
-        # Satellite regression: before the sweep, in-flight migration
+        # Regression: before the deadline-boundary fix, in-flight migration
         # shed `deadline <= t` while worker-side shedding used
         # `deadline < t`, so the same trace shed different requests
         # depending on whether a crash happened to move it.

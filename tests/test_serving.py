@@ -24,6 +24,7 @@ from repro.serving import (
     TokenBucket,
     demo_server,
 )
+from repro.serving.admission import SPEND_EPS
 from repro.serving.protocol import (
     SHED_DEADLINE,
     SHED_QUEUE_FULL,
@@ -204,6 +205,27 @@ class TestAdmission:
         for i in range(100):
             assert not b.allow(0.5 + i * 1e-3)
         assert b.allow(1.0)  # exactly one second after the spend
+
+    def test_allow_many_matches_one_spend_per_instant(self):
+        # Reference: the per-call arithmetic, spelt out with the pure
+        # tokens() read — grants and the state left behind must agree,
+        # across consecutive calls too.
+        rng = np.random.default_rng(3)
+        times = np.cumsum(rng.exponential(0.05, size=400))
+        times[::7] = times[::7] - 0.2  # stale instants behind the anchor
+        bucket = TokenBucket(rate=12.0, burst=4.0, now=0.0)
+        ref = TokenBucket(rate=12.0, burst=4.0, now=0.0)
+        expected = []
+        for now in times.tolist():
+            avail = ref.tokens(now)
+            ok = avail >= 1.0 - SPEND_EPS
+            if ok:
+                ref._tokens, ref._anchor = max(0.0, avail - 1.0), max(ref._anchor, now)
+            expected.append(ok)
+        granted = np.concatenate([bucket.allow_many(times[:150]), bucket.allow_many(times[150:])])
+        assert granted.tolist() == expected
+        assert 0 < sum(expected) < len(expected)
+        assert (bucket._tokens, bucket._anchor) == (ref._tokens, ref._anchor)
 
     def test_queue_full_shed(self):
         server = tiny_server(
