@@ -281,16 +281,16 @@ class RequestBatch:
             else tuple(
                 p for b in batches for p in (b.precision or (None,) * len(b))
             ),
-            failover=_concat_flags([b.failover for b in batches], batches),
+            failover=_concat_failover(batches),
         )
 
 
-def _concat_flags(columns, batches) -> np.ndarray | None:
-    """Concatenate optional bool columns (``None`` reads as all False)."""
-    if all(c is None for c in columns):
+def _concat_failover(batches) -> np.ndarray | None:
+    """The batches' ``failover`` columns joined (``None`` reads as all False)."""
+    if all(b.failover is None for b in batches):
         return None
     return np.concatenate(
-        [np.zeros(len(b), dtype=bool) if c is None else c for c, b in zip(columns, batches)]
+        [np.zeros(len(b), dtype=bool) if b.failover is None else b.failover for b in batches]
     )
 
 
@@ -626,7 +626,7 @@ class ResponseBatch:
             else tuple(
                 m for b in batches for m in (b.messages or (None,) * len(b))
             ),
-            failover=_concat_flags([b.failover for b in batches], batches),
+            failover=_concat_failover(batches),
         )
 
     def sorted_by_completion(self) -> "ResponseBatch":
