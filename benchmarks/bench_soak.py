@@ -5,7 +5,7 @@ core (``repro.serving.columnar``, ``docs/serving.md``):
 :data:`SOAK_REQUESTS` requests (1M by default; CI's ``soak-smoke`` job
 scales down via ``REPRO_SOAK_REQUESTS``) flow through a 4-worker sharded
 cluster in one run.  Delivery must be *provably lossless*: the driver
-checks every ``request_id`` off a bitmap, and the gate is zero lost and
+counts every answered ``request_id``, and the gate is zero lost and
 zero duplicate answers.  A wall-QPS step summary (cumulative throughput
 at each progress mark) lands in ``benchmarks/out/BENCH_soak.json``.
 
@@ -22,7 +22,8 @@ from conftest import emit
 from repro.serving import (
     AdmissionPolicy,
     ClusterConfig,
-    ColumnarLoadDriver,
+    LoadDriver,
+    OpenLoop,
     ServerConfig,
     demo_cluster,
 )
@@ -62,11 +63,12 @@ def test_cluster_soak_lossless(out_dir):
             }
         )
 
-    driver = ColumnarLoadDriver(
+    driver = LoadDriver(
         cluster,
         cluster.models,
-        rate=SOAK_RATE,
+        OpenLoop(SOAK_RATE),
         max_requests=SOAK_REQUESTS,
+        tick=0.25,
         rng=SEED,
         progress=progress,
         progress_every=PROGRESS_EVERY,

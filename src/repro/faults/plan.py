@@ -247,8 +247,9 @@ class FaultPlan:
 
         ``windows`` maps machine (or serving-cluster worker) name to an
         iterable of ``(start, end)`` pairs or :class:`Outage` objects —
-        the explicit-schedule shorthand the cluster chaos tests and the
-        ``bench-cluster`` CLI use to crash one worker mid-load.
+        the explicit-schedule shorthand the cluster chaos tests and
+        ``repro serve --workers N --crash`` use to crash one worker
+        mid-load.
         """
         return cls(
             machine_crashes={

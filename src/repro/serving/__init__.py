@@ -64,7 +64,6 @@ from repro.serving.columnar import RequestBatch, ResponseBatch, admit_batch
 from repro.serving.demo import demo_cluster, demo_server
 from repro.serving.driver import (
     ClosedLoop,
-    ColumnarLoadDriver,
     DriveReport,
     LoadDriver,
     OpenLoop,
@@ -127,7 +126,6 @@ __all__ = [
     "OpenLoop",
     "DriveReport",
     "LoadDriver",
-    "ColumnarLoadDriver",
     "ForecastCache",
     "Counter",
     "Gauge",
