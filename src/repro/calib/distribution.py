@@ -21,7 +21,7 @@ from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, QuantileSketch
 from repro.core.stochastic import StochasticValue
 from repro.distributions.modal import fit_gaussian_mixture
 
-__all__ = ["DistributionInfo", "DEFAULT_GRID_SIZE", "grid_levels"]
+__all__ = ["DistributionInfo", "DistributionBatch", "DEFAULT_GRID_SIZE", "grid_levels"]
 
 #: Default number of quantile-grid points on a served distribution.
 DEFAULT_GRID_SIZE = 32
@@ -105,39 +105,6 @@ class DistributionInfo:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    @classmethod
-    def _trusted(
-        cls,
-        count: int,
-        mean: float,
-        std: float,
-        levels: tuple,
-        quantiles: tuple,
-        sketch: "QuantileSketch | None",
-        modes: tuple,
-    ) -> "DistributionInfo":
-        """Blank construction for loop-internal batches.
-
-        The serving loop builds thousands of blocks per run from arrays
-        whose invariants (count >= 1, std >= 0, matching grid lengths,
-        scale == 1 untagged) hold by construction, so the dataclass
-        ``__init__``/``__post_init__`` re-validation is pure overhead on
-        the hot path.  External callers must use the normal constructor.
-        """
-        self = object.__new__(cls)
-        self.__dict__.update(
-            count=count,
-            mean=mean,
-            std=std,
-            levels=levels,
-            quantiles=quantiles,
-            sketch=sketch,
-            modes=modes,
-            recalibrated=False,
-            scale=1.0,
-        )
-        return self
-
     @classmethod
     def from_samples(
         cls,
@@ -266,3 +233,93 @@ class DistributionInfo:
         if include_sketch and self.sketch is not None:
             doc["sketch"] = self.sketch.to_dict()
         return doc
+
+
+class DistributionBatch:
+    """The distribution blocks of one evaluated batch, as columns.
+
+    The serving hot path keeps a batch's draw counts, moments, quantile
+    grids and sketches as arrays, scores them as arrays, and builds a
+    row's :class:`DistributionInfo` only when it is read (``batch[j]``).
+    The columns stay raw; ``scale`` is the recalibration widening every
+    row carries (``1.0``: none), applied to a read row by
+    :meth:`DistributionInfo.widened` — so ``batch[j]`` equals the block
+    an eager build would have served, field for field.
+    """
+
+    __slots__ = ("count", "mean", "std", "levels", "quantiles", "sketches", "modes", "scale")
+
+    def __init__(
+        self, count, mean, std, levels, quantiles, sketches=None, modes=None, scale=1.0
+    ):
+        self.count = np.asarray(count, dtype=np.int64)
+        self.mean = np.asarray(mean, dtype=float)
+        self.std = np.asarray(std, dtype=float)
+        self.levels = tuple(levels)
+        self.quantiles = np.asarray(quantiles, dtype=float)
+        #: Per-row raw-draw sketches, any sequence that indexes and
+        #: slices (``None``: not kept).
+        self.sketches = sketches
+        #: Per-row fitted mixtures (``None``: none fitted).
+        self.modes = modes
+        self.scale = float(scale)
+
+    @classmethod
+    def from_infos(cls, infos) -> "DistributionBatch":
+        """Columnise already-built, unwidened blocks sharing one grid."""
+        infos = list(infos)
+        return cls(
+            count=[d.count for d in infos],
+            mean=[d.mean for d in infos],
+            std=[d.std for d in infos],
+            levels=infos[0].levels if infos else (),
+            quantiles=[d.quantiles for d in infos],
+            sketches=[d.sketch for d in infos],
+            modes=[d.modes for d in infos],
+        )
+
+    def __len__(self) -> int:
+        return int(self.count.shape[0])
+
+    def __getitem__(self, j: int) -> DistributionInfo:
+        info = DistributionInfo(
+            count=int(self.count[j]),
+            mean=float(self.mean[j]),
+            std=float(self.std[j]),
+            levels=self.levels,
+            quantiles=tuple(self.quantiles[j].tolist()),
+            sketch=None if self.sketches is None else self.sketches[j],
+            modes=() if self.modes is None else self.modes[j],
+        )
+        return info.widened(self.scale) if self.scale != 1.0 else info
+
+    def select(self, rows: slice) -> "DistributionBatch":
+        """The rows in ``rows``, as a batch of their own."""
+        return DistributionBatch(
+            self.count[rows],
+            self.mean[rows],
+            self.std[rows],
+            self.levels,
+            self.quantiles[rows],
+            None if self.sketches is None else self.sketches[rows],
+            None if self.modes is None else self.modes[rows],
+            self.scale,
+        )
+
+    def widened(self, factor: float) -> "DistributionBatch":
+        """Every row widened by ``factor`` (see :meth:`DistributionInfo.widened`)."""
+        if factor <= 0.0:
+            raise ValueError(f"widening factor must be > 0, got {factor}")
+        out = self.select(slice(None))
+        out.scale = self.scale * factor
+        return out
+
+    def served(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``(std, quantiles, scale)`` as served: the columns widened
+        about the mean by ``scale`` with the arithmetic of
+        :meth:`DistributionInfo.widened`, and the scale per row."""
+        scale = np.full(len(self), self.scale)
+        if self.scale == 1.0:
+            return self.std, self.quantiles, scale
+        mean = self.mean[:, None]
+        return self.std * self.scale, mean + (self.quantiles - mean) * self.scale, scale

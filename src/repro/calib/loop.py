@@ -36,7 +36,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.calib.distribution import DEFAULT_GRID_SIZE, DistributionInfo, grid_levels
+from repro.calib.distribution import (
+    DEFAULT_GRID_SIZE,
+    DistributionBatch,
+    DistributionInfo,
+    grid_levels,
+)
 from repro.calib.recalibrate import RecalibrationEvent, RecalibrationPolicy, Recalibrator
 from repro.calib.scorer import PIT_BINS, CalibrationScorer
 from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, build_sketches
@@ -166,8 +171,9 @@ class CalibrationLoop:
         )
         self._levels = config.levels
         self._levels_arr = np.asarray(self._levels, dtype=float)
-        # Deferred-scoring queue: per model, (quality, dist, effective, t)
-        # tuples awaiting outcome simulation.
+        # Deferred-scoring queue: per model, (qualities, dists,
+        # effective) chunks of served batches awaiting outcome
+        # simulation.
         self._pending: dict[str, list[tuple]] = {}
         self._last_t = 0.0
         # Compiled truth plans (None = reference fallback), keyed by
@@ -201,58 +207,38 @@ class CalibrationLoop:
             keep_sketch=cfg.keep_sketch,
         )
 
-    def distributions(self, samples_list) -> list[DistributionInfo]:
+    def distributions(self, samples) -> DistributionBatch:
         """Distribution blocks for a whole batch of draw clouds.
 
-        Semantically ``[self.distribution(s) for s in samples_list]``
-        but sketches and quantile grids come from one fused vectorised
-        pass (:func:`~repro.calib.sketch.build_sketches`) and, when
-        every cloud has the same draw count, moments come from one axis
-        reduction — the serving hot path.  Quantile grids are bit-equal
-        to the one-at-a-time path; moments may differ by float
-        reduction order only.
+        ``samples`` is a ``(rows, draws)`` matrix or a list of per-row
+        draw arrays.  Row ``j`` of the result reads as
+        ``self.distribution(samples[j])``, but sketches and quantile
+        grids come from one fused vectorised pass
+        (:func:`~repro.calib.sketch.build_sketches`) and a matrix's
+        moments from one axis reduction — the serving hot path.
+        Quantile grids are bit-equal to the one-at-a-time path; moments
+        may differ by float reduction order only.
         """
         cfg = self.config
         if cfg.mixture_components >= 2:
             # Mixture fitting dominates anyway; take the simple path.
-            return [self.distribution(s) for s in samples_list]
-        arrays = [np.asarray(s, dtype=float).ravel() for s in samples_list]
-        if not arrays:
-            return []
-        sketches, qmat = build_sketches(arrays, cfg.alpha, levels=self._levels_arr)
-        n = arrays[0].size
-        if n >= 2 and all(a.size == n for a in arrays):
-            mat = (
-                np.concatenate(arrays).reshape(len(arrays), n)
-                if len(arrays) > 1
-                else arrays[0].reshape(1, n)
-            )
-            mu = mat.mean(axis=1)
-            dev = mat - mu[:, None]
-            means = mu.tolist()
-            stds = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (n - 1)).tolist()
+            return DistributionBatch.from_infos(self.distribution(s) for s in samples)
+        if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] >= 2:
+            mat = np.ascontiguousarray(samples, dtype=float)
+            sketches, qmat = build_sketches(mat, cfg.alpha, levels=self._levels_arr)
+            counts = np.full(mat.shape[0], mat.shape[1])
+            mean = mat.mean(axis=1)
+            dev = mat - mean[:, None]
+            std = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (mat.shape[1] - 1))
         else:
-            means = [float(a.mean()) for a in arrays]
-            stds = [float(a.std(ddof=1)) if a.size >= 2 else 0.0 for a in arrays]
-        lv = self._levels
-        keep = cfg.keep_sketch
-        qrows = qmat.tolist()
-        # _trusted skips dataclass validation: every invariant it checks
-        # (count >= 1, std >= 0, grid lengths, untagged scale) holds by
-        # construction for batches built from this loop's own grid.
-        trusted = DistributionInfo._trusted
-        return [
-            trusted(
-                sk.count,
-                means[i],
-                stds[i],
-                lv,
-                tuple(qrows[i]),
-                sk if keep else None,
-                (),
-            )
-            for i, sk in enumerate(sketches)
-        ]
+            arrays = [np.asarray(s, dtype=float).ravel() for s in samples]
+            sketches, qmat = build_sketches(arrays, cfg.alpha, levels=self._levels_arr)
+            counts = [a.size for a in arrays]
+            mean = [a.mean() for a in arrays]
+            std = [a.std(ddof=1) if a.size >= 2 else 0.0 for a in arrays]
+        return DistributionBatch(
+            counts, mean, std, self._levels, qmat, sketches if cfg.keep_sketch else None
+        )
 
     def scale(self, model: str) -> float:
         """The recalibration spread scale currently applied to ``model``.
@@ -363,29 +349,42 @@ class CalibrationLoop:
     # Scoring + control
     # ------------------------------------------------------------------
     def enqueue(
-        self, model: str, quality: str, dist: DistributionInfo, effective: dict, t: float
+        self,
+        model: str,
+        qualities: list[str],
+        dists: DistributionBatch,
+        effective: list[dict],
+        t: float,
     ) -> None:
-        """Queue one served answer for deferred outcome scoring.
+        """Queue one batch of served answers for deferred outcome scoring.
 
-        ``effective`` carries the request's resolved per-parameter
-        :class:`~repro.core.stochastic.StochasticValue` forecasts (the
-        values the answer stood on).  Once ``flush_every`` answers are
-        queued for ``model`` they are realised and scored in one
-        flush; ``summary()`` drains any remainder.
+        Row ``j`` is an answer of forecast quality ``qualities[j]``
+        serving ``dists[j]``; ``effective[j]`` carries its resolved
+        per-parameter :class:`~repro.core.stochastic.StochasticValue`
+        forecasts (the values the answer stood on).  Each time
+        ``flush_every`` answers are queued for ``model`` they are
+        realised and scored in one flush — at the same answer a
+        one-at-a-time queue would flush at; ``summary()`` drains any
+        remainder.
         """
         if self.scorer is None:
             return
         self._last_t = t
-        queue = self._pending.setdefault(model, [])
-        queue.append((quality, dist, effective, t))
-        if len(queue) >= self.config.flush_every:
-            self._flush(model, t)
+        k, lo = len(dists), 0
+        while lo < k:
+            room = self.config.flush_every - self.pending(model)
+            hi = min(k, lo + room)
+            rows = slice(lo, hi)
+            chunk = (qualities[rows], dists.select(rows), effective[rows])
+            self._pending.setdefault(model, []).append(chunk)
+            if hi - lo == room:
+                self._flush(model, t)
+            lo = hi
 
     def pending(self, model: str | None = None) -> int:
         """Queued-but-unscored answers (for ``model``, or in total)."""
-        if model is not None:
-            return len(self._pending.get(model, ()))
-        return sum(len(q) for q in self._pending.values())
+        models = list(self._pending) if model is None else [model]
+        return sum(len(chunk[1]) for m in models for chunk in self._pending.get(m, ()))
 
     def flush(self, t: float | None = None) -> None:
         """Score every queued answer now (sorted by model for determinism)."""
@@ -406,6 +405,8 @@ class CalibrationLoop:
         span = None
         try:
             scale = self.scale(model)
+            qualities = [q for chunk in queue for q in chunk[0]]
+            served = [chunk[1].served() for chunk in queue]
             if self.tracer.enabled:
                 span = self.tracer.start_span(
                     "calib.score",
@@ -413,19 +414,21 @@ class CalibrationLoop:
                     stage=STAGE_CALIB,
                     new_trace=True,
                     model=model,
-                    batch_size=len(queue),
+                    batch_size=len(qualities),
                     scale=scale,
                 )
             y = np.asarray(
-                self.realise(model, [eff for _, _, eff, _ in queue]), dtype=float
+                self.realise(model, [e for chunk in queue for e in chunk[2]]), dtype=float
             )
             covered_a, crps_a, pit_a, z_a, mae_a, sharp_a = self._score_arrays(
-                [item[1] for item in queue], y
+                np.concatenate([chunk[1].mean for chunk in queue]),
+                *(np.concatenate(col) for col in zip(*served)),
+                y,
             )
             pit_bins = np.minimum(
                 (pit_a * PIT_BINS).astype(np.int64), PIT_BINS - 1
             )
-            k = len(queue)
+            k = len(qualities)
             sc = self.scorer.score(model)
             # Ingest in chunks split at the control cadence: control()
             # acts only when score.n hits a multiple of its interval, so
@@ -451,8 +454,8 @@ class CalibrationLoop:
                         self._note_event(event, t)
                 lo = hi
             by_quality: dict[str, list[int]] = {}
-            for i, item in enumerate(queue):
-                by_quality.setdefault(item[0], []).append(i)
+            for i, quality in enumerate(qualities):
+                by_quality.setdefault(quality, []).append(i)
             for quality, idxs in sorted(by_quality.items()):
                 ii = np.asarray(idxs, dtype=np.int64)
                 self.scorer.cohort(quality).ingest_many(
@@ -475,22 +478,27 @@ class CalibrationLoop:
             if self.metrics is not None:
                 self.metrics.counter("calib_errors_total").inc()
 
-    def _score_arrays(self, dists: list, y: np.ndarray):
+    def _score_arrays(
+        self,
+        means: np.ndarray,
+        stds: np.ndarray,
+        q_mat: np.ndarray,
+        scales: np.ndarray,
+        y: np.ndarray,
+    ):
         """Coverage / CRPS / PIT / base-z / MAE / sharpness for a flush
         queue, vectorised.
 
-        Every queued distribution shares this loop's quantile grid, so
-        the whole queue scores in a handful of array operations — the
-        same arithmetic as :meth:`~repro.calib.scorer.ModelScore.observe`
-        (CRPS rows are bit-identical; PIT interpolation may differ from
-        ``np.interp`` in the last ulp at exact grid ties).
+        Takes the queue's served columns — means, (widened) stds and
+        quantile grids on this loop's grid, and the scale each row was
+        widened by — and scores the whole queue in a handful of array
+        operations: the same arithmetic as
+        :meth:`~repro.calib.scorer.ModelScore.observe` (CRPS rows are
+        bit-identical; PIT interpolation may differ from ``np.interp``
+        in the last ulp at exact grid ties).
         """
-        n = len(dists)
+        n = len(means)
         taus = self._levels_arr
-        means = np.fromiter((d.mean for d in dists), dtype=float, count=n)
-        stds = np.fromiter((d.std for d in dists), dtype=float, count=n)
-        scales = np.fromiter((d.scale for d in dists), dtype=float, count=n)
-        q_mat = np.asarray([d.quantiles for d in dists], dtype=float)
         dev = np.abs(y - means)
         covered = dev <= 2.0 * stds
         yc = y[:, None]
@@ -509,32 +517,6 @@ class CalibrationLoop:
         z = dev / np.maximum(stds / scales, 1e-12)
         sharp = 4.0 * stds / np.maximum(np.abs(y), 1e-12)
         return covered, crps, pit, z, dev, sharp
-
-    def observe(
-        self, model: str, quality: str, dist: DistributionInfo, outcome: float, t: float
-    ) -> RecalibrationEvent | None:
-        """Score one already-realised answer and run the control law.
-
-        The synchronous single-pair path (the flush path realises its
-        own outcomes); returns the recalibration event when this
-        observation tripped one (scale change or re-fit flag).
-        """
-        if self.scorer is None:
-            return None
-        score = self.scorer.observe(model, quality, dist, float(outcome))
-        m = self.metrics
-        if m is not None:
-            m.counter("calib_observations_total").inc()
-            if dist.contains(float(outcome)):
-                m.counter("calib_covered_total").inc()
-            m.histogram("calib_crps", _CRPS_BUCKETS).observe(score.last_crps)
-            m.gauge(f"calib_coverage_{model}").set(score.rolling_coverage)
-        event = None
-        if self.recalibrator is not None:
-            event = self.recalibrator.control(model, score)
-        if event is not None:
-            self._note_event(event, t)
-        return event
 
     def _note_event(self, event: RecalibrationEvent, t: float) -> None:
         """Metrics + span for one recalibration event (never silent)."""

@@ -31,7 +31,7 @@ import math
 
 import numpy as np
 
-__all__ = ["QuantileSketch", "build_sketches", "DEFAULT_SKETCH_ALPHA"]
+__all__ = ["QuantileSketch", "SketchRows", "build_sketches", "DEFAULT_SKETCH_ALPHA"]
 
 #: Default relative accuracy of quantile estimates.
 DEFAULT_SKETCH_ALPHA = 0.01
@@ -77,27 +77,10 @@ class QuantileSketch:
         self._count = 0
         self._min = math.inf
         self._max = -math.inf
-        # Deferred positive-bucket arrays from build_sketches(); folded
+        # Deferred positive-bucket counts from build_sketches(); folded
         # into _pos on first bucket access (the serving hot path builds
         # thousands of sketches whose buckets are never read directly).
         self._lazy = None
-
-    @classmethod
-    def _bare(cls, alpha: float, gamma: float, log_gamma: float) -> "QuantileSketch":
-        """An empty sketch with precomputed constants (skips __init__'s
-        validation and ``math.log`` — build_sketches makes thousands)."""
-        sk = cls.__new__(cls)
-        sk.alpha = alpha
-        sk._gamma = gamma
-        sk._log_gamma = log_gamma
-        sk._pos = {}
-        sk._neg = {}
-        sk._zero = 0
-        sk._count = 0
-        sk._min = math.inf
-        sk._max = -math.inf
-        sk._lazy = None
-        return sk
 
     def _materialise(self) -> None:
         """Fold any deferred bucket arrays into the ``_pos`` dict.
@@ -391,39 +374,58 @@ def build_sketches(
     :meth:`QuantileSketch.quantiles` call at a time pays ~20 small
     NumPy dispatches per request.  This constructor maps the whole
     batch's draws to bucket indices in one concatenated pass, counts
-    buckets with a single composite ``np.unique`` (bucket index keyed
+    buckets with a single composite ``np.bincount`` (bucket index keyed
     by owning array), and evaluates all bucket representatives with one
     vectorised power.  State is bit-identical to per-request ``extend``
     — same log, same ceil, same buckets — which the property suite
     asserts.
 
-    With ``levels`` given, returns ``(sketches, quantile_matrix)``
-    where row ``i`` equals ``sketches[i].quantiles(levels)`` bit for
-    bit (same representative association, same cumulative counts, same
-    rank search); without it, returns just the list of sketches.
+    ``samples_list`` is a sequence of sample arrays or a ``(k, n)``
+    matrix of ``k`` equal-sized ones.  The sketches come back as a
+    sequence: a :class:`SketchRows` that builds each on read, or (for
+    zero, negative or very wide-ranging values) a list.  With
+    ``levels`` given, returns ``(sketches, quantile_matrix)`` where row
+    ``i`` equals ``sketches[i].quantiles(levels)`` bit for bit (same
+    representative association, same cumulative counts, same rank
+    search); without it, returns just the sketches.
     """
-    arrays = [np.asarray(s, dtype=float).ravel() for s in samples_list]
     lv = None if levels is None else np.asarray(levels, dtype=float).ravel()
-    if not arrays:
+    if isinstance(samples_list, np.ndarray) and samples_list.ndim == 2:
+        arrays = np.ascontiguousarray(samples_list, dtype=float)
+        szs = [arrays.shape[1]] * arrays.shape[0]
+        cat = arrays.ravel()
+    else:
+        arrays = [np.asarray(s, dtype=float).ravel() for s in samples_list]
+        szs = [a.size for a in arrays]
+        cat = None
+    if not len(arrays):
         return [] if lv is None else ([], np.empty((0, lv.size)))
-    szs = [a.size for a in arrays]
     sizes = np.asarray(szs, dtype=np.int64)
     if not all(szs):
         raise ValueError("sketch values must be non-empty")
-    cat = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
-    m_lo = float(cat.min())  # NaN propagates through min
-    m_hi = float(cat.max())
+    if cat is None:
+        cat = np.concatenate(arrays) if len(arrays) > 1 else arrays[0]
+    k_arr = len(arrays)
+    n0 = szs[0]
+    equal = all(s == n0 for s in szs)
+    if equal:
+        starts = np.arange(k_arr, dtype=np.int64) * n0
+    else:
+        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
+    mins = np.minimum.reduceat(cat, starts)
+    maxs = np.maximum.reduceat(cat, starts)
+    m_lo = float(mins.min())  # NaN propagates through min
+    m_hi = float(maxs.max())
     if not (math.isfinite(m_lo) and math.isfinite(m_hi)):
         raise ValueError("sketch values must be finite")
     probe = QuantileSketch(alpha)
-    k_arr = len(arrays)
-    n0 = szs[0]
+    gamma, log_gamma = probe._gamma, probe._log_gamma
     # Bucket range from the scalar extremes, padded by one on each side
     # in case scalar and vector log round differently at a boundary
     # (the pad only widens the bincount key space, never the state).
     if m_lo >= _MIN_MAG:
-        bmin = math.ceil(math.log(m_lo) / probe._log_gamma) - 1
-        span = math.ceil(math.log(m_hi) / probe._log_gamma) + 2 - bmin
+        bmin = math.ceil(math.log(m_lo) / log_gamma) - 1
+        span = math.ceil(math.log(m_hi) / log_gamma) + 2 - bmin
     else:
         bmin = span = 0
     if m_lo < _MIN_MAG or k_arr * span > (cat.size << 4) + 4096:
@@ -435,41 +437,23 @@ def build_sketches(
         if lv is None:
             return out
         return out, np.vstack([sk.quantiles(lv) for sk in out])
-    # Pure-positive fast path (execution times): no masks needed.
-    equal = all(s == n0 for s in szs)
-    if equal:
-        starts = np.arange(k_arr, dtype=np.int64) * n0
-    else:
-        starts = np.concatenate(([0], np.cumsum(sizes)[:-1]))
-    mins = np.minimum.reduceat(cat, starts)
-    maxs = np.maximum.reduceat(cat, starts)
-    idx = np.ceil(np.log(cat) / probe._log_gamma).astype(np.int64)
+    # Pure-positive fast path (execution times): no masks needed.  The
+    # composite key is the bucket index ``ceil(log x / log gamma)``
+    # shifted into the owning array's block of the dense grid.
+    key = np.log(cat)
+    key /= log_gamma
+    idx = np.empty(cat.size, dtype=np.int64)
+    np.ceil(key, out=idx, casting="unsafe")
     offsets = np.arange(k_arr, dtype=np.int64) * span
     if equal:
-        combined = ((idx - bmin).reshape(k_arr, -1) + offsets[:, None]).ravel()
+        combined = (idx.reshape(k_arr, -1) + (offsets - bmin)[:, None]).ravel()
     else:
-        combined = np.repeat(offsets, sizes) + (idx - bmin)
-    # One O(n) histogram over the composite key (bucket index keyed by
-    # owning array) counts every sketch at once; the counts stay as a
-    # dense (k_arr, span) grid — each sketch's row is a view, and the
-    # quantile rank search below runs on the grid's flat cumulative sum
-    # directly (no occupied-bucket compression pass).
+        combined = idx + np.repeat(offsets - bmin, sizes)
+    # One O(n) histogram over the composite key counts every sketch at
+    # once; the counts stay as a dense (k_arr, span) grid, one row view
+    # per sketch.
     counts_all = np.bincount(combined, minlength=k_arr * span)
-    sizes_l = szs
-    mins_l = mins.tolist()
-    maxs_l = maxs.tolist()
-    sketches = []
-    g, lg = probe._gamma, probe._log_gamma
-    a = probe.alpha
-    for i in range(k_arr):
-        sk = QuantileSketch._bare(a, g, lg)
-        sk._count = sizes_l[i]
-        sk._min = mins_l[i]
-        sk._max = maxs_l[i]
-        # Dense count rows stay as array views; folded into the dict
-        # only if a caller reads per-bucket state (see _materialise).
-        sk._lazy = (bmin, counts_all[i * span : (i + 1) * span])
-        sketches.append(sk)
+    sketches = SketchRows(alpha, bmin, counts_all.reshape(k_arr, span), sizes, mins, maxs)
     if lv is None:
         return sketches
     # All quantile grids in one rank search: the flat cumulative count
@@ -478,18 +462,59 @@ def build_sketches(
     # searching ``base_i + rank`` with side="right" lands on the same
     # occupied bucket the per-sketch search finds — empty buckets are
     # zero-mass flat runs the right-bisection skips past.
-    gcum = np.cumsum(counts_all)
     if equal:
         ranks = np.floor((n0 - 1) * lv).astype(np.int64)[None, :]
-        bases = starts[:, None]
     else:
         ranks = np.floor(np.multiply.outer(sizes - 1, lv)).astype(np.int64)
-        bases = starts[:, None]
-    j = np.searchsorted(gcum, bases + ranks, side="right")
-    # Representatives are evaluated only for the buckets the grids hit
-    # (K * len(levels) entries) rather than every occupied bucket; the
-    # hit bucket index recovers arithmetically from the flat position.
-    coef = 2.0 / (g + 1.0)
-    qvals = coef * g ** (j - offsets[:, None] + bmin).astype(float)
-    qmat = np.clip(qvals, mins[:, None], maxs[:, None])
+    j = np.searchsorted(np.cumsum(counts_all), starts[:, None] + ranks, side="right")
+    # Representatives of the window's buckets, in the association of
+    # QuantileSketch._ordered's lazy path.
+    reps = 2.0 / (gamma + 1.0) * gamma ** np.arange(bmin, bmin + span).astype(float)
+    qmat = np.minimum(np.maximum(reps[j - offsets[:, None]], mins[:, None]), maxs[:, None])
     return sketches, qmat
+
+
+class SketchRows:
+    """The sketches of one :func:`build_sketches` batch, built on read.
+
+    Row ``i``'s bucket counts are row ``i`` of one dense ``(k, span)``
+    count grid over the batch's shared bucket window starting at index
+    ``bmin``.  Indexing builds the :class:`QuantileSketch` over that row
+    (a view, folded into bucket dicts only if a caller reads per-bucket
+    state — see ``QuantileSketch._materialise``); slicing keeps the
+    rows as another :class:`SketchRows`.  The serving hot path builds
+    thousands of sketches whose state is seldom read at all.
+    """
+
+    __slots__ = ("alpha", "bmin", "counts", "sizes", "mins", "maxs")
+
+    def __init__(self, alpha: float, bmin: int, counts, sizes, mins, maxs):
+        self.alpha = alpha
+        self.bmin = bmin
+        self.counts = counts
+        self.sizes = sizes
+        self.mins = mins
+        self.maxs = maxs
+
+    def __len__(self) -> int:
+        return int(self.counts.shape[0])
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return SketchRows(
+                self.alpha,
+                self.bmin,
+                self.counts[index],
+                self.sizes[index],
+                self.mins[index],
+                self.maxs[index],
+            )
+        sk = QuantileSketch(self.alpha)
+        sk._count = int(self.sizes[index])
+        sk._min = float(self.mins[index])
+        sk._max = float(self.maxs[index])
+        sk._lazy = (self.bmin, self.counts[index])
+        return sk

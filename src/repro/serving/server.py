@@ -34,6 +34,7 @@ quality tags every answer carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 
 import numpy as np
 
@@ -57,7 +58,6 @@ from repro.serving.protocol import (
     SHED_DEADLINE,
     PrecisionInfo,
     PredictRequest,
-    PredictResponse,
     Response,
 )
 from repro.structural.engine import (
@@ -855,7 +855,7 @@ class PredictionServer:
                 scale = self.calib.scale(spec.name)
                 dists = self.calib.distributions(samples)
                 if scale != 1.0:
-                    dists = [d.widened(scale) for d in dists]
+                    dists = dists.widened(scale)
             except Exception:  # noqa: BLE001 - scoring must never break serving
                 self.metrics.counter("calib_errors_total").inc()
                 scale, dists = 1.0, None
@@ -878,8 +878,7 @@ class PredictionServer:
         rich = None
         if dists is not None or targets is not None:
             rich = self._blocks(
-                spec, batch, t_done, (mean, spread, p95, quality, staleness, latency),
-                targets, outcomes, factor, dists, base,
+                spec, batch, t_done, quality, targets, outcomes, factor, dists, base
             )
         rb = _answers(
             batch,
@@ -896,24 +895,23 @@ class PredictionServer:
         return rb, t_done, draws
 
     def _blocks(
-        self, spec, batch, t_done, columns, targets, outcomes, factor, dists, base
+        self, spec, batch, t_done, quality, targets, outcomes, factor, dists, base
     ) -> tuple | None:
-        """Per-answer precision and distribution blocks, as whole
-        responses (they do not columnise), queueing each distribution
-        for calibration scoring; ``None`` where a row has neither."""
-        mean, spread, p95, quality, staleness, latency = columns
+        """The answers' precision and distribution blocks, which do not
+        columnise: row ``i``'s sidecar entry is ``(precision,
+        distributions, i)`` and its response view builds the blocks on
+        read (``None`` where a row has neither).  The distributions are
+        queued for calibration scoring in one call."""
         k = len(batch)
-        degraded = factor > 1.0
-        draws_hist = (
-            self.metrics.histogram("draws_used", _DRAWS_BUCKETS) if targets is not None else None
-        )
-        rich: list = [None] * k
-        for i in range(k):
-            info = None
-            outcome = outcomes[i] if outcomes is not None else None
-            if outcome is not None:
+        infos: list = [None] * k
+        if targets is not None:
+            degraded = factor > 1.0
+            draws_hist = self.metrics.histogram("draws_used", _DRAWS_BUCKETS)
+            for i, outcome in enumerate(outcomes):
+                if outcome is None:
+                    continue
                 draws_hist.observe(outcome.draws)
-                info = PrecisionInfo(
+                infos[i] = PrecisionInfo(
                     metric=outcome.target.metric,
                     rule=outcome.target.rule,
                     requested=targets[i].describe(),
@@ -927,27 +925,18 @@ class PredictionServer:
                     shed_factor=factor,
                     reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
                 )
-            dist = dists[i] if dists is not None else None
-            if info is None and dist is None:
-                continue
-            q = QUALITIES[quality[i]]
-            rich[i] = PredictResponse(
-                request_id=int(batch.request_id[i]),
-                client_id=batch.clients[batch.client[i]],
-                completed=t_done,
-                value=StochasticValue(float(mean[i]), float(spread[i])),
-                p95=float(p95[i]),
-                quality=q,
-                staleness=float(staleness[i]),
-                latency=float(latency[i]),
-                batch_size=k,
-                model=spec.name,
-                precision=info,
-                distribution=dist,
+        if dists is not None:
+            effective = (
+                [base] * k
+                if batch.overrides is None
+                else [self._row_values(batch, i, base) for i in range(k)]
             )
-            if dist is not None:
-                self.calib.enqueue(spec.name, q, dist, self._row_values(batch, i, base), t_done)
-        return tuple(rich) if any(r is not None for r in rich) else None
+            qualities = [QUALITIES[q] for q in quality.tolist()]
+            self.calib.enqueue(spec.name, qualities, dists, effective, t_done)
+            return tuple(zip(infos, repeat(dists), range(k)))
+        if all(info is None for info in infos):
+            return None
+        return tuple(None if info is None else (info, None, i) for i, info in enumerate(infos))
 
     @staticmethod
     def _row_values(batch: RequestBatch, i: int, base: dict) -> dict:

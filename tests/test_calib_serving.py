@@ -215,6 +215,49 @@ class TestDeferredScoring:
         assert spans[0].attrs["batch_size"] == 5
         assert 0 <= spans[0].attrs["covered"] <= 5
 
+    def test_batch_enqueue_flushes_where_one_row_at_a_time_would(self):
+        """A batch crossing a ``flush_every`` boundary is split at it, so
+        queueing whole batches scores, controls and recalibrates exactly
+        like queueing the same answers one at a time."""
+        cfg = CalibrationConfig(truth_spread_scale=3.0, flush_every=16)
+        spec = calib_server(CalibrationConfig()).calib._truth["m"]
+        samples = np.random.default_rng(5).normal(5.0, 0.1, size=(120, 64))
+        effective = [{"load": StochasticValue(0.5, 0.1)}] * 120
+        loops = []
+        for sizes in ([5, 37, 11, 50, 17], [1] * 120):
+            loop = CalibrationLoop(cfg, np.random.default_rng(0))
+            loop.register(spec)
+            dists = loop.distributions(samples)
+            lo = 0
+            for k in sizes:
+                rows = slice(lo, lo + k)
+                loop.enqueue("m", ["fresh"] * k, dists.select(rows), effective[rows], 60.0)
+                lo += k
+            assert loop.pending() == 120 % 16
+            loops.append(loop.summary())
+        batched, one_by_one = loops
+        assert batched["recalibration"]["events"]
+        assert batched == one_by_one
+
+    def test_distribution_batch_rows_match_the_eager_blocks(self):
+        loop = CalibrationLoop(CalibrationConfig(), np.random.default_rng(0))
+        samples = np.random.default_rng(1).normal(5.0, 0.3, size=(6, 50))
+        dists = loop.distributions(samples)
+        assert len(dists) == 6
+        for j in range(6):
+            eager = loop.distribution(samples[j])
+            assert dists[j].quantiles == eager.quantiles
+            assert dists[j].sketch == eager.sketch
+            assert dists[j].count == eager.count
+            assert dists[j].mean == pytest.approx(eager.mean, rel=1e-12)
+        wide = dists.widened(1.5)
+        std, quantiles, scale = wide.served()
+        for j in range(6):
+            assert wide[j] == dists[j].widened(1.5)
+            assert wide[j].std == std[j] and wide[j].quantiles == tuple(quantiles[j])
+        assert (scale == 1.5).all()
+        assert dists.select(slice(2, 4))[1] == dists[3]
+
     def test_loop_scale_without_recalibrator_is_initial_scale(self):
         loop = CalibrationLoop(
             CalibrationConfig(recalibrate=False, initial_scale=1.5),
