@@ -48,9 +48,11 @@ class DistributionInfo:
     count:
         Monte Carlo draws the distribution summarises.
     mean, std:
-        Moments of the draw cloud — identical to the response's
-        ``value`` summary (``value.mean``, ``value.std``) including any
-        recalibration scaling.
+        Moments of the draw cloud, including any recalibration scaling.
+        They equal the response's ``value`` summary (``value.mean``,
+        ``value.std``) up to float reduction order: the two are
+        computed by different array reductions and may differ in the
+        last ulp.
     levels, quantiles:
         The quantile grid: ``quantiles[k]`` estimates the ``levels[k]``
         quantile of the predictive distribution (within the sketch's

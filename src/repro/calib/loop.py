@@ -52,6 +52,7 @@ from repro.structural.engine import (
     UnsupportedPolicyError,
     compile_expr,
 )
+from repro.structural.montecarlo import _reference_loop
 
 __all__ = ["CalibrationConfig", "CalibrationLoop"]
 
@@ -326,23 +327,7 @@ class CalibrationLoop:
         if plan is None:
             # Reference fallback: one tree walk per request on the
             # already-drawn parameter realisations.
-            from repro.structural.montecarlo import monte_carlo_predict
-
-            out = np.empty(k_total)
-            for j in range(k_total):
-                overlay = {
-                    param: StochasticValue.point(float(draws[param][j]))
-                    for param in truth.sampled
-                }
-                emp = monte_carlo_predict(
-                    truth.expression,
-                    truth.bindings.overlaid(overlay),
-                    n_samples=2,
-                    rng=self._rng,
-                    engine="reference",
-                )
-                out[j] = emp.samples[0]
-            return out
+            return _reference_loop(truth.expression, truth.bindings, truth.sampled, draws, k_total)
         return plan.evaluate(draws, truth.bindings, n_samples=k_total)
 
     # ------------------------------------------------------------------

@@ -386,30 +386,6 @@ class CalibrationScorer:
         self.cohort(quality)._ingest(dist, outcome, covered, crps, pit, z)
         return sc
 
-    def observe_scored(
-        self,
-        model: str,
-        quality: str,
-        dist: DistributionInfo,
-        outcome: float,
-        *,
-        covered: bool,
-        crps: float,
-        pit: float,
-        z: float,
-    ) -> ModelScore:
-        """Ingest one externally scored pair.
-
-        The vectorised flush path (:class:`~repro.calib.loop.CalibrationLoop`)
-        computes CRPS/PIT/coverage/z for a whole queue in a few array
-        operations and hands the scalars in here; the streaming state
-        update is identical to :meth:`observe`.
-        """
-        sc = self.score(model)
-        sc._ingest(dist, outcome, covered, crps, pit, z)
-        self.cohort(quality)._ingest(dist, outcome, covered, crps, pit, z)
-        return sc
-
     @property
     def n(self) -> int:
         """Total observations scored across models."""

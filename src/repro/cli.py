@@ -312,7 +312,6 @@ def _cmd_predict(args) -> int:
     from repro.core.stochastic import StochasticValue
     from repro.sor.decomposition import equal_strips
     from repro.structural.montecarlo import monte_carlo_predict
-    from repro.structural.repeaters import PrecisionTarget
     from repro.structural.sor_model import SORModel, bindings_for_platform
     from repro.workload.platforms import platform1
 
@@ -328,15 +327,12 @@ def _cmd_predict(args) -> int:
     bindings = bindings_for_platform(
         plat.machines, plat.network, equal_strips(args.size, n_procs), loads=loads
     )
-    target = None if args.precision is None else PrecisionTarget.parse(
-        args.precision, max_samples=args.samples
-    )
     emp = monte_carlo_predict(
         model.expression(),
         bindings,
         n_samples=args.samples,
         rng=args.seed,
-        precision=target,
+        precision=args.precision,
     )
     print(
         f"SOR {args.size}^2 x {args.iterations} iters on platform 1 "
@@ -597,6 +593,28 @@ def _at_least(lo, kind=int, *, strict=False):
     return parse
 
 
+def _parse_precision(parser: argparse.ArgumentParser, args) -> None:
+    """Turn ``--precision`` into a target capped at ``--samples``."""
+    from repro.structural.repeaters import PrecisionTarget
+
+    if args.precision is not None:
+        try:
+            args.precision = PrecisionTarget.parse(args.precision, max_samples=args.samples)
+        except ValueError as exc:
+            parser.error(f"argument --precision: {exc}")
+
+
+def _check_scenarios(parser: argparse.ArgumentParser, args) -> None:
+    """An unknown ``--scenario`` is a usage error."""
+    from repro.serving.scenarios import load_scenario
+
+    if args.scenario is not None:
+        try:
+            load_scenario(args.scenario)
+        except ValueError as exc:
+            parser.error(f"argument --scenario: {exc}")
+
+
 def _check_serve(parser: argparse.ArgumentParser, args) -> None:
     """Cross-argument checks of ``serve``, which also parse ``--precision``
     and fill in the defaults of flags that depend on others.
@@ -607,8 +625,6 @@ def _check_serve(parser: argparse.ArgumentParser, args) -> None:
     that ends after it starts.  Exits with status 2 and a usage message
     otherwise.
     """
-    from repro.structural.repeaters import PrecisionTarget
-
     needs = (
         ("--crash", bool(args.crash), args.workers > 1, "a cluster (--workers >= 2)"),
         ("--replication", args.replication is not None, args.workers > 1,
@@ -637,11 +653,7 @@ def _check_serve(parser: argparse.ArgumentParser, args) -> None:
             parser.error(f"argument --crash: START and END must be numbers, got {start!r} {end!r}")
         if not a < b:
             parser.error(f"argument --crash: START must be before END, got {start} {end}")
-    if args.precision is not None:
-        try:
-            args.precision = PrecisionTarget.parse(args.precision, max_samples=args.samples)
-        except ValueError as exc:
-            parser.error(f"argument --precision: {exc}")
+    _parse_precision(parser, args)
     args.replication = 2 if args.replication is None else args.replication
     args.cluster_rate = 0.0 if args.cluster_rate is None else args.cluster_rate
     args.truth_spread = 1.0 if args.truth_spread is None else args.truth_spread
@@ -687,7 +699,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("table2", help="Table 2 rules vs Monte Carlo")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--samples", type=int, default=200_000)
+    p.add_argument("--samples", type=_at_least(2), default=200_000)
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("dedicated", help="dedicated-model validation")
@@ -759,16 +771,17 @@ def build_parser() -> argparse.ArgumentParser:
         help="one SOR prediction on Platform 1, optionally with an "
         "adaptive precision target",
     )
-    p.add_argument("--size", type=int, default=1000)
-    p.add_argument("--iterations", type=int, default=20)
+    # Platform 1's four machines each need at least one interior row.
+    p.add_argument("--size", type=_at_least(6), default=1000)
+    p.add_argument("--iterations", type=_at_least(1), default=20)
     p.add_argument("--at", type=float, default=600.0, help="decision time in the trace")
-    p.add_argument("--samples", type=int, default=2000,
+    p.add_argument("--samples", type=_at_least(2), default=2000,
                    help="fixed draw budget (the adaptive cap with --precision)")
     p.add_argument("--precision", default=None, metavar="METRIC:TOL[:RULE]",
                    help="stop sampling once METRIC converges to TOL, e.g. "
                    "'p95:2%%', 'mean:0.05', 'p99:1%%:composite'")
     p.add_argument("--seed", type=int, default=11)
-    p.set_defaults(func=_cmd_predict)
+    p.set_defaults(func=_cmd_predict, check=functools.partial(_parse_precision, p))
 
     p = sub.add_parser(
         "serve",
@@ -833,7 +846,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=["static", "reactive", "forecast"],
                    help="placement policy (default: bake off all three)")
     p.add_argument("--json", action="store_true", help="dump the scenario reports")
-    p.set_defaults(func=_cmd_scenarios)
+    p.set_defaults(func=_cmd_scenarios, check=functools.partial(_check_scenarios, p))
 
     p = sub.add_parser("advise", help="SOR decomposition advice on Platform 2")
     p.add_argument("--size", type=int, default=1600)

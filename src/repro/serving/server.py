@@ -39,9 +39,8 @@ from itertools import repeat
 import numpy as np
 
 from repro.calib.loop import CalibrationConfig, CalibrationLoop
-from repro.core.stochastic import StochasticValue, as_stochastic
 from repro.nws.service import QUALITIES, NetworkWeatherService
-from repro.obs.tracer import STAGE_SERVING, STAGE_STRUCTURAL, as_tracer
+from repro.obs.tracer import STAGE_SERVING, as_tracer
 from repro.serving.admission import AdmissionController, AdmissionPolicy
 from repro.serving.columnar import (
     ADMIT,
@@ -68,7 +67,8 @@ from repro.structural.engine import (
 )
 from repro.structural.expr import EvalPolicy, Expr
 from repro.structural.parameters import Bindings
-from repro.structural.repeaters import PrecisionTarget, SequentialProbe, chunk_schedule
+from repro.structural.montecarlo import _row_values, propagate
+from repro.structural.repeaters import PrecisionTarget
 from repro.util.rng import as_generator
 from repro.util.validation import check_positive
 
@@ -813,7 +813,21 @@ class PredictionServer:
                 p: shared[p].value if p in shared else spec.bindings.resolve(p)
                 for p in spec.sampled
             }
-            samples, outcomes, draws = self._propagate(spec, batch, base, effective)
+            samples, outcomes, draws = propagate(
+                self._plan(spec),
+                spec.expression,
+                spec.bindings,
+                spec.sampled,
+                base,
+                self._rng,
+                budget=cfg.n_samples,
+                rows=k,
+                targets=effective,
+                overrides=batch.overrides,
+                clip=spec.clip,
+                request_ids=batch.request_id,
+                tracer=self.tracer,
+            )
         except Exception as exc:  # noqa: BLE001 - protocol boundary
             self.metrics.counter("errors_total").inc(k)
             t_done = t_start + cfg.service_time(k)
@@ -929,7 +943,7 @@ class PredictionServer:
             effective = (
                 [base] * k
                 if batch.overrides is None
-                else [self._row_values(batch, i, base) for i in range(k)]
+                else [_row_values(base, o) for o in batch.overrides]
             )
             qualities = [QUALITIES[q] for q in quality.tolist()]
             self.calib.enqueue(spec.name, qualities, dists, effective, t_done)
@@ -937,17 +951,6 @@ class PredictionServer:
         if all(info is None for info in infos):
             return None
         return tuple(None if info is None else (info, None, i) for i, info in enumerate(infos))
-
-    @staticmethod
-    def _row_values(batch: RequestBatch, i: int, base: dict) -> dict:
-        """The parameter values row ``i`` is evaluated at: the shared
-        ``base`` dict itself unless the row overrides some of them."""
-        overrides = batch.overrides[i] if batch.overrides is not None else None
-        if not overrides:
-            return base
-        return {
-            p: as_stochastic(overrides[p]) if p in overrides else sv for p, sv in base.items()
-        }
 
     # ------------------------------------------------------------------
     # Precision targets
@@ -1003,197 +1006,6 @@ class PredictionServer:
                 plan = exc.with_traceback(None)
             self._plans[spec.name] = plan
         return plan
-
-    def _propagate(
-        self, spec: ModelSpec, batch: RequestBatch, base: dict, targets: list | None
-    ) -> tuple:
-        """Chunk-wise fused evaluation with shrinking index masks.
-
-        All rows advance through one shared geometric chunk schedule;
-        each chunk draws fresh samples for the *still-active* rows only
-        (parameter-major, rows in order, one RNG call per run of rows
-        that share a value), flows once through the compiled plan, and
-        scatters back into per-row sample buffers.  A row leaves the
-        active set when its stopping rule converges or its cap fills;
-        rows without a target ride along at the fixed budget, and a
-        batch with no target at all is one chunk at the cap.
-
-        Returns ``(samples, outcomes, total draws)``: samples as a
-        ``(rows, draws)`` matrix when every row drew the same count,
-        else one array per row; outcomes per row (``None`` without a
-        target), or ``None`` for a fixed-budget batch.
-        """
-        n_budget = self.config.n_samples
-        k = len(batch)
-        probes = None
-        if targets is not None:
-            probes = [None if t is None else SequentialProbe(t, self._rng) for t in targets]
-        plan = self._plan(spec)
-        if isinstance(plan, Exception):
-            return self._propagate_per_row(spec, batch, base, probes, plan)
-        if self.tracer.enabled:
-            self.tracer.active.set(engine="vectorised")
-
-        if targets is None:
-            caps = np.full(k, n_budget)
-            totals = [n_budget]
-        else:
-            caps = np.array([n_budget if t is None else t.max_samples for t in targets])
-            adaptive = [t for t in targets if t is not None]
-            first = min(t.min_samples for t in adaptive)
-            growth = min(t.growth for t in adaptive)
-            totals = sorted(
-                set(chunk_schedule(first, int(caps.max()), growth)) | set(caps.tolist())
-            )
-        buf = None
-        filled = np.zeros(k, dtype=np.int64)
-        active = np.arange(k)
-        total_draws = 0
-        for total in totals:
-            need = np.minimum(caps[active], total) - filled[active]
-            members, counts = active[need > 0], need[need > 0]
-            if not members.size:
-                continue
-            m = int(counts.sum())
-            draws = self._chunk_draws(spec, batch.overrides, base, members, counts, m)
-            out = plan.evaluate(draws, spec.bindings, n_samples=m)
-            total_draws += m
-            c0 = int(counts[0])
-            uniform = bool((counts == c0).all()) and bool(
-                (filled[members] == filled[members[0]]).all()
-            )
-            if buf is None and members.size == k and uniform and bool((caps == c0).all()):
-                buf = out.reshape(k, c0)  # one chunk fills every row
-            else:
-                if buf is None:
-                    buf = np.empty((k, int(caps.max())))
-                if uniform:
-                    f0 = int(filled[members[0]])
-                    buf[members, f0 : f0 + c0] = out.reshape(members.size, c0)
-                else:
-                    off = 0
-                    for i, c in zip(members.tolist(), counts.tolist()):
-                        buf[i, filled[i] : filled[i] + c] = out[off : off + c]
-                        off += c
-            filled[members] += counts
-            if probes is None:
-                continue
-
-            still = []
-            for i in active.tolist():
-                target, probe = targets[i], probes[i]
-                done = filled[i] >= caps[i]
-                if probe is not None and filled[i] >= target.min_samples:
-                    record = probe.assess(buf[i, : filled[i]])
-                    if record.converged:
-                        done = True
-                    if done and self.tracer.enabled:
-                        self.tracer.start_span(
-                            "mc.converged",
-                            stage=STAGE_STRUCTURAL,
-                            request_id=int(batch.request_id[i]),
-                            metric=target.metric,
-                            rule=target.rule,
-                            draws=record.draws,
-                            budget=n_budget,
-                            converged=record.converged,
-                            half_width=record.half_width,
-                            tolerance=record.tolerance,
-                            votes={v.rule: v.converged for v in record.votes},
-                        ).finish()
-                if not done:
-                    still.append(i)
-            if self.tracer.enabled:
-                self.tracer.start_span(
-                    "mc.chunk",
-                    stage=STAGE_STRUCTURAL,
-                    draws=total,
-                    chunk=m,
-                    batch_size=k,
-                    active=len(still),
-                ).finish()
-            active = np.array(still, dtype=np.int64)
-            if not still:
-                break
-
-        outcomes = None
-        if probes is not None:
-            outcomes = [None if p is None else p.outcome(budget=n_budget) for p in probes]
-        if (filled == filled[0]).all():
-            f = int(filled[0])
-            samples = buf if buf.shape[1] == f else np.ascontiguousarray(buf[:, :f])
-        else:
-            samples = [buf[i, : filled[i]] for i in range(k)]
-        return samples, outcomes, total_draws
-
-    def _chunk_draws(self, spec, overrides, base, members, counts, m) -> dict:
-        """One chunk's draw arrays, parameter-major, rows in order.
-
-        Consecutive rows that share a parameter's value draw it in one
-        RNG call; the stream is the same as drawing row by row.
-        """
-        pinned = []
-        if overrides is not None:
-            pinned = [(j, overrides[i]) for j, i in enumerate(members.tolist()) if overrides[i]]
-        offsets = np.concatenate(([0], np.cumsum(counts))) if pinned else None
-        draws: dict[str, np.ndarray] = {}
-        for param in spec.sampled:
-            bounds = spec.clip.get(param) if spec.clip else None
-            rows = [(j, o[param]) for j, o in pinned if param in o]
-            if not rows:
-                draws[param] = self._draw(base[param], m, bounds)
-                continue
-            arr = np.empty(m)
-            start = 0
-            for j, value in rows:
-                lo, hi = offsets[start], offsets[j]
-                if hi > lo:
-                    arr[lo:hi] = self._draw(base[param], hi - lo, bounds)
-                arr[hi : offsets[j + 1]] = self._draw(as_stochastic(value), counts[j], bounds)
-                start = j + 1
-            if offsets[start] < m:
-                arr[offsets[start] :] = self._draw(base[param], m - offsets[start], bounds)
-            draws[param] = arr
-        return draws
-
-    def _propagate_per_row(self, spec, batch, base, probes, error) -> tuple:
-        """No compiled plan: one ``monte_carlo_predict`` per row at the
-        full budget, assessed once so provenance stays truthful (draws
-        == budget, no savings)."""
-        from repro.structural.montecarlo import monte_carlo_predict
-
-        if self.tracer.enabled:
-            self.tracer.active.set(fallback=type(error).__name__, engine="reference")
-        n = self.config.n_samples
-        samples = np.stack(
-            [
-                monte_carlo_predict(
-                    spec.expression,
-                    spec.bindings.overlaid(self._row_values(batch, i, base)),
-                    n_samples=n,
-                    rng=self._rng,
-                    clip=spec.clip,
-                    engine="reference",
-                ).samples
-                for i in range(len(batch))
-            ]
-        )
-        outcomes = None
-        if probes is not None:
-            for row, probe in zip(samples, probes):
-                if probe is not None:
-                    probe.assess(row)
-            outcomes = [None if p is None else p.outcome(budget=n) for p in probes]
-        return samples, outcomes, len(batch) * n
-
-    def _draw(self, sv: StochasticValue, n: int, clip_bounds) -> np.ndarray:
-        if sv.is_point:
-            seg = np.full(n, sv.mean)
-        else:
-            seg = sv.sample(n, self._rng)
-        if clip_bounds is not None:
-            seg = np.clip(seg, *clip_bounds)
-        return seg
 
     # ------------------------------------------------------------------
     # Introspection

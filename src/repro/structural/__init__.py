@@ -38,6 +38,7 @@ from repro.structural.montecarlo import (
     compare_with_closed_form,
     monte_carlo_predict,
     monte_carlo_predict_reference,
+    propagate,
 )
 from repro.structural.parameters import Bindings, ResolveTime, param_name
 from repro.structural.repeaters import (
@@ -46,7 +47,6 @@ from repro.structural.repeaters import (
     ChunkRecord,
     PrecisionTarget,
     RuleVote,
-    SampleBufferPool,
     SequentialProbe,
     chunk_schedule,
 )
@@ -87,6 +87,7 @@ __all__ = [
     "program_bindings",
     "monte_carlo_predict",
     "monte_carlo_predict_reference",
+    "propagate",
     "compare_with_closed_form",
     "AdaptiveEmpirical",
     "ClipSaturationWarning",
@@ -96,7 +97,6 @@ __all__ = [
     "ChunkRecord",
     "RuleVote",
     "SequentialProbe",
-    "SampleBufferPool",
     "chunk_schedule",
     "STOPPING_RULES",
     "CompiledExpr",

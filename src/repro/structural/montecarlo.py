@@ -8,7 +8,12 @@ evaluate the expression with those point values, and collect the
 resulting execution times into an
 :class:`~repro.core.empirical.EmpiricalValue`.
 
-Two propagation engines share identical draws (so seeded results agree):
+One routine, :func:`propagate`, draws and evaluates for every caller:
+it advances any number of rows through one geometric chunk schedule,
+stopping each row at its precision target or its cap.  A fixed budget
+is one chunk at the cap; :func:`monte_carlo_predict` is a one-row call
+and the prediction server a many-row one.  Evaluation runs on one of
+two engines that consume identical draws (so seeded results agree):
 
 ``vectorised`` (default)
     The expression is compiled once into a flat NumPy plan
@@ -21,7 +26,8 @@ Two propagation engines share identical draws (so seeded results agree):
     and one AST walk per draw.  Kept as the semantic baseline the
     vectorised engine is tested against (``tests/test_engine.py``), and
     as the fallback for policies that cannot be vectorised
-    (``MaxStrategy.MONTE_CARLO``).
+    (``MaxStrategy.MONTE_CARLO``).  Without a plan every row draws its
+    whole cap and a precision target is assessed once, at the cap.
 
 Uses: validating that the closed-form stochastic prediction tracks the
 exact propagation (``tests/test_montecarlo.py`` does this for the SOR
@@ -38,9 +44,10 @@ import numpy as np
 
 from repro.core.empirical import EmpiricalValue
 from repro.core.group_ops import MaxStrategy
-from repro.core.stochastic import StochasticValue
+from repro.core.stochastic import StochasticValue, as_stochastic
 from repro.obs.tracer import STAGE_STRUCTURAL, as_tracer
 from repro.structural.engine import (
+    CompiledExpr,
     UnsupportedExpressionError,
     UnsupportedPolicyError,
     compile_expr,
@@ -50,7 +57,6 @@ from repro.structural.parameters import Bindings
 from repro.structural.repeaters import (
     AdaptiveOutcome,
     PrecisionTarget,
-    SampleBufferPool,
     SequentialProbe,
     chunk_schedule,
 )
@@ -59,26 +65,15 @@ __all__ = [
     "monte_carlo_predict",
     "monte_carlo_predict_reference",
     "compare_with_closed_form",
+    "propagate",
     "AdaptiveEmpirical",
     "ClipSaturationWarning",
-    "adaptive_pool_stats",
 ]
 
 #: Point-evaluation policy: with every parameter a point value, the
 #: relatedness and Max-strategy choices are irrelevant (all rules agree),
 #: so any policy yields the exact arithmetic.
 _POINT_POLICY = EvalPolicy(max_strategy=MaxStrategy.BY_MEAN)
-
-
-#: Shared scratch-buffer pool for adaptive (chunked) evaluation — after
-#: warm-up, repeated adaptive predictions at the same ``max_samples``
-#: reuse the same accumulation buffers and allocate nothing.
-_ADAPTIVE_POOL = SampleBufferPool()
-
-
-def adaptive_pool_stats() -> dict:
-    """Buffer-pool reuse diagnostics for the adaptive evaluation path."""
-    return _ADAPTIVE_POOL.stats()
 
 
 @dataclass(frozen=True)
@@ -100,7 +95,7 @@ class AdaptiveEmpirical(EmpiricalValue):
 
 
 class ClipSaturationWarning(UserWarning):
-    """More than half of a parameter's draws hit a clip bound.
+    """More than half of a parameter's normal mass lies outside its clip.
 
     Clipping after normal sampling silently piles probability mass on the
     bound; past 50% saturation the sampled parameter has effectively
@@ -113,53 +108,35 @@ class ClipSaturationWarning(UserWarning):
 def _sampled_names(expression: Expr, bindings: Bindings) -> list[str]:
     """Run-time, nonzero-spread parameters referenced by the expression."""
     referenced = expression.params()
-    return [
-        name
-        for name in bindings.runtime_names()
-        if name in bindings and not bindings.resolve(name).is_point and name in referenced
-    ]
+    runtime = [n for n in bindings.runtime_names() if n in referenced]
+    return [n for n in runtime if not bindings.resolve(n).is_point]
 
 
-def _draw_samples(
-    sampled_names: list[str],
-    bindings: Bindings,
-    n_samples: int,
-    gen: np.random.Generator,
-    clip: dict[str, tuple[float, float]] | None,
-) -> dict[str, np.ndarray]:
-    """Draw per-parameter sample arrays (shared by both engines).
-
-    Draw order follows ``sampled_names`` so both engines consume the RNG
-    identically; clipping warns via :class:`ClipSaturationWarning` when
-    more than half the draws of a parameter land outside its bounds.
-    """
-    draws: dict[str, np.ndarray] = {}
-    for name in sampled_names:
+def _warn_clip_saturation(bindings: Bindings, names: list[str], clip: dict) -> None:
+    """Warn once per parameter whose clip bounds hold less than half of
+    its normal's mass."""
+    for name in names:
+        if name not in clip:
+            continue
+        lo, hi = clip[name]
         sv = bindings.resolve(name)
-        values = sv.sample(n_samples, gen)
-        if clip and name in clip:
-            lo, hi = clip[name]
-            n_clipped = int(np.count_nonzero((values < lo) | (values > hi)))
-            if 2 * n_clipped > n_samples:
-                warnings.warn(
-                    f"clip bounds ({lo}, {hi}) saturate {n_clipped}/{n_samples} draws "
-                    f"of parameter {name!r} ({sv}); the clipped distribution has "
-                    "collapsed onto the bound",
-                    ClipSaturationWarning,
-                    stacklevel=4,
-                )
-            values = np.clip(values, lo, hi)
-        draws[name] = values
-    return draws
+        outside = float(sv.cdf(lo) + 1.0 - sv.cdf(hi))
+        if outside > 0.5:
+            warnings.warn(
+                f"clip bounds ({lo}, {hi}) cut off {outside:.0%} of parameter "
+                f"{name!r} ({sv}); the clipped distribution collapses onto the bound",
+                ClipSaturationWarning,
+                stacklevel=3,
+            )
 
 
 def _reference_loop(
     expression: Expr,
     bindings: Bindings,
-    sampled_names: list[str],
+    sampled_names,
     draws: dict[str, np.ndarray],
     n_samples: int,
-    policy: EvalPolicy,
+    policy: EvalPolicy = _POINT_POLICY,
 ) -> np.ndarray:
     """The per-sample loop: one bindings overlay and tree walk per draw."""
     out = np.empty(n_samples)
@@ -168,6 +145,208 @@ def _reference_loop(
         point_bindings = bindings.overlaid(overlay)
         out[k] = expression.evaluate(point_bindings, policy).mean
     return out
+
+
+def _row_values(base: dict, overrides: dict | None) -> dict:
+    """The parameter values one row is evaluated at: ``base`` itself
+    unless the row overrides some of them."""
+    if not overrides:
+        return base
+    return {p: as_stochastic(overrides[p]) if p in overrides else sv for p, sv in base.items()}
+
+
+def _draw(sv: StochasticValue, n: int, bounds, rng: np.random.Generator) -> np.ndarray:
+    """``n`` draws of ``sv`` (a point value draws nothing), clipped."""
+    seg = np.full(n, sv.mean) if sv.is_point else sv.sample(n, rng)
+    if bounds is not None:
+        seg = np.clip(seg, *bounds)
+    return seg
+
+
+def _chunk_draws(sampled, base, clip, overrides, members, counts, m, rng) -> dict:
+    """One chunk's draw arrays, parameter-major, rows in order.
+
+    Consecutive rows that share a parameter's value draw it in one RNG
+    call; the stream is the same as drawing row by row.
+    """
+    pinned = []
+    if overrides is not None:
+        pinned = [(j, overrides[i]) for j, i in enumerate(members.tolist()) if overrides[i]]
+    offsets = np.concatenate(([0], np.cumsum(counts))) if pinned else None
+    draws: dict[str, np.ndarray] = {}
+    for param in sampled:
+        bounds = clip.get(param) if clip else None
+        rows = [(j, o[param]) for j, o in pinned if param in o]
+        if not rows:
+            draws[param] = _draw(base[param], m, bounds, rng)
+            continue
+        arr = np.empty(m)
+        start = 0
+        for j, value in rows:
+            lo, hi = offsets[start], offsets[j]
+            if hi > lo:
+                arr[lo:hi] = _draw(base[param], hi - lo, bounds, rng)
+            arr[hi : offsets[j + 1]] = _draw(as_stochastic(value), counts[j], bounds, rng)
+            start = j + 1
+        if offsets[start] < m:
+            arr[offsets[start] :] = _draw(base[param], m - offsets[start], bounds, rng)
+        draws[param] = arr
+    return draws
+
+
+def propagate(
+    plan,
+    expression: Expr,
+    bindings: Bindings,
+    sampled,
+    base: dict,
+    rng: np.random.Generator,
+    *,
+    budget: int,
+    rows: int = 1,
+    targets: list | None = None,
+    overrides=None,
+    clip: dict | None = None,
+    policy: EvalPolicy = _POINT_POLICY,
+    request_ids=None,
+    tracer=None,
+) -> tuple:
+    """Draw and evaluate ``rows`` rows of one model, chunk by chunk.
+
+    ``plan`` is the caller's compiled plan over ``sampled``, or ``None``
+    or its compile error when there is none.  Row ``i`` stands on
+    ``base`` (one :class:`~repro.core.stochastic.StochasticValue` per
+    sampled name) with ``overrides[i]`` applied, and is capped at its
+    target's ``max_samples`` or, without one, at ``budget``.
+
+    All rows advance through one shared geometric chunk schedule; each
+    chunk draws fresh samples for the *still-active* rows only
+    (parameter-major, rows in order), flows once through the plan, and
+    scatters back into per-row buffers.  A row leaves when its stopping
+    rule converges or its cap fills; ``targets=None`` is one chunk at
+    the cap.  Without a plan each row draws ``budget`` samples on the
+    reference loop (under ``policy``) and its target is assessed once.
+
+    Returns ``(samples, outcomes, total draws)``: samples as a ``(rows,
+    draws)`` matrix when every row drew the same count, else one array
+    per row; outcomes per row (``None`` without a target), or ``None``
+    when ``targets`` is.
+    """
+    trc = as_tracer(tracer)
+    probes = None
+    if targets is not None:
+        probes = [None if t is None else SequentialProbe(t, rng) for t in targets]
+    if not isinstance(plan, CompiledExpr):
+        if trc.enabled and trc.active is not None:
+            why = {} if plan is None else {"fallback": type(plan).__name__}
+            trc.active.set(engine="reference", **why)
+        samples = np.empty((rows, budget))
+        for i in range(rows):
+            values = _row_values(base, None if overrides is None else overrides[i])
+            names = [p for p in sampled if not values[p].is_point]
+            draws = {p: _draw(values[p], budget, clip.get(p) if clip else None, rng) for p in names}
+            samples[i] = _reference_loop(
+                expression, bindings.overlaid(values), names, draws, budget, policy
+            )
+        outcomes = None
+        if probes is not None:
+            for row, probe in zip(samples, probes):
+                if probe is not None:
+                    probe.assess(row)
+            outcomes = [None if p is None else p.outcome(budget=budget) for p in probes]
+        return samples, outcomes, rows * budget
+    if trc.enabled and trc.active is not None:
+        trc.active.set(engine="vectorised")
+
+    if targets is None:
+        caps = np.full(rows, budget)
+        totals = [budget]
+    else:
+        caps = np.array([budget if t is None else t.max_samples for t in targets])
+        adaptive = [t for t in targets if t is not None]
+        first = min(t.min_samples for t in adaptive)
+        growth = min(t.growth for t in adaptive)
+        totals = sorted(set(chunk_schedule(first, int(caps.max()), growth)) | set(caps.tolist()))
+    buf = None
+    filled = np.zeros(rows, dtype=np.int64)
+    active = np.arange(rows)
+    total_draws = 0
+    for total in totals:
+        need = np.minimum(caps[active], total) - filled[active]
+        members, counts = active[need > 0], need[need > 0]
+        if not members.size:
+            continue
+        m = int(counts.sum())
+        draws = _chunk_draws(sampled, base, clip, overrides, members, counts, m, rng)
+        out = plan.evaluate(draws, bindings, n_samples=m)
+        total_draws += m
+        c0 = int(counts[0])
+        uniform = bool((counts == c0).all()) and bool(
+            (filled[members] == filled[members[0]]).all()
+        )
+        if buf is None and members.size == rows and uniform and bool((caps == c0).all()):
+            buf = out.reshape(rows, c0)  # one chunk fills every row
+        else:
+            if buf is None:
+                buf = np.empty((rows, int(caps.max())))
+            if uniform:
+                f0 = int(filled[members[0]])
+                buf[members, f0 : f0 + c0] = out.reshape(members.size, c0)
+            else:
+                off = 0
+                for i, c in zip(members.tolist(), counts.tolist()):
+                    buf[i, filled[i] : filled[i] + c] = out[off : off + c]
+                    off += c
+        filled[members] += counts
+        if probes is None:
+            continue
+
+        still = []
+        for i in active.tolist():
+            target, probe = targets[i], probes[i]
+            done = filled[i] >= caps[i]
+            if probe is not None and filled[i] >= target.min_samples:
+                record = probe.assess(buf[i, : filled[i]])
+                if record.converged:
+                    done = True
+                if done and trc.enabled:
+                    trc.start_span(
+                        "mc.converged",
+                        stage=STAGE_STRUCTURAL,
+                        request_id=None if request_ids is None else int(request_ids[i]),
+                        metric=target.metric,
+                        rule=target.rule,
+                        draws=record.draws,
+                        budget=budget,
+                        converged=record.converged,
+                        half_width=record.half_width,
+                        tolerance=record.tolerance,
+                        votes={v.rule: v.converged for v in record.votes},
+                    ).finish()
+            if not done:
+                still.append(i)
+        if trc.enabled:
+            trc.start_span(
+                "mc.chunk",
+                stage=STAGE_STRUCTURAL,
+                draws=total,
+                chunk=m,
+                batch_size=rows,
+                active=len(still),
+            ).finish()
+        active = np.array(still, dtype=np.int64)
+        if not still:
+            break
+
+    outcomes = None
+    if probes is not None:
+        outcomes = [None if p is None else p.outcome(budget=budget) for p in probes]
+    if (filled == filled[0]).all():
+        f = int(filled[0])
+        samples = buf if buf.shape[1] == f else np.ascontiguousarray(buf[:, :f])
+    else:
+        samples = [buf[i, : filled[i]] for i in range(rows)]
+    return samples, outcomes, total_draws
 
 
 def monte_carlo_predict(
@@ -184,6 +363,8 @@ def monte_carlo_predict(
 ) -> EmpiricalValue:
     """Sample the run-time parameters and propagate exactly.
 
+    A one-row call of :func:`propagate`.
+
     Parameters
     ----------
     expression:
@@ -199,7 +380,7 @@ def monte_carlo_predict(
         Optional per-parameter ``(lo, hi)`` bounds applied to draws
         (availability parameters must stay positive to be divisible).
         Emits :class:`ClipSaturationWarning` when more than half of a
-        parameter's draws hit a bound.
+        parameter's normal mass lies outside its bounds.
     policy:
         Evaluation policy applied to residual (non-sampled) stochastic
         parameters during propagation; defaults to the point policy
@@ -219,122 +400,45 @@ def monte_carlo_predict(
         stopping rule reports the requested metric converged (hard cap:
         ``precision.max_samples``), and the return value is an
         :class:`AdaptiveEmpirical` carrying draws-used and achieved
-        half-width provenance.  ``None`` (default) runs the fixed-budget
-        path, bit-identical to previous releases.
+        half-width provenance.  The reference loop has no chunks: it
+        spends the whole cap and assesses the target once.  ``None``
+        (default) runs the fixed budget.
     tracer:
-        Optional :class:`~repro.obs.tracer.Tracer`; the adaptive path
-        then emits one ``mc.chunk`` span per chunk boundary (with every
-        rule vote) and a closing ``mc.converged`` span.
+        Optional :class:`~repro.obs.tracer.Tracer`; an adaptive
+        evaluation then emits the same ``mc.chunk`` and ``mc.converged``
+        spans a prediction server does.
     """
     if n_samples < 2:
         raise ValueError(f"n_samples must be >= 2, got {n_samples}")
     if engine not in ("vectorised", "reference"):
         raise ValueError(f"engine must be 'vectorised' or 'reference', got {engine!r}")
-    gen = np.random.default_rng(rng) if not isinstance(rng, np.random.Generator) else rng
+    gen = np.random.default_rng(rng)  # a Generator passes through unchanged
     pol = policy if policy is not None else _POINT_POLICY
-
-    if precision is not None:
-        return _monte_carlo_adaptive(
-            expression, bindings, precision, gen, clip, pol, engine, tracer
-        )
-
-    sampled_names = _sampled_names(expression, bindings)
-    draws = _draw_samples(sampled_names, bindings, n_samples, gen, clip)
-
-    if engine == "vectorised":
-        try:
-            plan = compile_expr(expression, tuple(sampled_names), policy=pol)
-        except (UnsupportedPolicyError, UnsupportedExpressionError):
-            plan = None
-        if plan is not None:
-            out = plan.evaluate(draws, bindings, n_samples=n_samples)
-            return EmpiricalValue(out)
-
-    out = _reference_loop(expression, bindings, sampled_names, draws, n_samples, pol)
-    return EmpiricalValue(out)
-
-
-def _monte_carlo_adaptive(
-    expression: Expr,
-    bindings: Bindings,
-    precision: PrecisionTarget,
-    gen: np.random.Generator,
-    clip: dict[str, tuple[float, float]] | None,
-    pol: EvalPolicy,
-    engine: str,
-    tracer,
-) -> AdaptiveEmpirical:
-    """Chunked evaluation with sequential stopping (one RNG stream).
-
-    Draws flow chunk by chunk through the same compiled plan (or the
-    reference loop) and accumulate in a pooled buffer; after each chunk
-    the :class:`~repro.structural.repeaters.SequentialProbe` votes.  The
-    draw stream is a strict prefix of what a fixed ``max_samples`` run
-    with the same seed would consume, so results are bit-reproducible.
-    """
-    trc = as_tracer(tracer)
-    sampled_names = _sampled_names(expression, bindings)
+    names = _sampled_names(expression, bindings)
+    if clip:
+        _warn_clip_saturation(bindings, names, clip)
     plan = None
     if engine == "vectorised":
         try:
-            plan = compile_expr(expression, tuple(sampled_names), policy=pol)
-        except (UnsupportedPolicyError, UnsupportedExpressionError):
-            plan = None
-
-    probe = SequentialProbe(precision, gen)
-    out = _ADAPTIVE_POOL.acquire(precision.max_samples)
-    try:
-        filled = 0
-        for total in chunk_schedule(
-            precision.min_samples, precision.max_samples, precision.growth
-        ):
-            need = total - filled
-            draws = _draw_samples(sampled_names, bindings, need, gen, clip)
-            if plan is not None:
-                chunk = plan.evaluate(draws, bindings, n_samples=need)
-            else:
-                chunk = _reference_loop(
-                    expression, bindings, sampled_names, draws, need, pol
-                )
-            out[filled:total] = chunk
-            filled = total
-            record = probe.assess(out[:filled])
-            if trc.enabled:
-                trc.start_span(
-                    "mc.chunk",
-                    stage=STAGE_STRUCTURAL,
-                    draws=record.draws,
-                    chunk=need,
-                    metric=precision.metric,
-                    estimate=record.estimate,
-                    half_width=record.half_width,
-                    tolerance=record.tolerance,
-                    converged=record.converged,
-                    votes={v.rule: v.converged for v in record.votes},
-                ).finish()
-            if record.converged:
-                break
-        samples = out[:filled].copy()
-    finally:
-        _ADAPTIVE_POOL.release(out)
-
-    outcome = probe.outcome()
-    if trc.enabled:
-        trc.start_span(
-            "mc.converged",
-            stage=STAGE_STRUCTURAL,
-            metric=precision.metric,
-            rule=precision.rule,
-            draws=outcome.draws,
-            budget=outcome.budget,
-            converged=outcome.converged,
-            estimate=outcome.estimate,
-            half_width=outcome.half_width,
-            tolerance=outcome.tolerance,
-            saved_fraction=outcome.saved_fraction,
-            votes={v.rule: v.to_dict() for v in outcome.votes},
-        ).finish()
-    return AdaptiveEmpirical(samples, outcome)
+            plan = compile_expr(expression, tuple(names), policy=pol)
+        except (UnsupportedPolicyError, UnsupportedExpressionError) as exc:
+            plan = exc
+    samples, outcomes, _ = propagate(
+        plan,
+        expression,
+        bindings,
+        names,
+        {name: bindings.resolve(name) for name in names},
+        gen,
+        budget=n_samples if precision is None else precision.max_samples,
+        targets=None if precision is None else [precision],
+        clip=clip,
+        policy=pol,
+        tracer=tracer,
+    )
+    if precision is None:
+        return EmpiricalValue(samples[0])
+    return AdaptiveEmpirical(samples[0], outcomes[0])
 
 
 def monte_carlo_predict_reference(

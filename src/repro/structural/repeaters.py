@@ -33,9 +33,9 @@ fed the accumulated samples after every chunk.  Five rules:
 Everything is seeded and vectorised: rule checks consume a dedicated
 child RNG stream (spawned once per probe) so adaptive assessment never
 perturbs the draw stream, and re-running with the same seed is
-bit-reproducible.  A hard ``max_samples`` cap bounds the worst case, and
-:class:`SampleBufferPool` recycles accumulation buffers so chunked
-evaluation allocates nothing steady-state.
+bit-reproducible.  A hard ``max_samples`` cap bounds the worst case.
+:func:`repro.structural.montecarlo.propagate` is the one chunk loop that
+drives these probes, for library calls and the server alike.
 
 The serving layer threads these targets end to end — see
 ``repro.serving`` for per-request precision and precision *shedding*
@@ -60,7 +60,6 @@ __all__ = [
     "ChunkRecord",
     "AdaptiveOutcome",
     "SequentialProbe",
-    "SampleBufferPool",
     "chunk_schedule",
     "STOPPING_RULES",
     "DEFAULT_MIN_SAMPLES",
@@ -369,49 +368,6 @@ def chunk_schedule(
         total = min(max_samples, max(total + 1, int(math.ceil(total * growth))))
     totals.append(max_samples)
     return totals
-
-
-class SampleBufferPool:
-    """Free lists of float64 scratch buffers, keyed by exact capacity.
-
-    Chunked adaptive evaluation needs one accumulation buffer per
-    prediction (``max_samples`` long) plus per-parameter chunk buffers;
-    because targets repeat across requests, capacities repeat too, so a
-    released buffer is almost always re-acquired at the same size — after
-    warm-up, steady-state adaptive serving allocates nothing.
-
-    Buffers come back uncleared; callers own initialisation of the
-    region they use.  The pool is not thread-safe (the serving stack is
-    single-threaded simulated time).
-    """
-
-    __slots__ = ("_free", "_hits", "_misses")
-
-    def __init__(self) -> None:
-        self._free: dict[int, list[np.ndarray]] = {}
-        self._hits = 0
-        self._misses = 0
-
-    def acquire(self, n: int) -> np.ndarray:
-        """A float64 buffer of exactly ``n`` elements (possibly dirty)."""
-        stack = self._free.get(n)
-        if stack:
-            self._hits += 1
-            return stack.pop()
-        self._misses += 1
-        return np.empty(n)
-
-    def release(self, buf: np.ndarray) -> None:
-        """Return ``buf`` to the pool for reuse at its capacity."""
-        self._free.setdefault(buf.shape[0], []).append(buf)
-
-    def stats(self) -> dict:
-        """Reuse diagnostics: hits/misses and pooled buffer count."""
-        return {
-            "hits": self._hits,
-            "misses": self._misses,
-            "pooled": sum(len(v) for v in self._free.values()),
-        }
 
 
 def _metric_estimate(sorted_samples: np.ndarray, kind: str, q: float) -> float:

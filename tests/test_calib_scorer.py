@@ -253,17 +253,6 @@ class TestCalibrationScorer:
         assert scorer.cohort("stale").n == 1
         assert scorer.cohort("stale").coverage == 0.0
 
-    def test_observe_scored_matches_observe(self):
-        d = _dist()
-        outcome = d.mean + 1.7 * d.std
-        direct, external = CalibrationScorer(), CalibrationScorer()
-        direct.observe("m", "fresh", d, outcome)
-        covered, crps, pit, z = _score_one(d, outcome)
-        external.observe_scored(
-            "m", "fresh", d, outcome, covered=covered, crps=crps, pit=pit, z=z
-        )
-        assert direct.summary() == external.summary()
-
     def test_summary_shape(self):
         scorer = CalibrationScorer()
         d = _dist()

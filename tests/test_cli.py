@@ -228,6 +228,41 @@ class TestServeClusterArguments:
         assert "worker_crashes_total" in capsys.readouterr().out
 
 
+class TestUsageErrors:
+    """Invalid numeric input to the other commands exits 2 with a usage
+    message too, never a traceback or a silent ``nan``."""
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["predict", "--samples", "1"], "argument --samples: must be >= 2, got 1"),
+            (
+                ["predict", "--precision", "p95:abc"],
+                "argument --precision: unparseable tolerance 'abc'",
+            ),
+            (
+                ["predict", "--samples", "0", "--precision", "p95:2%"],
+                "argument --samples: must be >= 2, got 0",
+            ),
+            (
+                ["predict", "--samples", "100", "--precision", "p95:2%"],
+                "argument --precision: max_samples (100) must be >= min_samples (256)",
+            ),
+            (["predict", "--iterations", "0"], "argument --iterations: must be >= 1, got 0"),
+            (["predict", "--size", "-5"], "argument --size: must be >= 6, got -5"),
+            (["scenarios", "--scenario", "nope"], "argument --scenario: unknown scenario 'nope'"),
+            (["table2", "--samples", "1"], "argument --samples: must be >= 2, got 1"),
+        ],
+    )
+    def test_invalid_input_is_a_usage_error(self, capsys, argv, message):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert f"repro {argv[0]}: error:" in err and message in err
+        assert "Traceback" not in err
+
+
 class TestServe:
     def test_cluster_with_a_crash_fails_over_losslessly(self, capsys):
         argv = [

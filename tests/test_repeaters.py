@@ -23,7 +23,6 @@ from repro.structural.parameters import Bindings
 from repro.structural.repeaters import (
     STOPPING_RULES,
     PrecisionTarget,
-    SampleBufferPool,
     SequentialProbe,
     chunk_schedule,
 )
@@ -112,24 +111,6 @@ class TestChunkSchedule:
             chunk_schedule(100, 50)
         with pytest.raises(ValueError):
             chunk_schedule(8, 100, growth=1.0)
-
-
-class TestSampleBufferPool:
-    def test_reuses_exact_capacity(self):
-        pool = SampleBufferPool()
-        a = pool.acquire(128)
-        pool.release(a)
-        b = pool.acquire(128)
-        assert b is a
-        assert pool.stats() == {"hits": 1, "misses": 1, "pooled": 0}
-
-    def test_different_capacities_do_not_alias(self):
-        pool = SampleBufferPool()
-        a = pool.acquire(64)
-        pool.release(a)
-        b = pool.acquire(128)
-        assert b is not a and b.shape == (128,)
-        assert pool.stats()["misses"] == 2
 
 
 class TestSequentialProbe:
@@ -289,6 +270,40 @@ class TestAdaptiveMonteCarloPredict:
         assert emp.samples.size == 512
         assert not emp.outcome.converged
         assert emp.outcome.half_width > emp.outcome.tolerance
+
+    def test_library_call_emits_the_server_span_format(self):
+        from repro.obs import Tracer
+
+        tracer = Tracer()
+        expr = Param("c") / Param("load")
+        target = PrecisionTarget.parse("p95:5%", min_samples=64, max_samples=2000)
+        emp = monte_carlo_predict(
+            expr, adaptive_bindings(), rng=5, precision=target, tracer=tracer
+        )
+        chunks = tracer.find(name="mc.chunk")
+        (done,) = tracer.find(name="mc.converged")
+        assert len(chunks) == len(emp.outcome.chunks)
+        assert set(chunks[-1].attrs) == {"draws", "chunk", "batch_size", "active"}
+        assert chunks[-1].attrs["batch_size"] == 1 and chunks[-1].attrs["active"] == 0
+        assert set(done.attrs) == {
+            "request_id", "metric", "rule", "draws", "budget", "converged",
+            "half_width", "tolerance", "votes",
+        }
+        assert done.attrs["request_id"] is None
+        assert done.attrs["draws"] == emp.outcome.draws and done.attrs["votes"] == {"ci": True}
+
+    def test_reference_engine_spends_the_whole_cap(self):
+        # The reference loop has no chunks: it draws the cap and assesses
+        # the target once, even when a smaller chunk would have converged.
+        expr = Param("c") / Param("load")
+        target = PrecisionTarget.parse("p95:5%", min_samples=64, max_samples=700)
+        emp = monte_carlo_predict(
+            expr, adaptive_bindings(), rng=5, precision=target, engine="reference"
+        )
+        vec = monte_carlo_predict(expr, adaptive_bindings(), rng=5, precision=target)
+        assert vec.outcome.draws < 700
+        assert emp.outcome.draws == emp.outcome.budget == emp.samples.size == 700
+        assert len(emp.outcome.chunks) == 1 and emp.outcome.converged
 
 
 class TestMcSamplesDefaultUnification:
