@@ -593,6 +593,11 @@ def _at_least(lo, kind=int, *, strict=False):
     return parse
 
 
+#: SOR problem size: every platform's four machines each need at least
+#: one interior row.
+_SOR_SIZE = _at_least(6)
+
+
 def _parse_precision(parser: argparse.ArgumentParser, args) -> None:
     """Turn ``--precision`` into a target capped at ``--samples``."""
     from repro.structural.repeaters import PrecisionTarget
@@ -703,8 +708,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_table2)
 
     p = sub.add_parser("dedicated", help="dedicated-model validation")
-    p.add_argument("--sizes", type=int, nargs="+", default=[1000, 1400, 2000])
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--sizes", type=_SOR_SIZE, nargs="+", default=[1000, 1400, 2000])
+    p.add_argument("--iterations", type=_at_least(1), default=20)
     p.set_defaults(func=_cmd_dedicated)
 
     p = sub.add_parser("platform1", help="Platform 1 experiment (Figures 8/9)")
@@ -713,8 +718,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_platform1)
 
     p = sub.add_parser("platform2", help="Platform 2 experiment (Figures 12-17)")
-    p.add_argument("--size", type=int, default=1600)
-    p.add_argument("--runs", type=int, default=25)
+    p.add_argument("--size", type=_SOR_SIZE, default=1600)
+    p.add_argument("--runs", type=_at_least(1), default=25)
     p.add_argument("--seed", type=int, default=42)
     p.set_defaults(func=_cmd_platform2)
 
@@ -748,17 +753,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_trace)
 
     p = sub.add_parser("memory", help="in-core boundary study")
-    p.add_argument("--sizes", type=int, nargs="+", default=[600, 800, 1000, 1200, 1400])
+    p.add_argument("--sizes", type=_SOR_SIZE, nargs="+", default=[600, 800, 1000, 1200, 1400])
     p.set_defaults(func=_cmd_memory)
 
     p = sub.add_parser("calibration", help="NWS query-window calibration study")
-    p.add_argument("--windows", type=float, nargs="+", default=[15.0, 45.0, 90.0, 180.0, 360.0])
+    p.add_argument("--windows", type=_at_least(0.0, float, strict=True), nargs="+",
+                   default=[15.0, 45.0, 90.0, 180.0, 360.0])
     p.add_argument("--seed", type=int, default=3)
     p.set_defaults(func=_cmd_calibration)
 
     p = sub.add_parser("chaos", help="Platform 1 prediction cycle under injected faults")
-    p.add_argument("--size", type=int, default=600)
-    p.add_argument("--iterations", type=int, default=10)
+    p.add_argument("--size", type=_SOR_SIZE, default=600)
+    p.add_argument("--iterations", type=_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=23)
     p.add_argument("--dropout-rate", type=float, default=1 / 120.0)
     p.add_argument("--crash-rate", type=float, default=1 / 900.0)
@@ -771,8 +777,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="one SOR prediction on Platform 1, optionally with an "
         "adaptive precision target",
     )
-    # Platform 1's four machines each need at least one interior row.
-    p.add_argument("--size", type=_at_least(6), default=1000)
+    p.add_argument("--size", type=_SOR_SIZE, default=1000)
     p.add_argument("--iterations", type=_at_least(1), default=20)
     p.add_argument("--at", type=float, default=600.0, help="decision time in the trace")
     p.add_argument("--samples", type=_at_least(2), default=2000,
@@ -849,8 +854,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_scenarios, check=functools.partial(_check_scenarios, p))
 
     p = sub.add_parser("advise", help="SOR decomposition advice on Platform 2")
-    p.add_argument("--size", type=int, default=1600)
-    p.add_argument("--iterations", type=int, default=20)
+    p.add_argument("--size", type=_SOR_SIZE, default=1600)
+    p.add_argument("--iterations", type=_at_least(1), default=20)
     p.add_argument("--at", type=float, default=600.0, help="decision time in the trace")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=17)

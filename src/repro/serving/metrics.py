@@ -8,9 +8,11 @@ when the server observes something, so a seeded run produces a
 bit-identical snapshot.
 
 ``snapshot()`` returns a JSON-serialisable dict; :class:`Histogram`
-keeps every observation (serving runs are thousands of events, not
-millions) so the snapshot's p50/p90/p99 are exact order statistics, and
-additionally buckets observations for a at-a-glance distribution shape.
+keeps every observation so the snapshot's p50/p90/p99 are exact order
+statistics, and additionally buckets observations for an at-a-glance
+distribution shape.  The store grows with every request served (a
+million-request soak holds millions of floats); bounding it is ROADMAP
+item 4.
 """
 
 from __future__ import annotations

@@ -254,6 +254,19 @@ def _worst_quality(qualities) -> str:
     return QUALITIES[worst]
 
 
+def _per_object(fn, items) -> list:
+    """``[fn(x) for x in items]`` with ``fn`` called once per distinct
+    object (rows share their target objects); ``None`` stays ``None``."""
+    memo = {id(None): None}
+    out = []
+    for x in items:
+        key = id(x)
+        if key not in memo:
+            memo[key] = fn(x)
+        out.append(memo[key])
+    return out
+
+
 def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
     """Responses for every row of ``batch``: the given columns, zeros
     (``ok`` status, no shed reason) for the others."""
@@ -801,7 +814,7 @@ class PredictionServer:
         effective = None
         if targets is not None:
             factor = self.admission.precision_factor(self._qlen)
-            effective = [None if t is None else t.degraded(factor) for t in targets]
+            effective = _per_object(lambda t: t.degraded(factor), targets)
         try:
             self.forecasts.ingest_to(t_start)
             shared = {
@@ -920,16 +933,21 @@ class PredictionServer:
         infos: list = [None] * k
         if targets is not None:
             degraded = factor > 1.0
-            draws_hist = self.metrics.histogram("draws_used", _DRAWS_BUCKETS)
+            self.metrics.histogram("draws_used", _DRAWS_BUCKETS).observe_many(
+                [o.draws for o in outcomes if o is not None]
+            )
+            requested = _per_object(PrecisionTarget.describe, targets)
+            effective = _per_object(
+                PrecisionTarget.describe, [None if o is None else o.target for o in outcomes]
+            )
             for i, outcome in enumerate(outcomes):
                 if outcome is None:
                     continue
-                draws_hist.observe(outcome.draws)
                 infos[i] = PrecisionInfo(
                     metric=outcome.target.metric,
                     rule=outcome.target.rule,
-                    requested=targets[i].describe(),
-                    effective=outcome.target.describe(),
+                    requested=requested[i],
+                    effective=effective[i],
                     draws=outcome.draws,
                     budget=outcome.budget,
                     half_width=outcome.half_width,
@@ -975,7 +993,7 @@ class PredictionServer:
         targets = [cfg.precision if t is None else t for t in batch.precision]
         if all(t is None for t in targets):
             return None
-        return [None if t is None else self._clamp_target(t) for t in targets]
+        return _per_object(self._clamp_target, targets)
 
     def _clamp_target(self, target: PrecisionTarget) -> PrecisionTarget:
         """Apply server-side limits to a client's precision target."""

@@ -233,9 +233,7 @@ def propagate(
     when ``targets`` is.
     """
     trc = as_tracer(tracer)
-    probes = None
-    if targets is not None:
-        probes = [None if t is None else SequentialProbe(t, rng) for t in targets]
+    probe = None if targets is None else SequentialProbe(targets, rng)
     if not isinstance(plan, CompiledExpr):
         if trc.enabled and trc.active is not None:
             why = {} if plan is None else {"fallback": type(plan).__name__}
@@ -249,11 +247,10 @@ def propagate(
                 expression, bindings.overlaid(values), names, draws, budget, policy
             )
         outcomes = None
-        if probes is not None:
-            for row, probe in zip(samples, probes):
-                if probe is not None:
-                    probe.assess(row)
-            outcomes = [None if p is None else p.outcome(budget=budget) for p in probes]
+        if probe is not None:
+            due = [i for i, t in enumerate(targets) if t is not None]
+            probe.assess(samples[due], due)
+            outcomes = probe.outcomes(budget)
         return samples, outcomes, rows * budget
     if trc.enabled and trc.active is not None:
         trc.active.set(engine="vectorised")
@@ -263,6 +260,7 @@ def propagate(
         totals = [budget]
     else:
         caps = np.array([budget if t is None else t.max_samples for t in targets])
+        mins = np.array([np.inf if t is None else t.min_samples for t in targets])
         adaptive = [t for t in targets if t is not None]
         first = min(t.min_samples for t in adaptive)
         growth = min(t.growth for t in adaptive)
@@ -298,33 +296,38 @@ def propagate(
                     buf[i, filled[i] : filled[i] + c] = out[off : off + c]
                     off += c
         filled[members] += counts
-        if probes is None:
+        if probe is None:
             continue
 
-        still = []
-        for i in active.tolist():
-            target, probe = targets[i], probes[i]
-            done = filled[i] >= caps[i]
-            if probe is not None and filled[i] >= target.min_samples:
-                record = probe.assess(buf[i, : filled[i]])
-                if record.converged:
-                    done = True
-                if done and trc.enabled:
-                    trc.start_span(
-                        "mc.converged",
-                        stage=STAGE_STRUCTURAL,
-                        request_id=None if request_ids is None else int(request_ids[i]),
-                        metric=target.metric,
-                        rule=target.rule,
-                        draws=record.draws,
-                        budget=budget,
-                        converged=record.converged,
-                        half_width=record.half_width,
-                        tolerance=record.tolerance,
-                        votes={v.rule: v.converged for v in record.votes},
-                    ).finish()
-            if not done:
-                still.append(i)
+        # Every active row has drawn to this chunk's total, so the rows
+        # due for a check form one equally-filled block.
+        due = active[mins[active] <= filled[active]]
+        converged = np.zeros(rows, dtype=bool)
+        records = {}
+        if due.size:
+            records = dict(zip(due.tolist(), probe.assess(buf[due, :total], due)))
+            converged[due] = [r.converged for r in records.values()]
+        done = (filled[active] >= caps[active]) | converged[active]
+        if trc.enabled:
+            for i in active[done].tolist():
+                record = records.get(i)
+                if record is None:
+                    continue
+                target = targets[i]
+                trc.start_span(
+                    "mc.converged",
+                    stage=STAGE_STRUCTURAL,
+                    request_id=None if request_ids is None else int(request_ids[i]),
+                    metric=target.metric,
+                    rule=target.rule,
+                    draws=record.draws,
+                    budget=budget,
+                    converged=record.converged,
+                    half_width=record.half_width,
+                    tolerance=record.tolerance,
+                    votes={v.rule: v.converged for v in record.votes},
+                ).finish()
+        active = active[~done]
         if trc.enabled:
             trc.start_span(
                 "mc.chunk",
@@ -332,15 +335,12 @@ def propagate(
                 draws=total,
                 chunk=m,
                 batch_size=rows,
-                active=len(still),
+                active=len(active),
             ).finish()
-        active = np.array(still, dtype=np.int64)
-        if not still:
+        if not active.size:
             break
 
-    outcomes = None
-    if probes is not None:
-        outcomes = [None if p is None else p.outcome(budget=budget) for p in probes]
+    outcomes = None if probe is None else probe.outcomes(budget)
     if (filled == filled[0]).all():
         f = int(filled[0])
         samples = buf if buf.shape[1] == f else np.ascontiguousarray(buf[:, :f])

@@ -10,7 +10,12 @@ pins the requested metric to the requested precision.
 
 The request is a :class:`PrecisionTarget` — "give me the p95 to ±2% at
 95% confidence" — and the verdict machinery is a :class:`SequentialProbe`
-fed the accumulated samples after every chunk.  Five rules:
+holding a block of rows, one target each.  After every chunk it gets one
+call with the (rows × n) matrix of the rows due for a check: one sort
+along ``axis=1``, then the closed-form ``ci`` statistics as one
+reduction per metric over the whole block.  ``bootstrap``, ``hdi`` and
+``ks`` (and so ``composite``) votes stay per row inside that call.  A
+one-row probe fed 1-D samples is a view of the same block.  Five rules:
 
 ``ci``
     Closed-form confidence interval: normal-theory for mean/std,
@@ -31,9 +36,9 @@ fed the accumulated samples after every chunk.  Five rules:
     All of the above must agree — the conservative production setting.
 
 Everything is seeded and vectorised: rule checks consume a dedicated
-child RNG stream (spawned once per probe) so adaptive assessment never
-perturbs the draw stream, and re-running with the same seed is
-bit-reproducible.  A hard ``max_samples`` cap bounds the worst case.
+child RNG stream per row (spawned at the row's first bootstrap/hdi
+check, rows in order) so adaptive assessment never perturbs the draw
+stream, and re-running with the same seed is bit-reproducible.  A hard ``max_samples`` cap bounds the worst case.
 :func:`repro.structural.montecarlo.propagate` is the one chunk loop that
 drives these probes, for library calls and the server alike.
 
@@ -47,6 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -370,33 +376,32 @@ def chunk_schedule(
     return totals
 
 
-def _metric_estimate(sorted_samples: np.ndarray, kind: str, q: float) -> float:
-    if kind == "mean":
-        return float(np.mean(sorted_samples))
-    if kind == "std":
-        return float(np.std(sorted_samples, ddof=1))
-    return float(np.quantile(sorted_samples, q))
+def _estimate_and_half_width(
+    sorted_rows: np.ndarray, kind: str, q: float, z: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's metric estimate and closed-form CI half-width.
 
-
-def _ci_half_width(
-    sorted_samples: np.ndarray, kind: str, q: float, z: float
-) -> float:
-    """Closed-form CI half-width of the metric estimator.
-
-    mean: normal theory ``z·s/√n``; std: ``z·s/√(2(n-1))``; quantile:
-    distribution-free order-statistic interval — the sample values at
-    ranks ``nq ± z·√(nq(1-q))`` bracket the true quantile with the
-    stated coverage regardless of the underlying distribution.
+    ``sorted_rows`` is a (rows × n) matrix sorted along ``axis=1`` and
+    ``z`` the rows' normal critical values.  mean: normal theory
+    ``z·s/√n``; std: ``z·s/√(2(n-1))``; quantile: distribution-free
+    order-statistic interval — the sample values at ranks
+    ``nq ± z·√(nq(1-q))`` bracket the true quantile with the stated
+    coverage regardless of the underlying distribution.  Reductions run
+    along contiguous rows, so each row's numbers equal, bit for bit,
+    those of the same reduction over that row alone.
     """
-    n = sorted_samples.size
+    n = sorted_rows.shape[1]
+    if kind == "quantile":
+        spread = z * math.sqrt(n * q * (1.0 - q))
+        lo = np.maximum(0, np.floor(n * q - spread)).astype(np.intp)
+        hi = np.minimum(n - 1, np.ceil(n * q + spread)).astype(np.intp)
+        at = np.arange(sorted_rows.shape[0])
+        half_width = (sorted_rows[at, hi] - sorted_rows[at, lo]) / 2.0
+        return np.quantile(sorted_rows, q, axis=1), half_width
+    sd = np.std(sorted_rows, axis=1, ddof=1)
     if kind == "mean":
-        return z * float(np.std(sorted_samples, ddof=1)) / math.sqrt(n)
-    if kind == "std":
-        return z * float(np.std(sorted_samples, ddof=1)) / math.sqrt(2.0 * (n - 1))
-    spread = z * math.sqrt(n * q * (1.0 - q))
-    lo = max(0, int(math.floor(n * q - spread)))
-    hi = min(n - 1, int(math.ceil(n * q + spread)))
-    return (float(sorted_samples[hi]) - float(sorted_samples[lo])) / 2.0
+        return np.mean(sorted_rows, axis=1), z * sd / math.sqrt(n)
+    return sd, z * sd / math.sqrt(2.0 * (n - 1))
 
 
 def _bootstrap_replicates(
@@ -439,102 +444,194 @@ def _ks_critical(n1: int, n2: int, confidence: float) -> float:
     return c * math.sqrt((n1 + n2) / (n1 * n2))
 
 
-class SequentialProbe:
-    """Chunk-boundary convergence assessor for one adaptive evaluation.
+@lru_cache(maxsize=None)
+def _critical_z(confidence: float) -> float:
+    """Two-sided normal critical value at ``confidence``."""
+    return float(normal_quantile((1.0 + confidence) / 2.0))
 
-    Feed :meth:`assess` the *accumulated* samples after each chunk; it
-    returns a :class:`ChunkRecord` with every rule vote, and
-    :attr:`converged` flips when the target's rule is satisfied.  Rule
-    checks that need randomness (bootstrap/hdi) run on a child stream
-    spawned once from ``rng`` at construction, so they are deterministic
-    under a fixed seed and never touch the caller's draw stream.
+
+def _outcome(target, records, budget) -> AdaptiveOutcome:
+    """One row's summary (``budget`` defaults to the target's cap)."""
+    if not records:
+        raise ValueError("outcome() before any assess()")
+    last = records[-1]
+    return AdaptiveOutcome(
+        target=target,
+        draws=last.draws,
+        budget=target.max_samples if budget is None else budget,
+        converged=last.converged,
+        estimate=last.estimate,
+        half_width=last.half_width,
+        tolerance=last.tolerance,
+        chunks=tuple(records),
+    )
+
+
+class SequentialProbe:
+    """Chunk-boundary convergence assessor for a block of rows.
+
+    ``targets`` holds one :class:`PrecisionTarget` per row (``None`` for
+    a row that is never assessed); a single target makes a one-row
+    probe.  Feed :meth:`assess` the *accumulated* samples of the rows
+    due for a check after each chunk; it returns one
+    :class:`ChunkRecord` per row with every rule vote.  The closed-form
+    ``ci`` statistics come from one sort and one reduction per metric
+    over the whole block; ``bootstrap``, ``hdi`` and ``ks`` votes are
+    computed row by row inside the same call.  Rule checks that need
+    randomness (bootstrap/hdi) run on a child stream per row, spawned
+    from ``rng`` at that row's first such check (rows in order), so
+    they are deterministic under a fixed seed and never touch the
+    caller's draw stream.
+
+    The one-row form is a view of the block: ``assess`` on a 1-D sample
+    array returns one record, and :attr:`target`, :attr:`records`,
+    :attr:`converged` and :meth:`outcome` read the single row.
     """
 
-    def __init__(self, target: PrecisionTarget, rng=None):
-        self.target = target
-        self._kind, self._q = _parse_metric(target.metric)
-        self._z = float(normal_quantile((1.0 + target.confidence) / 2.0))
-        self.records: list[ChunkRecord] = []
-        self._check_rng: np.random.Generator | None = None
+    def __init__(self, targets, rng=None):
+        if isinstance(targets, PrecisionTarget):
+            targets = (targets,)
+        self.targets = tuple(targets)
+        live = [t for t in self.targets if t is not None]
+        metrics = {t.metric: _parse_metric(t.metric) for t in live}
+        self._metric = [None if t is None else metrics[t.metric] for t in self.targets]
+        self._z = np.array(
+            [math.nan if t is None else _critical_z(t.confidence) for t in self.targets]
+        )
+        self._rel = np.array(
+            [math.nan if t is None or t.rel_tol is None else t.rel_tol for t in self.targets]
+        )
+        self._abs = np.array(
+            [math.nan if t is None or t.abs_tol is None else t.abs_tol for t in self.targets]
+        )
+        self._records: list[list[ChunkRecord]] = [[] for _ in self.targets]
+        self._check_rngs: list[np.random.Generator | None] = [None] * len(self.targets)
         self._rng_source = rng
 
-    def _rng(self) -> np.random.Generator:
-        if self._check_rng is None:
+    def _rng(self, row: int) -> np.random.Generator:
+        if self._check_rngs[row] is None:
             source = self._rng_source
             if isinstance(source, np.random.Generator):
                 try:
-                    self._check_rng = source.spawn(1)[0]
+                    self._check_rngs[row] = source.spawn(1)[0]
                 except (TypeError, ValueError):
-                    self._check_rng = np.random.default_rng(_CHECK_SEED)
+                    self._check_rngs[row] = np.random.default_rng(_CHECK_SEED)
             else:
-                self._check_rng = as_generator(
+                self._check_rngs[row] = as_generator(
                     _CHECK_SEED if source is None else source
                 )
-        return self._check_rng
+        return self._check_rngs[row]
+
+    @property
+    def target(self) -> PrecisionTarget:
+        """The one-row probe's target."""
+        (target,) = self.targets
+        return target
+
+    @property
+    def records(self) -> list[ChunkRecord]:
+        """The one-row probe's chunk records, in order."""
+        (records,) = self._records
+        return records
 
     @property
     def converged(self) -> bool:
         return bool(self.records) and self.records[-1].converged
 
-    def assess(self, samples: np.ndarray) -> ChunkRecord:
-        """Vote on the accumulated ``samples``; appends to :attr:`records`."""
-        n = samples.size
+    def assess(self, samples: np.ndarray, rows=None):
+        """Vote on the accumulated samples of the rows due for a check.
+
+        ``samples`` is a (due rows × n) matrix, every row filled to the
+        same ``n``, and ``rows`` names each matrix row's block row
+        (default: the block's rows in order).  Appends each row's
+        :class:`ChunkRecord` to its records and returns them in order;
+        a 1-D ``samples`` is the one-row form and returns one record.
+        """
+        one = samples.ndim == 1
+        block = samples[None, :] if one else samples
+        n = block.shape[1]
         if n < 8:
             raise ValueError(f"need >= 8 samples to assess convergence, got {n}")
-        sorted_samples = np.sort(samples)
-        estimate = _metric_estimate(sorted_samples, self._kind, self._q)
-        tolerance = self.target.tolerance(estimate)
-        ci_hw = _ci_half_width(sorted_samples, self._kind, self._q, self._z)
-
-        votes: list[RuleVote] = []
-        wanted = (
-            _COMPOSITE_MEMBERS if self.target.rule == "composite" else (self.target.rule,)
+        due = list(range(block.shape[0])) if rows is None else [int(r) for r in rows]
+        sorted_rows = np.sort(block, axis=1)
+        estimate = np.empty(len(due))
+        ci_hw = np.empty(len(due))
+        groups: dict[tuple, list[int]] = {}
+        for j, r in enumerate(due):
+            groups.setdefault(self._metric[r], []).append(j)
+        z = self._z[due]
+        for (kind, q), js in groups.items():
+            whole = len(js) == len(due)
+            estimate[js], ci_hw[js] = _estimate_and_half_width(
+                sorted_rows if whole else sorted_rows[js], kind, q, z if whole else z[js]
+            )
+        # PrecisionTarget.tolerance per row: the looser of abs/rel wins.
+        rel_bound = self._rel[due] * np.abs(estimate)
+        abs_tol = self._abs[due]
+        tolerance = np.where(
+            ~np.isnan(abs_tol) & ~(rel_bound > abs_tol), abs_tol, rel_bound
         )
+        ci_ok = (ci_hw <= tolerance).tolist()
+
+        records = []
+        for j, (r, est, hw, tol) in enumerate(
+            zip(due, estimate.tolist(), ci_hw.tolist(), tolerance.tolist())
+        ):
+            ci = RuleVote("ci", ci_ok[j], hw, tol)
+            rule = self.targets[r].rule
+            votes = (ci,) if rule == "ci" else self._row_votes(r, block[j], tol, ci)
+            record = ChunkRecord(
+                draws=n,
+                estimate=est,
+                half_width=hw,
+                tolerance=tol,
+                converged=all(v.converged for v in votes),
+                votes=votes,
+            )
+            self._records[r].append(record)
+            records.append(record)
+        return records[0] if one else records
+
+    def _row_votes(
+        self, row: int, samples: np.ndarray, tolerance: float, ci: RuleVote
+    ) -> tuple[RuleVote, ...]:
+        """One row's votes under a ``bootstrap``/``hdi``/``ks``/
+        ``composite`` rule, on its samples in draw order."""
+        target = self.targets[row]
+        kind, q = self._metric[row]
+        wanted = _COMPOSITE_MEMBERS if target.rule == "composite" else (target.rule,)
+        votes: list[RuleVote] = []
         replicates: np.ndarray | None = None
         for rule in wanted:
             if rule == "ci":
-                votes.append(RuleVote("ci", ci_hw <= tolerance, ci_hw, tolerance))
+                votes.append(ci)
             elif rule in ("bootstrap", "hdi"):
                 if replicates is None:
-                    replicates = _bootstrap_replicates(
-                        samples, self._kind, self._q, self._rng()
-                    )
+                    replicates = _bootstrap_replicates(samples, kind, q, self._rng(row))
                 if rule == "bootstrap":
-                    lo_p = (1.0 - self.target.confidence) / 2.0
+                    lo_p = (1.0 - target.confidence) / 2.0
                     lo, hi = np.quantile(replicates, (lo_p, 1.0 - lo_p))
                     hw = (float(hi) - float(lo)) / 2.0
                 else:
-                    hw = _hdi_half_width(replicates, self.target.confidence)
+                    hw = _hdi_half_width(replicates, target.confidence)
                 votes.append(RuleVote(rule, hw <= tolerance, hw, tolerance))
             else:  # ks
+                n = samples.size
                 half = n // 2
                 d = _ks_distance(samples[:half], samples[half:])
-                crit = _ks_critical(half, n - half, self.target.confidence)
+                crit = _ks_critical(half, n - half, target.confidence)
                 votes.append(RuleVote("ks", d <= crit, d, crit))
-
-        record = ChunkRecord(
-            draws=n,
-            estimate=estimate,
-            half_width=ci_hw,
-            tolerance=tolerance,
-            converged=all(v.converged for v in votes),
-            votes=tuple(votes),
-        )
-        self.records.append(record)
-        return record
+        return tuple(votes)
 
     def outcome(self, budget: int | None = None) -> AdaptiveOutcome:
-        """Summarise the run (``budget`` defaults to the target's cap)."""
-        if not self.records:
-            raise ValueError("outcome() before any assess()")
-        last = self.records[-1]
-        return AdaptiveOutcome(
-            target=self.target,
-            draws=last.draws,
-            budget=self.target.max_samples if budget is None else budget,
-            converged=last.converged,
-            estimate=last.estimate,
-            half_width=last.half_width,
-            tolerance=last.tolerance,
-            chunks=tuple(self.records),
-        )
+        """Summarise the one-row run (``budget`` defaults to the
+        target's cap)."""
+        return _outcome(self.target, self.records, budget)
+
+    def outcomes(self, budget: int | None = None) -> list:
+        """Each row's :class:`AdaptiveOutcome` (``None`` for a row
+        without a target)."""
+        return [
+            None if t is None else _outcome(t, records, budget)
+            for t, records in zip(self.targets, self._records)
+        ]

@@ -252,6 +252,16 @@ class TestUsageErrors:
             (["predict", "--size", "-5"], "argument --size: must be >= 6, got -5"),
             (["scenarios", "--scenario", "nope"], "argument --scenario: unknown scenario 'nope'"),
             (["table2", "--samples", "1"], "argument --samples: must be >= 2, got 1"),
+            (["dedicated", "--size", "-5"], "argument --sizes: must be >= 6, got -5"),
+            (["dedicated", "--iterations", "0"], "argument --iterations: must be >= 1, got 0"),
+            (["platform2", "--runs", "-1"], "argument --runs: must be >= 1, got -1"),
+            (["platform2", "--size", "5"], "argument --size: must be >= 6, got 5"),
+            (["memory", "--size", "0"], "argument --sizes: must be >= 6, got 0"),
+            (["chaos", "--size", "-400"], "argument --size: must be >= 6, got -400"),
+            (["chaos", "--iterations", "0"], "argument --iterations: must be >= 1, got 0"),
+            (["advise", "--size", "0"], "argument --size: must be >= 6, got 0"),
+            (["advise", "--iterations", "-1"], "argument --iterations: must be >= 1, got -1"),
+            (["calibration", "--window", "0"], "argument --windows: must be > 0.0, got 0"),
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, argv, message):

@@ -7,6 +7,7 @@ tolerance, and the hard ``max_samples`` cap is never exceeded.
 """
 
 import inspect
+import math
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from repro.structural.repeaters import (
     SequentialProbe,
     chunk_schedule,
 )
+from repro.util.stats import normal_quantile
 
 
 def adaptive_bindings():
@@ -156,6 +158,121 @@ class TestSequentialProbe:
         rec_b = SequentialProbe(target, np.random.default_rng(9)).assess(samples)
         assert rec_a == rec_b
         assert {v.rule for v in rec_a.votes} == {"ci", "bootstrap", "hdi", "ks"}
+
+
+_METRICS = ["mean", "std", "p50", "p95", "p99.9"]
+
+
+@st.composite
+def _targets(draw):
+    rel, abs_ = draw(
+        st.tuples(
+            st.one_of(st.none(), st.floats(1e-3, 0.5)),
+            st.one_of(st.none(), st.floats(1e-3, 5.0)),
+        ).filter(lambda tols: tols != (None, None))
+    )
+    return PrecisionTarget(
+        metric=draw(st.sampled_from(_METRICS)),
+        rel_tol=rel,
+        abs_tol=abs_,
+        confidence=draw(st.sampled_from([0.8, 0.9, 0.95, 0.99])),
+        rule=draw(st.sampled_from(STOPPING_RULES)),
+        min_samples=8,
+    )
+
+
+def _block_samples(seed: int, rows: int, n: int) -> np.ndarray:
+    """Skewed rows on different scales; every third row rounded so the
+    sort sees ties."""
+    rng = np.random.default_rng(seed)
+    scale = rng.uniform(0.1, 100.0, size=(rows, 1))
+    block = scale * rng.lognormal(0.0, rng.uniform(0.05, 1.0, size=(rows, 1)), size=(rows, n))
+    block[::3] = np.round(block[::3], 1)
+    return block
+
+
+def _scalar_ci(target, samples):
+    """Row-at-a-time oracle for the closed-form statistics: the metric
+    estimate, ``ci`` half-width and tolerance over one sorted row."""
+    s = np.sort(samples)
+    n = s.size
+    z = float(normal_quantile((1.0 + target.confidence) / 2.0))
+    if target.metric in ("mean", "std"):
+        sd = float(np.std(s, ddof=1))
+        if target.metric == "mean":
+            estimate, hw = float(np.mean(s)), z * sd / math.sqrt(n)
+        else:
+            estimate, hw = sd, z * sd / math.sqrt(2.0 * (n - 1))
+    else:
+        q = float(target.metric[1:]) / 100.0
+        spread = z * math.sqrt(n * q * (1.0 - q))
+        lo = max(0, int(math.floor(n * q - spread)))
+        hi = min(n - 1, int(math.ceil(n * q + spread)))
+        estimate, hw = float(np.quantile(s, q)), (float(s[hi]) - float(s[lo])) / 2.0
+    return estimate, hw, target.tolerance(estimate)
+
+
+def _assert_block_equals_one_row_probes(targets, samples, fills, seed):
+    """Assess the block at each fill in turn, and each row alone on a
+    one-row probe; the records must match bit for bit (``repr`` of a
+    float round-trips), and the caller's stream must not move."""
+    due = [i for i, t in enumerate(targets) if t is not None]
+    rng = np.random.default_rng(seed)
+    block = SequentialProbe(targets, rng)
+    ref_rng = np.random.default_rng(seed)
+    singles = {i: SequentialProbe(targets[i], ref_rng) for i in due}
+    for n in fills:
+        got = block.assess(np.ascontiguousarray(samples[due, :n]), due)
+        want = [singles[i].assess(samples[i, :n]) for i in due]
+        assert repr(got) == repr(want)
+        for i, record in zip(due, got):
+            oracle = _scalar_ci(targets[i], samples[i, :n])
+            assert repr((record.estimate, record.half_width, record.tolerance)) == repr(oracle)
+    assert rng.random() == np.random.default_rng(seed).random()
+    outcomes = block.outcomes(budget=fills[-1])
+    for i, outcome in enumerate(outcomes):
+        if i in singles:
+            assert repr(outcome) == repr(singles[i].outcome(budget=fills[-1]))
+        else:
+            assert outcome is None
+
+
+class TestBlockProbe:
+    """One block assessment equals one-row probes on each row."""
+
+    @pytest.mark.parametrize("rule", STOPPING_RULES)
+    @pytest.mark.parametrize("metric", _METRICS)
+    def test_every_rule_and_metric_on_a_multi_row_block(self, rule, metric):
+        targets = [
+            None if i % 5 == 4 else PrecisionTarget(
+                metric=metric,
+                rel_tol=[0.01, 0.05, None][i % 3],
+                abs_tol=[None, 0.5, 2.0][i % 3],
+                confidence=[0.9, 0.95, 0.99][i % 3],
+                rule=rule,
+                min_samples=8,
+            )
+            for i in range(12)
+        ]
+        samples = _block_samples(7, len(targets), 700)
+        _assert_block_equals_one_row_probes(targets, samples, [300, 700], seed=3)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        targets=st.lists(st.one_of(st.none(), _targets()), min_size=1, max_size=64).filter(
+            lambda ts: any(t is not None for t in ts)
+        ),
+        fills=st.lists(st.integers(8, 2000), min_size=1, max_size=2, unique=True).map(sorted),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_block_records_equal_one_row_records(self, targets, fills, seed):
+        samples = _block_samples(seed, len(targets), fills[-1])
+        _assert_block_equals_one_row_probes(targets, samples, fills, seed)
+
+    def test_one_row_accessors_refuse_a_block(self):
+        probe = SequentialProbe([PrecisionTarget(), PrecisionTarget()])
+        with pytest.raises(ValueError):
+            probe.records
 
 
 class TestStoppingRuleContract:
