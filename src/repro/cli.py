@@ -577,9 +577,9 @@ def _cmd_serve(args) -> int:
     return 0 if clean else 1
 
 
-def _at_least(lo, kind=int, *, strict=False):
+def _at_least(lo, kind=int, *, strict=False, finite=False):
     """argparse type: a ``kind`` number no smaller than ``lo`` (greater
-    than it when ``strict``)."""
+    than it when ``strict``; not infinite when ``finite``)."""
 
     def parse(text: str):
         try:
@@ -588,6 +588,8 @@ def _at_least(lo, kind=int, *, strict=False):
             raise argparse.ArgumentTypeError(f"expected {kind.__name__}, got {text!r}") from None
         if not (value > lo if strict else value >= lo):  # NaN fails both
             raise argparse.ArgumentTypeError(f"must be {'>' if strict else '>='} {lo}, got {text}")
+        if finite and value == float("inf"):
+            raise argparse.ArgumentTypeError(f"must be finite, got {text}")
         return value
 
     return parse
@@ -724,7 +726,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_platform2)
 
     p = sub.add_parser("figures", help="methodology figures 1-5")
-    p.add_argument("--which", type=int, nargs="+", default=[1, 2, 3, 4, 5])
+    p.add_argument("--which", type=int, nargs="+", choices=range(1, 6), default=[1, 2, 3, 4, 5])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--plot", action="store_true", help="render ASCII histograms")
     p.set_defaults(func=_cmd_figures)
@@ -735,8 +737,10 @@ def build_parser() -> argparse.ArgumentParser:
         "serving pipeline with --pipeline",
     )
     p.add_argument("--platform", type=int, choices=(1, 2), default=2)
-    p.add_argument("--machine", type=int, default=0)
-    p.add_argument("--duration", type=float, default=1800.0)
+    # Both platforms have four machines.
+    p.add_argument("--machine", type=int, choices=range(4), default=0)
+    p.add_argument("--duration", type=_at_least(0.0, float, strict=True, finite=True),
+                   default=1800.0)
     p.add_argument("--seed", type=int, default=7)
     p.add_argument(
         "--pipeline",

@@ -11,8 +11,8 @@ bit-identical snapshot.
 keeps every observation so the snapshot's p50/p90/p99 are exact order
 statistics, and additionally buckets observations for an at-a-glance
 distribution shape.  The store grows with every request served (a
-million-request soak holds millions of floats); bounding it is ROADMAP
-item 4.
+million-request soak holds millions of float64 values, 8 bytes each);
+bounding it is ROADMAP item 4.
 """
 
 from __future__ import annotations
@@ -60,18 +60,26 @@ class Histogram:
     """Exact-quantile histogram with fixed overview buckets.
 
     Observations are retained in full (quantiles in the snapshot are
-    exact); ``bounds`` define cumulative-style bucket upper edges for a
-    compact shape overview, with an implicit +inf overflow bucket.
+    exact) as float64 array chunks, in arrival order; single
+    observations collect in a short list that becomes a chunk when it
+    fills or the values are read.  ``bounds`` define cumulative-style
+    bucket upper edges for a compact shape overview, with an implicit
+    +inf overflow bucket.
     """
 
-    __slots__ = ("name", "bounds", "_values")
+    __slots__ = ("name", "bounds", "_chunks", "_pending", "_count")
+
+    #: Single observations buffered before they become one chunk.
+    _PENDING_MAX = 1024
 
     def __init__(self, name: str, bounds: tuple = DEFAULT_LATENCY_BUCKETS):
         if list(bounds) != sorted(bounds):
             raise ValueError(f"histogram bounds must be sorted, got {bounds}")
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
-        self._values: list[float] = []
+        self._chunks: list[np.ndarray] = []
+        self._pending: list[float] = []
+        self._count = 0
 
     def observe(self, value: float) -> None:
         """Record one observation.
@@ -85,23 +93,41 @@ class Histogram:
         value = float(value)
         if math.isnan(value):
             raise ValueError(f"histogram {self.name!r} cannot observe NaN")
-        self._values.append(value)
+        self._pending.append(value)
+        self._count += 1
+        if len(self._pending) >= self._PENDING_MAX:
+            self._flush()
 
     def observe_many(self, values) -> None:
         """Record a batch of observations in order (one NaN check)."""
-        arr = np.asarray(values, dtype=float).ravel()
+        arr = np.array(values, dtype=float).ravel()
         if np.isnan(arr).any():
             raise ValueError(f"histogram {self.name!r} cannot observe NaN")
-        self._values.extend(arr.tolist())
+        if arr.size:
+            self._flush()
+            self._chunks.append(arr)
+            self._count += arr.size
+
+    def _flush(self) -> None:
+        if self._pending:
+            self._chunks.append(np.array(self._pending, dtype=float))
+            self._pending = []
+
+    def _array(self) -> np.ndarray:
+        """Every observation as one array (chunks are joined in place)."""
+        self._flush()
+        if len(self._chunks) > 1:
+            self._chunks = [np.concatenate(self._chunks)]
+        return self._chunks[0] if self._chunks else np.empty(0)
 
     @property
     def count(self) -> int:
-        return len(self._values)
+        return self._count
 
     @property
     def values(self) -> tuple:
         """Every observation, in arrival order (read-only view)."""
-        return tuple(self._values)
+        return tuple(self._array().tolist())
 
     @classmethod
     def merged(cls, name: str, histograms) -> "Histogram":
@@ -124,8 +150,8 @@ class Histogram:
                     f"{bounds} vs {h.bounds}"
                 )
         out = cls(name, bounds)
-        for h in histograms:
-            out._values.extend(h._values)
+        joined = np.concatenate([h._array() for h in histograms])
+        out._chunks, out._count = [joined], joined.size
         return out
 
     def quantile(self, q: float) -> float:
@@ -135,15 +161,15 @@ class Histogram:
         interpolating, so a histogram containing ``+inf`` still yields a
         meaningful quantile instead of ``inf - inf`` artefacts.
         """
-        if not self._values:
+        if not self._count:
             return float("nan")
-        return float(np.quantile(np.asarray(self._values), q, method="nearest"))
+        return float(np.quantile(self._array(), q, method="nearest"))
 
     def stats(self) -> dict:
         """Summary: count/mean/min/max, exact p50/p90/p99, bucket counts."""
-        if not self._values:
+        if not self._count:
             return {"count": 0}
-        arr = np.asarray(self._values, dtype=float)
+        arr = self._array()
         finite = arr[np.isfinite(arr)]
         edges = np.concatenate([self.bounds, [np.inf]])
         counts = np.histogram(arr, bins=np.concatenate([[-np.inf], edges]))[0]

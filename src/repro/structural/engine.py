@@ -6,18 +6,39 @@ AST ``n_samples`` times, building a fresh :class:`Bindings` overlay and a
 cloud of intermediate :class:`StochasticValue` objects for every draw —
 thousands of Python-level tree walks per prediction.  This module
 replaces those walks with a **compile-once, evaluate-many** plan: the
-expression is lowered *once* into a tree of NumPy closures operating on
-``(n_samples,)`` arrays (one array per sampled run-time parameter), so a
-whole sample batch flows through each AST node in a single vectorised
-pass.
+expression is lowered *once* into a flat, topologically ordered list of
+instructions over numbered slots, and a whole sample batch flows through
+each instruction in one vectorised pass over ``(n,)`` arrays (one array
+per sampled run-time parameter).
+
+Plan shape
+----------
+* **One slot per distinct subexpression.**  Nodes are keyed by their
+  structure with :class:`ComponentModel` wrappers stripped, so repeated
+  subtrees are computed once per evaluation.  The SOR model repeats
+  itself by design (``RedComp_p = BlackComp_p``, ``RedComm_p =
+  BlackComm_p``, and each ``PtToPt(x, y)`` sits in one strip's
+  ``SendLR`` and its neighbour's ``ReceLR``): on four processes an
+  evaluation makes 10 divisions instead of 32.
+* **Prelude and body.**  Instructions that read no sampled parameter
+  (products of compile-time parameters, say) run once per
+  :meth:`CompiledExpr.evaluate` on scalars; the rest form the body.
+* **Cache-sized blocks.**  The body runs over slices of at most
+  ``_BLOCK`` draws, each written into one preallocated output, and a
+  slot is dropped after its last reader so the registers live at once
+  stay in cache.  Every operation is elementwise, so blocking changes no
+  bit of the result.
+* **Scalar zero spreads.**  A spread that is statically zero stays the
+  Python scalar ``0.0`` through every rule, Max/Min folds included, so
+  the point-value shortcut rows skip their array work.
 
 Semantics
 ---------
 A compiled plan reproduces the per-sample reference path exactly (up to
 ULP-level differences between ``math.*`` and ``numpy`` transcendentals):
-each register carries a ``(mean, spread)`` pair — scalars, or arrays over
-the sample batch — and every operation applies the Table 2 combination
-rules elementwise, including the point-value shortcut rows.  Sampled
+each slot carries a ``(mean, spread)`` pair — scalars, or arrays over
+the block — and every operation applies the Table 2 combination rules
+elementwise, including the point-value shortcut rows.  Sampled
 parameters enter as per-draw point values (zero spread); parameters left
 unsampled (compile-time stochastic values, zero-spread run-time values)
 keep their bound spread, exactly as the reference path's
@@ -45,6 +66,7 @@ run and hits the cache after the first).
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import OrderedDict
 
@@ -200,19 +222,25 @@ def _div(x, y, related: bool, rule: ReciprocalRule):
 
 
 def _fold_select(values, key, better):
-    """First-win strict-``better`` fold, mirroring Python's ``max(key=...)``."""
+    """First-win strict-``better`` fold, mirroring Python's ``max(key=...)``.
+
+    ``key=None`` keys on the mean itself (``BY_MEAN``), which the fold
+    already selects.  A spread that is the scalar zero on both sides
+    stays scalar.
+    """
     m, s = values[0]
-    k = key(m, s)
+    k = m if key is None else key(m, s)
     for vm, vs in values[1:]:
-        vk = key(vm, vs)
+        vk = vm if key is None else key(vm, vs)
         take = better(vk, k)
         if np.ndim(take) == 0:
             if take:
                 m, s, k = vm, vs, vk
-        else:
-            m = np.where(take, vm, m)
+            continue
+        m = np.where(take, vm, m)
+        if not (_is_zero(s) and _is_zero(vs)):
             s = np.where(take, vs, s)
-            k = np.where(take, vk, k)
+        k = m if key is None else np.where(take, vk, k)
     return m, s
 
 
@@ -260,7 +288,7 @@ def _clark_pair(x, y):
 
 def _group_max(values, strategy: MaxStrategy):
     if strategy is MaxStrategy.BY_MEAN:
-        return _fold_select(values, lambda m, s: m, np.greater)
+        return _fold_select(values, None, np.greater)
     if strategy is MaxStrategy.BY_ENDPOINT:
         return _fold_select(values, lambda m, s: m + s, np.greater)
     # CLARK: pairwise left fold, as in the scalar reference.
@@ -274,7 +302,7 @@ def _group_min(values, strategy: MaxStrategy):
     # The scalar reference computes Min as -Max(-values); negation is
     # exact, so flipped strict comparisons reproduce it bitwise.
     if strategy is MaxStrategy.BY_MEAN:
-        return _fold_select(values, lambda m, s: m, np.less)
+        return _fold_select(values, None, np.less)
     if strategy is MaxStrategy.BY_ENDPOINT:
         return _fold_select(values, lambda m, s: s - m, np.greater)
     negated = [(-m if np.ndim(m) else -float(m), s) for m, s in values]
@@ -286,105 +314,113 @@ def _group_min(values, strategy: MaxStrategy):
 # Compilation
 # ---------------------------------------------------------------------------
 
+#: Draws per evaluation block.  A 16k-draw float64 slot is 128 KiB, so the
+#: few slots live at once stay in cache while the body streams over them.
+_BLOCK = 16_384
 
-def _contains_group(node: Expr) -> bool:
-    if isinstance(node, (Max, Min)):
-        return True
-    if isinstance(node, (Add, Sub, Mul, Div)):
-        return _contains_group(node.left) or _contains_group(node.right)
-    if isinstance(node, Sum):
-        return any(_contains_group(i) for i in node.items)
-    if isinstance(node, ComponentModel):
-        return _contains_group(node.expression)
-    return False
+
+def _sum(values, related: bool):
+    """The n-ary Table 2 sum (not a fold of binary adds)."""
+    if related:
+        m, s = 0.0, 0.0
+        for fm, fs in values:
+            m = m + fm
+            s = s + fs
+        return m, s
+    m, ss = 0.0, 0.0
+    for fm, fs in values:
+        m = m + fm
+        ss = ss + fs * fs
+    return m, np.sqrt(ss)
 
 
 def _compile_node(node: Expr, sampled: frozenset, policy: EvalPolicy):
-    """Lower ``node`` to ``(fn(env) -> (mean, spread), is_static)``.
+    """Lower ``node`` to a flat program over shared slots.
 
-    ``is_static`` marks subtrees referencing no parameters at all; those
-    are folded to constants by evaluating the reference path once at
-    compile time.
+    Each distinct subexpression gets one slot.  Its key is built
+    bottom-up from its node type and its operands' slots (leaves from
+    their name or value), so equal subtrees under differently named
+    :class:`ComponentModel` wrappers share a slot and building every
+    key costs O(1).  Parameter-free subtrees are folded to constants
+    through the reference evaluator.
+
+    Returns ``(consts, params, code, varying, result)``: ``consts`` maps
+    slot to a folded ``(mean, spread)``, ``params`` lists ``(slot,
+    name)`` leaves, ``code`` holds ``(fn, out, ins)`` instructions in
+    topological order, ``varying[slot]`` says whether the slot reads a
+    sampled parameter, and ``result`` is the root's slot.
     """
     related = policy.relatedness is Relatedness.RELATED
     rule = policy.reciprocal_rule
     strategy = policy.max_strategy
+    binary = {
+        Add: functools.partial(_add, related=related),
+        Sub: functools.partial(_sub, related=related),
+        Mul: functools.partial(_mul, related=related),
+        Div: functools.partial(_div, related=related, rule=rule),
+    }
+    nary = {
+        Sum: lambda *values: _sum(values, related),
+        Max: lambda *values: _group_max(values, strategy),
+        Min: lambda *values: _group_min(values, strategy),
+    }
 
-    def compile_(n: Expr):
-        if isinstance(n, ComponentModel):
-            return compile_(n.expression)
+    slot_of: dict = {}
+    by_id: dict[int, int] = {}
+    consts: dict[int, tuple] = {}
+    params: list[tuple[int, str]] = []
+    code: list[tuple] = []
+    varying: list[bool] = []
+
+    def new_slot(key, is_varying: bool) -> int:
+        slot_of[key] = len(varying)
+        varying.append(is_varying)
+        return slot_of[key]
+
+    def lower(n: Expr) -> int:
+        while isinstance(n, ComponentModel):
+            n = n.expression
+        slot = by_id.get(id(n))
+        if slot is not None:
+            return slot
         if isinstance(n, Const):
             m, s = n.value.mean, n.value.spread
-            return (lambda env: (m, s)), True
-        if isinstance(n, Param):
-            name = n.name
-            if name in sampled:
-                return (lambda env: env[name]), False
-            return (lambda env: env[name]), False
-        if isinstance(n, (Add, Sub, Mul, Div)):
-            (lf, ls), (rf, rs) = compile_(n.left), compile_(n.right)
-            static = ls and rs
-            if isinstance(n, Add):
-                fn = lambda env: _add(lf(env), rf(env), related)  # noqa: E731
-            elif isinstance(n, Sub):
-                fn = lambda env: _sub(lf(env), rf(env), related)  # noqa: E731
-            elif isinstance(n, Mul):
-                fn = lambda env: _mul(lf(env), rf(env), related)  # noqa: E731
+            # hex() tells 0.0 from -0.0, which compare equal.
+            key = (Const, float(m).hex(), float(s).hex())
+            if key not in slot_of:
+                consts[new_slot(key, False)] = (m, s)
+        elif isinstance(n, Param):
+            key = (Param, n.name)
+            if key not in slot_of:
+                params.append((new_slot(key, n.name in sampled), n.name))
+        else:
+            if isinstance(n, (Add, Sub, Mul, Div)):
+                fn = binary[type(n)]
+                ins = (lower(n.left), lower(n.right))
+            elif isinstance(n, (Sum, Max, Min)):
+                if not isinstance(n, Sum) and strategy is MaxStrategy.MONTE_CARLO:
+                    raise UnsupportedPolicyError(
+                        "MaxStrategy.MONTE_CARLO consumes RNG state per draw and "
+                        "cannot be vectorised; use the per-sample reference path"
+                    )
+                fn = nary[type(n)]
+                ins = tuple(lower(i) for i in n.items)
             else:
-                fn = lambda env: _div(lf(env), rf(env), related, rule)  # noqa: E731
-            return _maybe_fold(n, fn, static, policy)
-        if isinstance(n, Sum):
-            parts = [compile_(i) for i in n.items]
-            fns = [f for f, _ in parts]
-            static = all(s for _, s in parts)
-
-            if related:
-
-                def fn(env, fns=fns):
-                    m, s = 0.0, 0.0
-                    for f in fns:
-                        fm, fs = f(env)
-                        m = m + fm
-                        s = s + fs
-                    return m, s
-
-            else:
-
-                def fn(env, fns=fns):
-                    m, ss = 0.0, 0.0
-                    for f in fns:
-                        fm, fs = f(env)
-                        m = m + fm
-                        ss = ss + fs * fs
-                    return m, np.sqrt(ss)
-
-            return _maybe_fold(n, fn, static, policy)
-        if isinstance(n, (Max, Min)):
-            if strategy is MaxStrategy.MONTE_CARLO:
-                raise UnsupportedPolicyError(
-                    "MaxStrategy.MONTE_CARLO consumes RNG state per draw and "
-                    "cannot be vectorised; use the per-sample reference path"
+                raise UnsupportedExpressionError(
+                    f"cannot compile expression node of type {type(n).__name__}"
                 )
-            parts = [compile_(i) for i in n.items]
-            fns = [f for f, _ in parts]
-            static = all(s for _, s in parts)
-            group = _group_max if isinstance(n, Max) else _group_min
-            fn = lambda env, fns=fns: group([f(env) for f in fns], strategy)  # noqa: E731
-            return _maybe_fold(n, fn, static, policy)
-        raise UnsupportedExpressionError(
-            f"cannot compile expression node of type {type(n).__name__}"
-        )
+            key = (type(n), ins)
+            if key not in slot_of:
+                if all(i in consts for i in ins):
+                    value = n.evaluate(Bindings(), policy)
+                    consts[new_slot(key, False)] = (value.mean, value.spread)
+                else:
+                    code.append((fn, new_slot(key, any(varying[i] for i in ins)), ins))
+        slot = by_id[id(n)] = slot_of[key]
+        return slot
 
-    return compile_(node)
-
-
-def _maybe_fold(node: Expr, fn, static: bool, policy: EvalPolicy):
-    """Fold a parameter-free subtree to a constant via the reference path."""
-    if not static:
-        return fn, False
-    value = node.evaluate(Bindings(), policy)
-    m, s = value.mean, value.spread
-    return (lambda env: (m, s)), True
+    result = lower(node)
+    return consts, params, code, varying, result
 
 
 class CompiledExpr:
@@ -404,7 +440,17 @@ class CompiledExpr:
         The :class:`EvalPolicy` the plan was specialised for.
     """
 
-    __slots__ = ("expression", "sampled", "bound", "policy", "_fn")
+    __slots__ = (
+        "expression",
+        "sampled",
+        "bound",
+        "policy",
+        "_regs",
+        "_leaves",
+        "_prelude",
+        "_body",
+        "_result",
+    )
 
     def __init__(self, expression: Expr, sampled, policy: EvalPolicy):
         self.expression = expression
@@ -417,7 +463,23 @@ class CompiledExpr:
             )
         self.bound = tuple(sorted(set(referenced) - set(self.sampled)))
         self.policy = policy
-        self._fn, _ = _compile_node(expression, frozenset(self.sampled), policy)
+        consts, params, code, varying, result = _compile_node(
+            expression, frozenset(self.sampled), policy
+        )
+        self._regs = [consts.get(slot) for slot in range(len(varying))]
+        self._leaves = {name: slot for slot, name in params}
+        self._result = result
+        # Scalar work runs once per evaluate; the body once per block.
+        self._prelude = [(fn, out, ins) for fn, out, ins in code if not varying[out]]
+        body = [(fn, out, ins) for fn, out, ins in code if varying[out]]
+        # Drop each body slot after its last reader (the root is kept).
+        last = {i: k for k, (_, _, ins) in enumerate(body) for i in ins}
+        computed = {out for _, out, _ in body}
+        dead: list[list[int]] = [[] for _ in body]
+        for slot, k in last.items():
+            if slot in computed and slot != result:
+                dead[k].append(slot)
+        self._body = [(fn, out, ins, tuple(d)) for (fn, out, ins), d in zip(body, dead)]
 
     def evaluate(
         self,
@@ -426,7 +488,7 @@ class CompiledExpr:
         *,
         n_samples: int | None = None,
     ) -> np.ndarray:
-        """Evaluate the whole sample batch in one vectorised pass.
+        """Evaluate the whole sample batch, block by block.
 
         Parameters
         ----------
@@ -445,7 +507,7 @@ class CompiledExpr:
         ``(n,)`` array of per-draw result means — elementwise equal to
         the per-sample reference path's output.
         """
-        env: dict = {}
+        arrays = []
         n = None
         for name in self.sampled:
             arr = np.asarray(draws[name], dtype=float)
@@ -457,7 +519,8 @@ class CompiledExpr:
                 raise ValueError(
                     f"inconsistent draw lengths: {name!r} has {arr.shape[0]}, expected {n}"
                 )
-            env[name] = (arr, 0.0)
+            arrays.append((self._leaves[name], arr))
+        regs = self._regs.copy()
         if self.bound:
             if bindings is None:
                 raise ValueError(
@@ -466,9 +529,16 @@ class CompiledExpr:
                 )
             for name in self.bound:
                 sv = bindings.resolve(name)
-                env[name] = (sv.mean, sv.spread)
-        mean, _spread = self._fn(env)
-        out = np.asarray(mean, dtype=float)
+                regs[self._leaves[name]] = (sv.mean, sv.spread)
+        for fn, slot, ins in self._prelude:
+            regs[slot] = fn(*[regs[i] for i in ins])
+        if arrays and n > _BLOCK:
+            out = np.empty(n)
+            for lo in range(0, n, _BLOCK):
+                hi = min(lo + _BLOCK, n)
+                out[lo:hi] = self._run(regs, [(slot, arr[lo:hi]) for slot, arr in arrays])
+            return out
+        out = np.asarray(self._run(regs, arrays), dtype=float)
         if out.ndim == 0:
             if n is None:
                 n = n_samples
@@ -476,6 +546,16 @@ class CompiledExpr:
                 raise ValueError("n_samples is required for a constant plan")
             out = np.full(int(n), float(out))
         return out
+
+    def _run(self, regs: list, leaves) -> object:
+        """Run the body over one block of draws; the root's mean."""
+        for slot, arr in leaves:
+            regs[slot] = (arr, 0.0)
+        for fn, out, ins, dead in self._body:
+            regs[out] = fn(*[regs[i] for i in ins])
+            for i in dead:
+                regs[i] = None
+        return regs[self._result][0]
 
 
 def _policy_key(policy: EvalPolicy):

@@ -17,9 +17,10 @@ two engines that consume identical draws (so seeded results agree):
 
 ``vectorised`` (default)
     The expression is compiled once into a flat NumPy plan
-    (:mod:`repro.structural.engine`) and the whole sample batch flows
-    through each AST node in one array pass — one tree lowering instead
-    of ``n_samples`` tree walks, with compiled plans cached across calls.
+    (:mod:`repro.structural.engine`): one instruction per distinct
+    subexpression, run over cache-sized blocks of the sample batch — one
+    tree lowering instead of ``n_samples`` tree walks, with compiled
+    plans cached across calls.
 
 ``reference``
     The original per-sample loop: one point-value ``Bindings`` overlay
@@ -156,10 +157,11 @@ def _row_values(base: dict, overrides: dict | None) -> dict:
 
 
 def _draw(sv: StochasticValue, n: int, bounds, rng: np.random.Generator) -> np.ndarray:
-    """``n`` draws of ``sv`` (a point value draws nothing), clipped."""
+    """``n`` draws of ``sv`` (a point value draws nothing), clipped in
+    place: the array is fresh."""
     seg = np.full(n, sv.mean) if sv.is_point else sv.sample(n, rng)
     if bounds is not None:
-        seg = np.clip(seg, *bounds)
+        np.clip(seg, *bounds, out=seg)
     return seg
 
 

@@ -262,6 +262,16 @@ class TestUsageErrors:
             (["advise", "--size", "0"], "argument --size: must be >= 6, got 0"),
             (["advise", "--iterations", "-1"], "argument --iterations: must be >= 1, got -1"),
             (["calibration", "--window", "0"], "argument --windows: must be > 0.0, got 0"),
+            (
+                ["figures", "--which", "9"],
+                "argument --which: invalid choice: 9 (choose from 1, 2, 3, 4, 5)",
+            ),
+            (
+                ["trace", "--machine", "99"],
+                "argument --machine: invalid choice: 99 (choose from 0, 1, 2, 3)",
+            ),
+            (["trace", "--duration", "-5"], "argument --duration: must be > 0.0, got -5"),
+            (["trace", "--duration", "inf"], "argument --duration: must be finite, got inf"),
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, argv, message):

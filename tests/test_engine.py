@@ -11,6 +11,8 @@ import pytest
 from repro.core.arithmetic import ReciprocalRule, Relatedness
 from repro.core.group_ops import MaxStrategy
 from repro.core.stochastic import StochasticValue
+from repro.structural import engine
+from repro.structural.components import ComponentModel
 from repro.structural.engine import (
     CompiledExpr,
     UnsupportedPolicyError,
@@ -32,6 +34,7 @@ from repro.structural.montecarlo import (
     monte_carlo_predict_reference,
 )
 from repro.structural.parameters import Bindings
+from repro.structural.sor_model import SORModel
 
 
 def rich_bindings() -> Bindings:
@@ -63,6 +66,25 @@ EXPRESSIONS = {
         Param("zmean") * Param("load"),
     ),
     "const-only": Const(StochasticValue(5.0, 1.0)) * 3.0 + 2.0,
+    # The inner Max's winner is a point value, so its selected spread
+    # must be zero again; the outer Max's endpoint and Clark keys read it.
+    "max-of-max": Max(
+        Max(Param("fixed") / Param("bw"), Param("work") / Param("load")),
+        Param("work") / Param("load") * 1.001,
+    ),
+    # The SOR shape: equal subtrees under differently named components.
+    "shared-components": Sum(
+        Max(
+            ComponentModel("RedComp[0]", Param("work") / Param("load")),
+            ComponentModel("RedComp[1]", Param("fixed") / Param("bw")),
+        ),
+        ComponentModel("RedComm[0]", Param("zmean") * Param("load") + Param("bw")),
+        Max(
+            ComponentModel("BlackComp[0]", Param("work") / Param("load")),
+            ComponentModel("BlackComp[1]", Param("fixed") / Param("bw")),
+        ),
+        ComponentModel("BlackComm[0]", Param("zmean") * Param("load") + Param("bw")),
+    ),
 }
 
 POLICIES = [
@@ -216,3 +238,110 @@ class TestPlanCache:
         assert plan2 is plan
         np.testing.assert_array_equal(out1, [20.0, 40.0])
         np.testing.assert_array_equal(out2, [40.0, 80.0])
+
+
+def sor_bindings(n_procs: int = 4) -> Bindings:
+    """Compile-time SOR parameters; ``load[p]`` and ``bw_avail`` sampled."""
+    b = Bindings({"size_elt": 8.0})
+    for p in range(n_procs):
+        b.bind(f"numelt[{p}]", 1000.0 * (p + 1))
+        b.bind(f"bm[{p}]", 1e-6)
+        b.bind(f"msg_elts[{p}]", 600.0)
+        b.bind_runtime(f"load[{p}]", StochasticValue(0.6, 0.2))
+    for p in range(n_procs - 1):
+        b.bind(f"dedbw[{p},{p + 1}]", 1e6 * (p + 1))
+    b.bind_runtime("bw_avail", StochasticValue(0.5, 0.1))
+    return b
+
+
+@pytest.fixture
+def count_calls(monkeypatch):
+    """Count calls of an engine function in plans compiled from here on
+    (a plan binds its functions at compile time)."""
+
+    def install(name: str) -> dict:
+        calls = {"n": 0}
+        fn = getattr(engine, name)
+
+        def wrapped(*args, **kwargs):
+            calls["n"] += 1
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(engine, name, wrapped)
+        return calls
+
+    clear_plan_cache()
+    yield install
+    clear_plan_cache()
+
+
+class TestBlocksAndSharing:
+    """The plan shares repeated subtrees and runs in blocks of
+    ``engine._BLOCK`` draws; neither may change a bit of the answer."""
+
+    @pytest.mark.parametrize("blocks", ["one-block-plus-1", "three-blocks-minus-7"])
+    @pytest.mark.parametrize("name", sorted(EXPRESSIONS))
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_engines_agree_across_block_boundaries(self, monkeypatch, blocks, name, policy):
+        # A small block keeps the per-draw reference loop cheap; the
+        # boundaries are crossed exactly as at the real size.
+        monkeypatch.setattr(engine, "_BLOCK", 64)
+        n = 64 + 1 if blocks == "one-block-plus-1" else 3 * 64 - 7
+        expr = EXPRESSIONS[name]
+        b = rich_bindings()
+        vec = monte_carlo_predict(expr, b, n_samples=n, rng=3, policy=policy)
+        ref = monte_carlo_predict_reference(expr, b, n_samples=n, rng=3, policy=policy)
+        if policy == EvalPolicy():
+            np.testing.assert_array_equal(vec.samples, ref.samples)
+        else:
+            np.testing.assert_allclose(vec.samples, ref.samples, rtol=1e-9, atol=0.0)
+
+    @pytest.mark.parametrize("n", [engine._BLOCK + 1, 3 * engine._BLOCK - 7])
+    def test_full_size_blocks_equal_one_pass(self, monkeypatch, n):
+        expr = SORModel(4, 20).expression()
+        b = sor_bindings()
+        plan = compile_expr(expr, b)
+        rng = np.random.default_rng(5)
+        draws = {name: rng.uniform(0.2, 1.0, n) for name in plan.sampled}
+        blocked = plan.evaluate(draws, b)
+        monkeypatch.setattr(engine, "_BLOCK", n)
+        np.testing.assert_array_equal(blocked, plan.evaluate(draws, b))
+
+    def test_full_size_blocks_equal_reference(self):
+        n = engine._BLOCK + 1
+        expr = EXPRESSIONS["shared-components"]
+        b = rich_bindings()
+        vec = monte_carlo_predict(expr, b, n_samples=n, rng=8)
+        ref = monte_carlo_predict_reference(expr, b, n_samples=n, rng=8)
+        np.testing.assert_array_equal(vec.samples, ref.samples)
+
+    def test_sor_divides_once_per_distinct_quotient(self, count_calls):
+        # 4 RedComp = BlackComp quotients and 6 PtToPt(x, y) messages;
+        # the tree holds 8 + 24 = 32 Div nodes.
+        divs = count_calls("_div")
+        expr = SORModel(4, 20).expression()
+        b = sor_bindings()
+        plan = compile_expr(expr, b)
+        draws = {name: np.full(100, 0.5) for name in plan.sampled}
+        plan.evaluate(draws, b)
+        assert divs["n"] == 10
+
+    def test_sor_folds_each_distinct_max_once(self, count_calls):
+        # RedComp = BlackComp and RedComm = BlackComm: 2 of the 4 Max nodes.
+        folds = count_calls("_group_max")
+        expr = SORModel(4, 20).expression()
+        b = sor_bindings()
+        plan = compile_expr(expr, b)
+        plan.evaluate({name: np.full(100, 0.5) for name in plan.sampled}, b)
+        assert folds["n"] == 2
+
+    @pytest.mark.parametrize("where", [0, -1])
+    def test_zero_denominator_in_any_block_raises(self, where):
+        n = 3 * engine._BLOCK - 7
+        plan = compile_expr(Param("work") / Param("load"), ["load"])
+        load = np.ones(n)
+        b = Bindings({"work": 2.0})
+        np.testing.assert_array_equal(plan.evaluate({"load": load}, b), np.full(n, 2.0))
+        load[where] = 0.0
+        with pytest.raises(ZeroDivisionError):
+            plan.evaluate({"load": load}, b)

@@ -173,6 +173,36 @@ class TestMetrics:
         with pytest.raises(ValueError, match="NaN"):
             merged.observe(float("nan"))
 
+    def test_chunked_store_matches_a_flat_list(self):
+        # Single and batched observations interleave across the pending
+        # buffer's flush size; values keep arrival order and the stats
+        # equal those of one flat array of the same floats.
+        rng = np.random.default_rng(0)
+        h = Histogram("lat", (0.1, 1.0))
+        flat = []
+        for k in range(6):
+            batch = rng.exponential(0.3, size=400 * k)
+            h.observe_many(batch)
+            flat.extend(batch.tolist())
+            for v in rng.exponential(0.3, size=700):
+                h.observe(v)
+                flat.append(float(v))
+        # The observed batch is copied: mutating it changes nothing.
+        batch[:] = -1.0
+        assert h.count == len(flat)
+        assert h.values == tuple(flat)
+        arr = np.asarray(flat)
+        s = h.stats()
+        assert s["mean"] == float(np.mean(arr))
+        assert (s["min"], s["max"]) == (float(arr.min()), float(arr.max()))
+        for q in (0.5, 0.9, 0.99):
+            assert h.quantile(q) == float(np.quantile(arr, q, method="nearest"))
+        half = Histogram("lat", (0.1, 1.0))
+        half.observe_many(arr[:1000])
+        rest = Histogram("lat", (0.1, 1.0))
+        rest.observe_many(arr[1000:])
+        assert Histogram.merged("lat", [half, rest]).stats() == s
+
 
 class TestAdmission:
     def test_token_bucket_spends_and_refills(self):
