@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, QuantileSketch
+from repro.calib.sketch import QuantileSketch
 from repro.core.stochastic import StochasticValue
 from repro.distributions.modal import fit_gaussian_mixture
 
@@ -37,6 +37,15 @@ def grid_levels(size: int) -> tuple[float, ...]:
     if size < 2:
         raise ValueError(f"grid size must be >= 2, got {size}")
     return tuple((k + 0.5) / size for k in range(size))
+
+
+def fit_modes(samples: np.ndarray, components: int) -> tuple:
+    """The fitted Gaussian-mixture modes of one draw cloud: none unless
+    ``components >= 2`` and there are two draws per component."""
+    if components < 2 or samples.size < 2 * components:
+        return ()
+    # rng=None keeps the quantile-based EM init deterministic.
+    return tuple(fit_gaussian_mixture(samples, components, rng=None).modes())
 
 
 @dataclass(frozen=True)
@@ -78,7 +87,7 @@ class DistributionInfo:
     std: float
     levels: tuple
     quantiles: tuple
-    sketch: QuantileSketch | None = None
+    sketch: QuantileSketch
     modes: tuple = ()
     recalibrated: bool = False
     scale: float = 1.0
@@ -112,13 +121,13 @@ class DistributionInfo:
         cls,
         samples,
         *,
-        alpha: float = DEFAULT_SKETCH_ALPHA,
-        levels: tuple = (),
         mixture_components: int = 0,
-        keep_sketch: bool = True,
     ) -> "DistributionInfo":
         """Summarise a draw cloud (deterministic: no randomness consumed).
 
+        The sketch has relative accuracy
+        :data:`~repro.calib.sketch.DEFAULT_SKETCH_ALPHA` and the grid
+        :data:`DEFAULT_GRID_SIZE` points, as on every served answer.
         ``mean``/``std`` use the same estimators as
         :class:`~repro.core.empirical.EmpiricalValue` (``ddof=1``), so
         the block agrees bit-for-bit with the response's ``value``.
@@ -126,14 +135,9 @@ class DistributionInfo:
         arr = np.asarray(samples, dtype=float).ravel()
         if arr.size < 1:
             raise ValueError("need at least one sample")
-        lv = tuple(levels) if levels else grid_levels(DEFAULT_GRID_SIZE)
-        sketch = QuantileSketch(alpha).extend(arr)
+        lv = grid_levels(DEFAULT_GRID_SIZE)
+        sketch = QuantileSketch().extend(arr)
         qs = tuple(float(v) for v in sketch.quantiles(lv))
-        modes: tuple = ()
-        if mixture_components >= 2 and arr.size >= 2 * mixture_components:
-            # rng=None keeps the quantile-based EM init deterministic.
-            fit = fit_gaussian_mixture(arr, mixture_components, rng=None)
-            modes = tuple(fit.modes())
         std = float(arr.std(ddof=1)) if arr.size >= 2 else 0.0
         return cls(
             count=int(arr.size),
@@ -141,8 +145,8 @@ class DistributionInfo:
             std=std,
             levels=lv,
             quantiles=qs,
-            sketch=sketch if keep_sketch else None,
-            modes=modes,
+            sketch=sketch,
+            modes=fit_modes(arr, mixture_components),
         )
 
     # ------------------------------------------------------------------
@@ -232,7 +236,7 @@ class DistributionInfo:
             doc["modes"] = [
                 {"weight": m.weight, "mean": m.mean, "std": m.std} for m in self.modes
             ]
-        if include_sketch and self.sketch is not None:
+        if include_sketch:
             doc["sketch"] = self.sketch.to_dict()
         return doc
 
@@ -251,34 +255,17 @@ class DistributionBatch:
 
     __slots__ = ("count", "mean", "std", "levels", "quantiles", "sketches", "modes", "scale")
 
-    def __init__(
-        self, count, mean, std, levels, quantiles, sketches=None, modes=None, scale=1.0
-    ):
+    def __init__(self, count, mean, std, levels, quantiles, sketches, modes=None, scale=1.0):
         self.count = np.asarray(count, dtype=np.int64)
         self.mean = np.asarray(mean, dtype=float)
         self.std = np.asarray(std, dtype=float)
         self.levels = tuple(levels)
         self.quantiles = np.asarray(quantiles, dtype=float)
-        #: Per-row raw-draw sketches, any sequence that indexes and
-        #: slices (``None``: not kept).
+        #: Per-row raw-draw sketches (any sequence that indexes and slices).
         self.sketches = sketches
         #: Per-row fitted mixtures (``None``: none fitted).
         self.modes = modes
         self.scale = float(scale)
-
-    @classmethod
-    def from_infos(cls, infos) -> "DistributionBatch":
-        """Columnise already-built, unwidened blocks sharing one grid."""
-        infos = list(infos)
-        return cls(
-            count=[d.count for d in infos],
-            mean=[d.mean for d in infos],
-            std=[d.std for d in infos],
-            levels=infos[0].levels if infos else (),
-            quantiles=[d.quantiles for d in infos],
-            sketches=[d.sketch for d in infos],
-            modes=[d.modes for d in infos],
-        )
 
     def __len__(self) -> int:
         return int(self.count.shape[0])
@@ -290,7 +277,7 @@ class DistributionBatch:
             std=float(self.std[j]),
             levels=self.levels,
             quantiles=tuple(self.quantiles[j].tolist()),
-            sketch=None if self.sketches is None else self.sketches[j],
+            sketch=self.sketches[j],
             modes=() if self.modes is None else self.modes[j],
         )
         return info.widened(self.scale) if self.scale != 1.0 else info
@@ -303,7 +290,7 @@ class DistributionBatch:
             self.std[rows],
             self.levels,
             self.quantiles[rows],
-            None if self.sketches is None else self.sketches[rows],
+            self.sketches[rows],
             None if self.modes is None else self.modes[rows],
             self.scale,
         )

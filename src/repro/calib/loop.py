@@ -3,14 +3,16 @@
 :class:`CalibrationLoop` owns everything the serving layer needs to
 turn answers into distributions and distributions into scores:
 
-* build a :class:`~repro.calib.distribution.DistributionInfo` from each
-  request's Monte Carlo draw cloud (captured before summarisation);
+* build the :class:`~repro.calib.distribution.DistributionBatch` of each
+  served batch's Monte Carlo draw clouds (captured before
+  summarisation) in one vectorised pass, mixture fits included;
 * simulate the **realised outcome** for each answered request by
   drawing once from the model's *truth* distribution — by default the
   served model itself (a well-calibrated world), optionally a different
   :class:`~repro.serving.server.ModelSpec` or a spread-distorted copy
   (``truth_spread_scale``) to stage miscalibration chaos scenarios;
-* feed ``(served distribution, outcome)`` pairs to the shared
+* score ``(served distribution, outcome)`` rows with
+  :func:`~repro.calib.scorer.score_rows`, fold them into the shared
   :class:`~repro.calib.scorer.CalibrationScorer` and run the
   :class:`~repro.calib.recalibrate.Recalibrator` control law, emitting
   ``calib.score`` / ``calib.recalibrate`` spans and lazy metrics.
@@ -32,6 +34,7 @@ previous releases.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,11 +42,11 @@ import numpy as np
 from repro.calib.distribution import (
     DEFAULT_GRID_SIZE,
     DistributionBatch,
-    DistributionInfo,
+    fit_modes,
     grid_levels,
 )
 from repro.calib.recalibrate import RecalibrationEvent, RecalibrationPolicy, Recalibrator
-from repro.calib.scorer import PIT_BINS, CalibrationScorer
+from repro.calib.scorer import CalibrationScorer, score_rows
 from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, build_sketches
 from repro.core.stochastic import StochasticValue
 from repro.obs.tracer import STAGE_CALIB, as_tracer
@@ -68,30 +71,22 @@ _CRPS_BUCKETS = (0.001, 0.01, 0.1, 1.0, 10.0, 100.0)
 class CalibrationConfig:
     """Knobs for the in-server calibration loop.
 
+    Every answer carries its raw-draw sketch and quantile grid (see
+    :meth:`~repro.calib.distribution.DistributionInfo.from_samples`) and
+    is scored.
+
     Attributes
     ----------
-    alpha:
-        Relative accuracy of the per-answer quantile sketch.
-    grid:
-        Number of quantile-grid points carried on each answer.
     mixture_components:
-        When >= 2, each answer also carries a fitted Gaussian-mixture
+        0, or >= 2: each answer also carries a fitted Gaussian-mixture
         summary with this many components (deterministic EM init).
-    keep_sketch:
-        Whether responses keep the full mergeable sketch object (on by
-        default; turn off to shed per-response memory when only the
-        grid is wanted).
-    score:
-        Maintain online CRPS/PIT/coverage scores against simulated
-        realised outcomes.
     recalibrate:
-        Run the conformal recalibration control law (requires
-        ``score``).
+        Run the conformal recalibration control law.
     policy:
         The :class:`~repro.calib.recalibrate.RecalibrationPolicy` SLO
         band and cadence.
     initial_scale:
-        Spread scale every model starts at (>= 1).  Mostly for
+        Spread scale every model starts at (finite, >= 1).  Mostly for
         benchmarks that need an oracle-widened baseline in a distorted
         world.
     flush_every:
@@ -101,16 +96,12 @@ class CalibrationConfig:
         anyway).  ``summary()`` flushes any remainder.
     truth_spread_scale:
         Chaos knob: realised outcomes are drawn with every stochastic
-        parameter's spread multiplied by this factor.  ``2.0`` stages
-        the "structural spread deliberately halved" scenario — the
-        world is twice as variable as the model claims.
+        parameter's spread multiplied by this finite factor.  ``2.0``
+        stages the "structural spread deliberately halved" scenario —
+        the world is twice as variable as the model claims.
     """
 
-    alpha: float = DEFAULT_SKETCH_ALPHA
-    grid: int = DEFAULT_GRID_SIZE
     mixture_components: int = 0
-    keep_sketch: bool = True
-    score: bool = True
     recalibrate: bool = True
     policy: RecalibrationPolicy = field(default_factory=RecalibrationPolicy)
     initial_scale: float = 1.0
@@ -118,29 +109,18 @@ class CalibrationConfig:
     truth_spread_scale: float = 1.0
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.alpha < 1.0:
-            raise ValueError(f"alpha must be in (0, 1), got {self.alpha}")
-        if self.grid < 2:
-            raise ValueError(f"grid must be >= 2, got {self.grid}")
-        if self.mixture_components < 0:
+        if self.mixture_components < 0 or self.mixture_components == 1:
             raise ValueError(
-                f"mixture_components must be >= 0, got {self.mixture_components}"
+                f"mixture_components must be 0 or >= 2, got {self.mixture_components}"
             )
-        if self.recalibrate and not self.score:
-            raise ValueError("recalibrate=True requires score=True (no scores, no control)")
-        if self.initial_scale < 1.0:
-            raise ValueError(f"initial_scale must be >= 1, got {self.initial_scale}")
+        if not (math.isfinite(self.initial_scale) and self.initial_scale >= 1.0):
+            raise ValueError(f"initial_scale must be finite and >= 1, got {self.initial_scale}")
         if self.flush_every < 1:
             raise ValueError(f"flush_every must be >= 1, got {self.flush_every}")
-        if self.truth_spread_scale <= 0.0:
+        if not (math.isfinite(self.truth_spread_scale) and self.truth_spread_scale > 0.0):
             raise ValueError(
-                f"truth_spread_scale must be > 0, got {self.truth_spread_scale}"
+                f"truth_spread_scale must be finite and > 0, got {self.truth_spread_scale}"
             )
-
-    @property
-    def levels(self) -> tuple[float, ...]:
-        """The canonical quantile levels of the configured grid."""
-        return grid_levels(self.grid)
 
 
 def _spawn_child(source) -> np.random.Generator:
@@ -162,15 +142,13 @@ class CalibrationLoop:
         self.metrics = metrics
         self._rng = _spawn_child(rng)
         self._truth: dict[str, object] = {}
-        self.scorer = CalibrationScorer(
-            nominal=config.policy.nominal, window=config.policy.window
-        ) if config.score else None
+        self.scorer = CalibrationScorer(nominal=config.policy.nominal, window=config.policy.window)
         self.recalibrator = (
             Recalibrator(config.policy, initial_scale=config.initial_scale)
             if config.recalibrate
             else None
         )
-        self._levels = config.levels
+        self._levels = grid_levels(DEFAULT_GRID_SIZE)
         self._levels_arr = np.asarray(self._levels, dtype=float)
         # Deferred-scoring queue: per model, (qualities, dists,
         # effective) chunks of served batches awaiting outcome
@@ -197,49 +175,37 @@ class CalibrationLoop:
     # ------------------------------------------------------------------
     # Distribution building
     # ------------------------------------------------------------------
-    def distribution(self, samples) -> DistributionInfo:
-        """The served distribution block for one request's draw cloud."""
-        cfg = self.config
-        return DistributionInfo.from_samples(
-            samples,
-            alpha=cfg.alpha,
-            levels=self._levels,
-            mixture_components=cfg.mixture_components,
-            keep_sketch=cfg.keep_sketch,
-        )
-
     def distributions(self, samples) -> DistributionBatch:
         """Distribution blocks for a whole batch of draw clouds.
 
         ``samples`` is a ``(rows, draws)`` matrix or a list of per-row
         draw arrays.  Row ``j`` of the result reads as
-        ``self.distribution(samples[j])``, but sketches and quantile
-        grids come from one fused vectorised pass
-        (:func:`~repro.calib.sketch.build_sketches`) and a matrix's
+        ``DistributionInfo.from_samples(samples[j], mixture_components=...)``,
+        but sketches and quantile grids come from one fused vectorised
+        pass (:func:`~repro.calib.sketch.build_sketches`) and a matrix's
         moments from one axis reduction — the serving hot path.
-        Quantile grids are bit-equal to the one-at-a-time path; moments
-        may differ by float reduction order only.
+        Quantile grids and sketches are bit-equal to the one-row
+        builder; moments may differ by float reduction order only.
+        With ``mixture_components`` set, each row's fitted mixture goes
+        into the batch's ``modes`` column.
         """
-        cfg = self.config
-        if cfg.mixture_components >= 2:
-            # Mixture fitting dominates anyway; take the simple path.
-            return DistributionBatch.from_infos(self.distribution(s) for s in samples)
         if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] >= 2:
-            mat = np.ascontiguousarray(samples, dtype=float)
-            sketches, qmat = build_sketches(mat, cfg.alpha, levels=self._levels_arr)
+            # A matrix iterates as its rows, like the ragged list below.
+            arrays = mat = np.ascontiguousarray(samples, dtype=float)
+            sketches, qmat = build_sketches(mat, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
             counts = np.full(mat.shape[0], mat.shape[1])
             mean = mat.mean(axis=1)
             dev = mat - mean[:, None]
             std = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (mat.shape[1] - 1))
         else:
             arrays = [np.asarray(s, dtype=float).ravel() for s in samples]
-            sketches, qmat = build_sketches(arrays, cfg.alpha, levels=self._levels_arr)
+            sketches, qmat = build_sketches(arrays, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
             counts = [a.size for a in arrays]
             mean = [a.mean() for a in arrays]
             std = [a.std(ddof=1) if a.size >= 2 else 0.0 for a in arrays]
-        return DistributionBatch(
-            counts, mean, std, self._levels, qmat, sketches if cfg.keep_sketch else None
-        )
+        k = self.config.mixture_components
+        modes = [fit_modes(a, k) for a in arrays] if k else None
+        return DistributionBatch(counts, mean, std, self._levels, qmat, sketches, modes)
 
     def scale(self, model: str) -> float:
         """The recalibration spread scale currently applied to ``model``.
@@ -352,8 +318,6 @@ class CalibrationLoop:
         one-at-a-time queue would flush at; ``summary()`` drains any
         remainder.
         """
-        if self.scorer is None:
-            return
         self._last_t = t
         k, lo = len(dists), 0
         while lo < k:
@@ -405,13 +369,11 @@ class CalibrationLoop:
             y = np.asarray(
                 self.realise(model, [e for chunk in queue for e in chunk[2]]), dtype=float
             )
-            covered_a, crps_a, pit_a, z_a, mae_a, sharp_a = self._score_arrays(
+            covered_a, crps_a, pit_bins, z_a, mae_a, sharp_a = score_rows(
                 np.concatenate([chunk[1].mean for chunk in queue]),
                 *(np.concatenate(col) for col in zip(*served)),
+                self._levels_arr,
                 y,
-            )
-            pit_bins = np.minimum(
-                (pit_a * PIT_BINS).astype(np.int64), PIT_BINS - 1
             )
             k = len(qualities)
             sc = self.scorer.score(model)
@@ -463,46 +425,6 @@ class CalibrationLoop:
             if self.metrics is not None:
                 self.metrics.counter("calib_errors_total").inc()
 
-    def _score_arrays(
-        self,
-        means: np.ndarray,
-        stds: np.ndarray,
-        q_mat: np.ndarray,
-        scales: np.ndarray,
-        y: np.ndarray,
-    ):
-        """Coverage / CRPS / PIT / base-z / MAE / sharpness for a flush
-        queue, vectorised.
-
-        Takes the queue's served columns — means, (widened) stds and
-        quantile grids on this loop's grid, and the scale each row was
-        widened by — and scores the whole queue in a handful of array
-        operations: the same arithmetic as
-        :meth:`~repro.calib.scorer.ModelScore.observe` (CRPS rows are
-        bit-identical; PIT interpolation may differ from ``np.interp``
-        in the last ulp at exact grid ties).
-        """
-        n = len(means)
-        taus = self._levels_arr
-        dev = np.abs(y - means)
-        covered = dev <= 2.0 * stds
-        yc = y[:, None]
-        below = yc < q_mat
-        crps = np.mean(2.0 * (taus - below) * (yc - q_mat), axis=1)
-        # Piecewise-linear CDF inversion (the vector form of
-        # DistributionInfo.cdf), clamped to the grid's edge levels.
-        k = taus.size
-        jj = np.clip((yc >= q_mat).sum(axis=1) - 1, 0, k - 2)
-        rows = np.arange(n)
-        x0 = q_mat[rows, jj]
-        dx = q_mat[rows, jj + 1] - x0
-        safe = dx > 0.0
-        frac = np.where(safe, (y - x0) / np.where(safe, dx, 1.0), 0.0)
-        pit = np.clip(taus[jj] + (taus[jj + 1] - taus[jj]) * frac, taus[0], taus[-1])
-        z = dev / np.maximum(stds / scales, 1e-12)
-        sharp = 4.0 * stds / np.maximum(np.abs(y), 1e-12)
-        return covered, crps, pit, z, dev, sharp
-
     def _note_event(self, event: RecalibrationEvent, t: float) -> None:
         """Metrics + span for one recalibration event (never silent)."""
         m = self.metrics
@@ -539,9 +461,8 @@ class CalibrationLoop:
         doc: dict = {
             "enabled": True,
             "truth_spread_scale": self.config.truth_spread_scale,
+            "scores": self.scorer.summary(),
         }
-        if self.scorer is not None:
-            doc["scores"] = self.scorer.summary()
         if self.recalibrator is not None:
             doc["recalibration"] = self.recalibrator.summary()
         return doc

@@ -8,6 +8,10 @@ online serving loop both use it):
   the NWS evaluation layer has always exposed (coverage vs nominal,
   sharpness, MAE over ``(forecast, outcome)`` pairs), relocated here
   verbatim and re-exported from :mod:`repro.nws.evaluation`;
+* :func:`score_rows` — the one scoring function for served
+  distributions: coverage, CRPS, PIT, z, MAE and sharpness of a block
+  of ``(distribution, outcome)`` rows as arrays.  The serving loop
+  calls it once per flush; ``observe`` calls it on one row;
 * :class:`ModelScore` — streaming state for one scoring key: online
   CRPS, a PIT histogram, cumulative and rolling 2σ-coverage, and the
   rolling z-score window the conformal
@@ -33,6 +37,7 @@ from repro.core.stochastic import StochasticValue
 __all__ = [
     "CalibrationReport",
     "score_pairs",
+    "score_rows",
     "ModelScore",
     "CalibrationScorer",
     "PIT_BINS",
@@ -104,6 +109,47 @@ def score_pairs(pairs: list[tuple[StochasticValue, float]]) -> CalibrationReport
     )
 
 
+def score_rows(means, stds, quantiles, scales, levels, y):
+    """Score served distributions against realised outcomes, one row each.
+
+    Row ``i`` is a distribution served with mean ``means[i]``, standard
+    deviation ``stds[i]`` and quantile grid ``quantiles[i]`` on
+    ``levels`` (all as served, i.e. widened by ``scales[i]``), scored
+    against outcome ``y[i]``; scalars with a flat grid score one row.
+    Returns the arguments of :meth:`ModelScore.ingest_many`, as arrays:
+    ``(covered, crps, pit_bins, z, mae, sharp)``.  Per row this is the
+    arithmetic of
+    :meth:`~repro.calib.distribution.DistributionInfo.contains`,
+    ``.crps`` and ``.pit`` (CRPS bit-identical; the PIT may differ from
+    ``np.interp`` in the last ulp at exact grid ties); ``z`` is measured
+    against the pre-recalibration spread ``stds / scales``.
+    """
+    taus = np.asarray(levels, dtype=float)
+    q_mat = np.atleast_2d(np.asarray(quantiles, dtype=float))
+    y = np.atleast_1d(np.asarray(y, dtype=float))
+    dev = np.abs(y - means)
+    covered = dev <= 2.0 * stds
+    yc = y[:, None]
+    below = yc < q_mat
+    crps = np.mean(2.0 * (taus - below) * (yc - q_mat), axis=1)
+    # Piecewise-linear CDF inversion (the vector form of
+    # DistributionInfo.cdf), clamped to the grid's edge levels.
+    k = taus.size
+    jj = np.clip((yc >= q_mat).sum(axis=1) - 1, 0, k - 2)
+    rows = np.arange(len(y))
+    x0 = q_mat[rows, jj]
+    dx = q_mat[rows, jj + 1] - x0
+    safe = dx > 0.0
+    frac = np.where(safe, (y - x0) / np.where(safe, dx, 1.0), 0.0)
+    pit = np.clip(taus[jj] + (taus[jj + 1] - taus[jj]) * frac, taus[0], taus[-1])
+    pit_bins = np.minimum((pit * PIT_BINS).astype(np.int64), PIT_BINS - 1)
+    # z relative to the pre-recalibration spread: |y - mean| in units
+    # of the *raw* predictive sigma.
+    z = dev / np.maximum(stds / scales, 1e-12)
+    sharp = 4.0 * stds / np.maximum(np.abs(y), 1e-12)
+    return covered, crps, pit_bins, z, dev, sharp
+
+
 class ModelScore:
     """Streaming calibration state for one scoring key.
 
@@ -163,50 +209,18 @@ class ModelScore:
 
         Returns whether the outcome fell inside the served ``mean ± 2σ``.
         """
-        covered = dist.contains(outcome)
-        crps = dist.crps(outcome)
-        pit = dist.pit(outcome)
-        # z relative to the pre-recalibration spread: |y - mean| in
-        # units of the *raw* predictive sigma.
-        sigma_base = max(dist.std / dist.scale, 1e-12)
-        z = abs(outcome - dist.mean) / sigma_base
-        self._ingest(dist, outcome, covered, crps, pit, z)
-        return covered
-
-    def _ingest(
-        self,
-        dist: DistributionInfo,
-        outcome: float,
-        covered: bool,
-        crps: float,
-        pit: float,
-        z: float,
-    ) -> None:
-        """Fold one pre-scored pair into the streaming state.
-
-        Split from :meth:`observe` so :class:`CalibrationScorer` can
-        score a pair once and ingest it into both the per-model and the
-        per-cohort state (the scoring arithmetic is the expensive part).
-        """
-        self.n += 1
-        self.covered_n += int(covered)
-        self.crps_total += crps
-        self.mae_total += abs(outcome - dist.mean)
-        self.sharp_total += 2.0 * dist.spread / max(abs(outcome), 1e-12)
-        self.pit_counts[min(int(pit * PIT_BINS), PIT_BINS - 1)] += 1
-        self._cover_win.append(covered)
-        self._crps_win.append(crps)
-        self._z_win.append(z)
+        scored = score_rows(dist.mean, dist.std, dist.quantiles, dist.scale, dist.levels, outcome)
+        self.ingest_many(*scored)
+        return bool(scored[0][0])
 
     def ingest_many(self, covered, crps, pit_bins, z, mae, sharp) -> None:
-        """Fold a pre-scored batch into the streaming state.
+        """Fold a batch scored by :func:`score_rows` into the streaming state.
 
-        Array counterpart of :meth:`_ingest` for the deferred flush
-        path: one call updates totals with array sums and extends the
-        rolling windows in order (``deque(maxlen=...)`` keeps the
-        newest entries, exactly as sequential appends would).  Totals
-        use NumPy's pairwise summation, so they can differ from the
-        sequential path in the last float ulp.
+        One call updates totals with array sums and extends the rolling
+        windows in order (``deque(maxlen=...)`` keeps the newest
+        entries, exactly as sequential appends would).  Totals use
+        NumPy's pairwise summation, so they can differ from ingesting
+        the rows one at a time in the last float ulp.
         """
         self.n += len(crps)
         self.covered_n += int(np.count_nonzero(covered))
@@ -373,17 +387,13 @@ class CalibrationScorer:
     ) -> ModelScore:
         """Score one served answer; returns the model's updated score.
 
-        The pair is scored once (CRPS/PIT/coverage/z) and ingested into
-        both the per-model and the per-forecast-quality cohort state.
+        The pair is scored once and ingested into both the per-model
+        and the per-forecast-quality cohort state.
         """
-        covered = dist.contains(outcome)
-        crps = dist.crps(outcome)
-        pit = dist.pit(outcome)
-        sigma_base = max(dist.std / dist.scale, 1e-12)
-        z = abs(outcome - dist.mean) / sigma_base
+        scored = score_rows(dist.mean, dist.std, dist.quantiles, dist.scale, dist.levels, outcome)
         sc = self.score(model)
-        sc._ingest(dist, outcome, covered, crps, pit, z)
-        self.cohort(quality)._ingest(dist, outcome, covered, crps, pit, z)
+        sc.ingest_many(*scored)
+        self.cohort(quality).ingest_many(*scored)
         return sc
 
     @property

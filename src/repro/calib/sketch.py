@@ -23,6 +23,12 @@ value ``2 * gamma^i / (gamma + 1)`` is within ``alpha`` relative error
 of every value the bucket can hold.  Negative values use a mirrored
 store and near-zero values (|x| < 1e-12) a dedicated counter, so the
 sketch accepts any finite float.
+
+Each sign's buckets live in one dense store ``(lo, counts)``:
+``counts[j]`` is the count of bucket ``lo + j``, zeros included.  A
+store is never written in place — :func:`build_sketches` hands each
+sketch a row view of its batch's shared count grid — so inserts and
+merges build a new array over the union of the two bucket windows.
 """
 
 from __future__ import annotations
@@ -38,6 +44,31 @@ DEFAULT_SKETCH_ALPHA = 0.01
 
 #: Magnitudes below this are collapsed into the zero bucket.
 _MIN_MAG = 1e-12
+
+#: A store holding no buckets.
+_EMPTY = (0, np.zeros(0, dtype=np.int64))
+
+
+def _combined(a, b) -> tuple[int, np.ndarray]:
+    """Bucket-wise sum of two stores, as a new array over the union of
+    their windows (either may be a view of a shared batch grid)."""
+    (la, ca), (lb, cb) = a, b
+    if not cb.size:
+        return a
+    if not ca.size:
+        return b
+    lo = min(la, lb)
+    out = np.zeros(max(la + ca.size, lb + cb.size) - lo, dtype=np.int64)
+    out[la - lo : la - lo + ca.size] += ca
+    out[lb - lo : lb - lo + cb.size] += cb
+    return lo, out
+
+
+def _occupied(store) -> tuple[np.ndarray, np.ndarray]:
+    """``(indices, counts)`` of a store's non-empty buckets."""
+    lo, counts = store
+    nz = np.flatnonzero(counts)
+    return nz + lo, counts[nz]
 
 
 class QuantileSketch:
@@ -62,7 +93,6 @@ class QuantileSketch:
         "_count",
         "_min",
         "_max",
-        "_lazy",
     )
 
     def __init__(self, alpha: float = DEFAULT_SKETCH_ALPHA):
@@ -71,43 +101,17 @@ class QuantileSketch:
         self.alpha = float(alpha)
         self._gamma = (1.0 + self.alpha) / (1.0 - self.alpha)
         self._log_gamma = math.log(self._gamma)
-        self._pos: dict[int, int] = {}
-        self._neg: dict[int, int] = {}
+        self._pos = self._neg = _EMPTY
         self._zero = 0
         self._count = 0
         self._min = math.inf
         self._max = -math.inf
-        # Deferred positive-bucket counts from build_sketches(); folded
-        # into _pos on first bucket access (the serving hot path builds
-        # thousands of sketches whose buckets are never read directly).
-        self._lazy = None
-
-    def _materialise(self) -> None:
-        """Fold any deferred bucket arrays into the ``_pos`` dict.
-
-        ``_lazy`` is ``(bmin, row)`` from :func:`build_sketches`: a dense
-        count row over the batch's shared bucket window starting at index
-        ``bmin`` (zero counts = unoccupied buckets, dropped here).
-        """
-        if self._lazy is not None:
-            bmin, row = self._lazy
-            self._lazy = None
-            store = self._pos
-            nz = np.flatnonzero(row)
-            for i, n in zip((nz + bmin).tolist(), row[nz].tolist()):
-                store[i] = store.get(i, 0) + n
 
     # ------------------------------------------------------------------
     # Insertion
     # ------------------------------------------------------------------
-    def add(self, value: float) -> "QuantileSketch":
-        """Insert one value (routes through :meth:`extend` so the
-        bucket mapping is identical for scalar and vector inserts)."""
-        return self.extend(np.asarray([value], dtype=float))
-
     def extend(self, values) -> "QuantileSketch":
         """Insert a batch of finite values; returns ``self``."""
-        self._materialise()
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
             return self
@@ -118,16 +122,17 @@ class QuantileSketch:
         self._max = max(self._max, float(arr.max()))
         mags = np.abs(arr)
         self._zero += int(np.count_nonzero(mags < _MIN_MAG))
-        for mask, store in (
-            (arr >= _MIN_MAG, self._pos),
-            (arr <= -_MIN_MAG, self._neg),
-        ):
-            if mask.any():
-                idx = np.ceil(np.log(mags[mask]) / self._log_gamma).astype(np.int64)
-                uniq, cnts = np.unique(idx, return_counts=True)
-                for i, c in zip(uniq.tolist(), cnts.tolist()):
-                    store[i] = store.get(i, 0) + c
+        self._pos = _combined(self._pos, self._store(mags[arr >= _MIN_MAG]))
+        self._neg = _combined(self._neg, self._store(mags[arr <= -_MIN_MAG]))
         return self
+
+    def _store(self, mags: np.ndarray) -> tuple[int, np.ndarray]:
+        """The dense store counting magnitudes ``mags`` (all >= 1e-12)."""
+        if not mags.size:
+            return _EMPTY
+        idx = np.ceil(np.log(mags) / self._log_gamma).astype(np.int64)
+        lo = int(idx.min())
+        return lo, np.bincount(idx - lo)
 
     # ------------------------------------------------------------------
     # Merge
@@ -140,12 +145,8 @@ class QuantileSketch:
             raise ValueError(
                 f"cannot merge sketches with different alpha ({self.alpha} vs {other.alpha})"
             )
-        self._materialise()
-        other._materialise()
-        for i, c in other._pos.items():
-            self._pos[i] = self._pos.get(i, 0) + c
-        for i, c in other._neg.items():
-            self._neg[i] = self._neg.get(i, 0) + c
+        self._pos = _combined(self._pos, other._pos)
+        self._neg = _combined(self._neg, other._neg)
         self._zero += other._zero
         self._count += other._count
         self._min = min(self._min, other._min)
@@ -188,60 +189,34 @@ class QuantileSketch:
     @property
     def n_buckets(self) -> int:
         """Number of occupied buckets (memory footprint proxy)."""
-        self._materialise()
-        return len(self._pos) + len(self._neg) + (1 if self._zero else 0)
-
-    def _bucket_value(self, index: int) -> float:
-        """Representative value of positive bucket ``index``.
-
-        The bucket holds magnitudes in ``(gamma^(i-1), gamma^i]``; the
-        returned ``2 * gamma^i / (gamma + 1)`` is within ``alpha``
-        relative error of the whole interval.  Kept in the same
-        ``coef * gamma ** i`` association as the vectorised
-        :meth:`_ordered` so both produce bit-identical representatives.
-        """
-        return 2.0 / (self._gamma + 1.0) * self._gamma**index
+        occupied = np.count_nonzero(self._pos[1]) + np.count_nonzero(self._neg[1])
+        return int(occupied) + (1 if self._zero else 0)
 
     def _ordered(self) -> tuple[np.ndarray, np.ndarray]:
         """Bucket representatives in ascending value order + cumulative counts.
 
-        ``gamma ** k`` is vectorised over the occupied bucket indices
-        (both it and the scalar ``_bucket_value`` path reduce to the
-        same C ``pow``, so representatives agree bit-for-bit).
+        A bucket ``i`` is represented by ``2 * gamma^i / (gamma + 1)``,
+        within ``alpha`` relative error of every magnitude in
+        ``(gamma^(i-1), gamma^i]``.  Empty buckets stay in the output as
+        zero-mass flat runs of the cumulative counts; rank searches with
+        ``side="right"`` skip past them to an occupied bucket.
         """
         g = self._gamma
         coef = 2.0 / (g + 1.0)
-        if self._lazy is not None:
-            # build_sketches() fast path: a dense pure-positive count row
-            # in ascending bucket order.  Empty buckets stay in the
-            # output as zero-mass flat runs of the cumulative counts;
-            # rank searches with side="right" skip past them, so
-            # quantiles land on the same occupied bucket the dict path
-            # finds.
-            bmin, row = self._lazy
-            b = np.arange(bmin, bmin + row.size, dtype=np.int64)
-            return coef * g ** b.astype(float), np.cumsum(row)
         parts_v: list[np.ndarray] = []
         parts_c: list[np.ndarray] = []
-        if self._neg:
-            k = np.fromiter(self._neg.keys(), np.int64, len(self._neg))
-            c = np.fromiter(self._neg.values(), np.int64, len(self._neg))
-            order = np.argsort(-k, kind="stable")  # descending index = ascending value
-            parts_v.append(-coef * g ** k[order].astype(float))
-            parts_c.append(c[order])
+        lo, c = self._neg
+        if c.size:
+            # Descending index = ascending value.
+            k = np.arange(lo + c.size - 1, lo - 1, -1, dtype=np.int64)
+            parts_v.append(-coef * g ** k.astype(float))
+            parts_c.append(c[::-1])
         if self._zero:
             parts_v.append(np.zeros(1))
             parts_c.append(np.asarray([self._zero]))
-        if self._pos:
-            k = np.fromiter(self._pos.keys(), np.int64, len(self._pos))
-            c = np.fromiter(self._pos.values(), np.int64, len(self._pos))
-            # Stores built by extend()/build_sketches() insert keys in
-            # ascending order already; merges may not.
-            if k.size > 1 and np.any(np.diff(k) < 0):
-                order = np.argsort(k, kind="stable")
-                k = k[order]
-                c = c[order]
-            parts_v.append(coef * g ** k.astype(float))
+        lo, c = self._pos
+        if c.size:
+            parts_v.append(coef * g ** np.arange(lo, lo + c.size, dtype=np.int64).astype(float))
             parts_c.append(c)
         vals = np.concatenate(parts_v) if len(parts_v) > 1 else parts_v[0]
         counts = np.concatenate(parts_c) if len(parts_c) > 1 else parts_c[0]
@@ -279,39 +254,31 @@ class QuantileSketch:
         """
         if self._count == 0:
             raise ValueError("cannot query cdf of an empty sketch")
-        self._materialise()
         if x >= self._max:
             return 1.0
         if x < self._min:
             return 0.0
-        acc = 0.0
+        neg_total = float(self._neg[1].sum())
         if x >= 0.0:
-            acc += sum(self._neg.values()) + self._zero
-            if x >= _MIN_MAG and self._pos:
-                i = math.ceil(math.log(x) / self._log_gamma)
-                lo, hi = self._gamma ** (i - 1), self._gamma**i
-                frac = min(max((x - lo) / (hi - lo), 0.0), 1.0)
-                for j, c in self._pos.items():
-                    if j < i:
-                        acc += c
-                    elif j == i:
-                        acc += frac * c
+            acc = neg_total + self._zero + self._mass_upto(self._pos, x)
         else:
-            mag = -x
-            if mag < _MIN_MAG:
-                acc += sum(self._neg.values())
-            else:
-                i = math.ceil(math.log(mag) / self._log_gamma)
-                lo, hi = self._gamma ** (i - 1), self._gamma**i
-                # Bucket j holds values in [-gamma^j, -gamma^(j-1));
-                # those <= x are the ones with magnitude >= mag.
-                frac = min(max((hi - mag) / (hi - lo), 0.0), 1.0)
-                for j, c in self._neg.items():
-                    if j > i:
-                        acc += c
-                    elif j == i:
-                        acc += frac * c
+            # Negative values <= x are the ones with magnitude >= -x.
+            acc = neg_total - self._mass_upto(self._neg, -x)
         return min(max(acc / self._count, 0.0), 1.0)
+
+    def _mass_upto(self, store, mag: float) -> float:
+        """Count of ``store``'s magnitudes ``<= mag``, interpolating
+        linearly across the bucket ``(gamma^(i-1), gamma^i]`` holding it."""
+        first, counts = store
+        if mag < _MIN_MAG or not counts.size:
+            return 0.0
+        i = math.ceil(math.log(mag) / self._log_gamma)
+        lo, hi = self._gamma ** (i - 1), self._gamma**i
+        j = i - first
+        acc = float(counts[: max(j, 0)].sum())
+        if 0 <= j < counts.size:
+            acc += min(max((mag - lo) / (hi - lo), 0.0), 1.0) * counts[j]
+        return acc
 
     # ------------------------------------------------------------------
     # Equality / serialisation
@@ -319,16 +286,17 @@ class QuantileSketch:
     def __eq__(self, other) -> bool:
         if not isinstance(other, QuantileSketch):
             return NotImplemented
-        self._materialise()
-        other._materialise()
         return (
             self.alpha == other.alpha
             and self._count == other._count
             and self._zero == other._zero
             and self._min == other._min
             and self._max == other._max
-            and self._pos == other._pos
-            and self._neg == other._neg
+            and all(
+                np.array_equal(x, y)
+                for mine, theirs in ((self._pos, other._pos), (self._neg, other._neg))
+                for x, y in zip(_occupied(mine), _occupied(theirs))
+            )
         )
 
     def __repr__(self) -> str:
@@ -339,16 +307,17 @@ class QuantileSketch:
 
     def to_dict(self) -> dict:
         """JSON-serialisable state (exact round trip via :meth:`from_dict`)."""
-        self._materialise()
-        return {
+        doc = {
             "alpha": self.alpha,
             "count": self._count,
             "zero": self._zero,
             "min": self._min if self._count else None,
             "max": self._max if self._count else None,
-            "pos": {str(i): c for i, c in sorted(self._pos.items())},
-            "neg": {str(i): c for i, c in sorted(self._neg.items())},
         }
+        for sign, store in (("pos", self._pos), ("neg", self._neg)):
+            idx, counts = _occupied(store)
+            doc[sign] = {str(i): c for i, c in zip(idx.tolist(), counts.tolist())}
+        return doc
 
     @classmethod
     def from_dict(cls, doc: dict) -> "QuantileSketch":
@@ -359,8 +328,13 @@ class QuantileSketch:
         if out._count:
             out._min = float(doc["min"])
             out._max = float(doc["max"])
-        out._pos = {int(i): int(c) for i, c in doc.get("pos", {}).items()}
-        out._neg = {int(i): int(c) for i, c in doc.get("neg", {}).items()}
+        for sign in ("pos", "neg"):
+            buckets = {int(i): int(c) for i, c in doc.get(sign, {}).items()}
+            if buckets:
+                lo = min(buckets)
+                counts = np.zeros(max(buckets) + 1 - lo, dtype=np.int64)
+                counts[np.asarray(list(buckets)) - lo] = list(buckets.values())
+                setattr(out, f"_{sign}", (lo, counts))
         return out
 
 
@@ -468,7 +442,7 @@ def build_sketches(
         ranks = np.floor(np.multiply.outer(sizes - 1, lv)).astype(np.int64)
     j = np.searchsorted(np.cumsum(counts_all), starts[:, None] + ranks, side="right")
     # Representatives of the window's buckets, in the association of
-    # QuantileSketch._ordered's lazy path.
+    # QuantileSketch._ordered.
     reps = 2.0 / (gamma + 1.0) * gamma ** np.arange(bmin, bmin + span).astype(float)
     qmat = np.minimum(np.maximum(reps[j - offsets[:, None]], mins[:, None]), maxs[:, None])
     return sketches, qmat
@@ -479,11 +453,11 @@ class SketchRows:
 
     Row ``i``'s bucket counts are row ``i`` of one dense ``(k, span)``
     count grid over the batch's shared bucket window starting at index
-    ``bmin``.  Indexing builds the :class:`QuantileSketch` over that row
-    (a view, folded into bucket dicts only if a caller reads per-bucket
-    state — see ``QuantileSketch._materialise``); slicing keeps the
-    rows as another :class:`SketchRows`.  The serving hot path builds
-    thousands of sketches whose state is seldom read at all.
+    ``bmin``.  Indexing builds the :class:`QuantileSketch` whose
+    positive store is a view of that row (never written: inserts and
+    merges build new arrays); slicing keeps the rows as another
+    :class:`SketchRows`.  The serving hot path builds thousands of
+    sketches whose state is seldom read at all.
     """
 
     __slots__ = ("alpha", "bmin", "counts", "sizes", "mins", "maxs")
@@ -516,5 +490,5 @@ class SketchRows:
         sk._count = int(self.sizes[index])
         sk._min = float(self.mins[index])
         sk._max = float(self.maxs[index])
-        sk._lazy = (self.bmin, self.counts[index])
+        sk._pos = (self.bmin, self.counts[index])
         return sk

@@ -629,8 +629,8 @@ def _check_serve(parser: argparse.ArgumentParser, args) -> None:
     Cluster flags need ``--workers`` >= 2, calibration flags need
     ``--calibrate`` and ``--precision-shedding`` needs ``--precision``; a
     ``--crash`` must name a worker of the cluster and an outage window
-    that ends after it starts.  Exits with status 2 and a usage message
-    otherwise.
+    that ends after it starts; a ``--mixture`` fits 0 or >= 2 components.
+    Exits with status 2 and a usage message otherwise.
     """
     needs = (
         ("--crash", bool(args.crash), args.workers > 1, "a cluster (--workers >= 2)"),
@@ -647,6 +647,8 @@ def _check_serve(parser: argparse.ArgumentParser, args) -> None:
     for flag, given, allowed, need in needs:
         if given and not allowed:
             parser.error(f"argument {flag}: needs {need}")
+    if args.mixture == 1:
+        parser.error("argument --mixture: must be 0 or >= 2, got 1")
     names = [f"worker-{i}" for i in range(args.workers)]
     for worker, start, end in args.crash:
         if worker not in names:
@@ -831,7 +833,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--calibrate", action="store_true",
                    help="serve distribution-first answers and score them "
                    "against realised outcomes (see docs/calibration.md)")
-    p.add_argument("--truth-spread", type=_at_least(0.0, float, strict=True), default=None,
+    p.add_argument("--truth-spread", type=_at_least(0.0, float, strict=True, finite=True),
+                   default=None,
                    help="with --calibrate: chaos knob multiplying the spread "
                    "outcomes are drawn with (default 1; 2.0 = the world is "
                    "twice as variable as the model claims)")
@@ -839,7 +842,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="with --calibrate: score only; leave served spreads untouched")
     p.add_argument("--mixture", type=_at_least(0), default=None,
                    help="with --calibrate: also fit a Gaussian mixture with "
-                   "this many components onto every served distribution")
+                   "this many (>= 2) components onto every served distribution")
     p.add_argument("--seed", type=int, default=11)
     p.add_argument("--json", action="store_true",
                    help="dump the full server or cluster snapshot")

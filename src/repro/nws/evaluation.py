@@ -26,9 +26,6 @@ from repro.util.validation import check_array_1d
 
 __all__ = ["CalibrationReport", "score_pairs", "calibrate_one_step", "calibrate_query"]
 
-# Internal alias kept for callers that used the historical name.
-_score = score_pairs
-
 
 def calibrate_one_step(
     values,
@@ -46,7 +43,7 @@ def calibrate_one_step(
         if p.n_observations >= burn_in:
             pairs.append((p.forecast(), float(v)))
         p.observe(float(v))
-    return _score(pairs)
+    return score_pairs(pairs)
 
 
 def calibrate_query(
@@ -71,4 +68,4 @@ def calibrate_query(
         forecast = query(arr[t - history : t])
         outcome = float(arr[t : t + horizon].mean())
         pairs.append((forecast, outcome))
-    return _score(pairs)
+    return score_pairs(pairs)

@@ -872,15 +872,12 @@ class ServingCluster:
         loops = {
             name: w.calib for name, w in sorted(self.workers.items()) if w.calib is not None
         }
-        scorers = []
+        if not loops:
+            return None
         for lp in loops.values():
             lp.flush()
-            if lp.scorer is not None:
-                scorers.append(lp.scorer)
-        if not scorers:
-            return None
         doc: dict = {
-            "scores": CalibrationScorer.merged(scorers).summary(),
+            "scores": CalibrationScorer.merged(lp.scorer for lp in loops.values()).summary(),
             "truth_spread_scale": next(iter(loops.values())).config.truth_spread_scale,
         }
         scales: dict[str, float] = {}

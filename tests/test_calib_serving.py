@@ -22,6 +22,7 @@ import numpy as np
 import pytest
 
 from repro.calib import (
+    DEFAULT_GRID_SIZE,
     CalibrationConfig,
     CalibrationLoop,
     DistributionInfo,
@@ -89,7 +90,7 @@ class TestDistributionBlocks:
             d = r.distribution
             assert isinstance(d, DistributionInfo)
             assert d.count == server.config.n_samples
-            assert d.levels == grid_levels(server.config.calibration.grid)
+            assert d.levels == grid_levels(DEFAULT_GRID_SIZE)
             assert len(d.quantiles) == len(d.levels)
             # The block's moments ARE the response's value summary.
             assert d.mean == pytest.approx(r.value.mean, rel=1e-12)
@@ -101,12 +102,6 @@ class TestDistributionBlocks:
     def test_off_means_no_block(self):
         (r,) = drive(calib_server(None), n=1)
         assert r.distribution is None
-
-    def test_keep_sketch_false_drops_only_the_sketch(self):
-        (r,) = drive(calib_server(CalibrationConfig(keep_sketch=False)), n=1)
-        assert r.distribution is not None
-        assert r.distribution.sketch is None
-        assert len(r.distribution.quantiles) >= 2
 
     def test_mixture_modes_when_requested(self):
         (r,) = drive(calib_server(CalibrationConfig(mixture_components=2)), n=1)
@@ -123,6 +118,32 @@ class TestDistributionBlocks:
         assert qs[0] <= d.mean <= qs[-1]
         # The grid's median should sit near the MC cloud's median.
         assert d.quantile(0.5) == pytest.approx(d.mean, rel=0.1)
+
+
+class TestConfigValidation:
+    """Settings that would silently break scoring are rejected up front."""
+
+    @pytest.mark.parametrize(
+        "kw",
+        [
+            {"truth_spread_scale": float("nan")},
+            {"truth_spread_scale": float("inf")},
+            {"truth_spread_scale": 0.0},
+            {"initial_scale": float("nan")},
+            {"initial_scale": float("inf")},
+            {"initial_scale": 0.5},
+            {"mixture_components": 1},
+            {"mixture_components": -1},
+            {"flush_every": 0},
+        ],
+    )
+    def test_rejected(self, kw):
+        with pytest.raises(ValueError):
+            CalibrationConfig(**kw)
+
+    def test_mixture_of_two_or_more_or_none_is_accepted(self):
+        for k in (0, 2, 3):
+            assert CalibrationConfig(mixture_components=k).mixture_components == k
 
 
 class TestBitIdentity:
@@ -245,7 +266,7 @@ class TestDeferredScoring:
         dists = loop.distributions(samples)
         assert len(dists) == 6
         for j in range(6):
-            eager = loop.distribution(samples[j])
+            eager = DistributionInfo.from_samples(samples[j])
             assert dists[j].quantiles == eager.quantiles
             assert dists[j].sketch == eager.sketch
             assert dists[j].count == eager.count
@@ -257,6 +278,32 @@ class TestDeferredScoring:
             assert wide[j].std == std[j] and wide[j].quantiles == tuple(quantiles[j])
         assert (scale == 1.5).all()
         assert dists.select(slice(2, 4))[1] == dists[3]
+
+    @pytest.mark.parametrize("ragged", [False, True])
+    def test_mixture_rows_match_the_one_row_builder(self, ragged):
+        """Mixture runs build through the same batch pass as every other
+        config; each row still reads as the one-row builder's block."""
+        loop = CalibrationLoop(
+            CalibrationConfig(mixture_components=2), np.random.default_rng(0)
+        )
+        rng = np.random.default_rng(2)
+        mat = np.concatenate(
+            [rng.normal(4.0, 0.2, size=(5, 30)), rng.normal(6.0, 0.3, size=(5, 30))], axis=1
+        )
+        # Ragged rows of 3 .. 27 draws: the 3-draw row is too short to fit.
+        samples = [mat[j, : 3 + 6 * j] for j in range(5)] if ragged else mat
+        dists = loop.distributions(samples)
+        assert len(dists) == 5
+        for j in range(5):
+            eager = DistributionInfo.from_samples(samples[j], mixture_components=2)
+            got = dists[j]
+            assert got.quantiles == eager.quantiles
+            assert got.sketch == eager.sketch
+            assert got.modes == eager.modes
+            assert got.count == eager.count
+            assert got.mean == pytest.approx(eager.mean, rel=1e-12)
+            assert got.std == pytest.approx(eager.std, rel=1e-12)
+        assert [len(dists[j].modes) for j in range(5)] == [0 if ragged else 2] + [2] * 4
 
     def test_loop_scale_without_recalibrator_is_initial_scale(self):
         loop = CalibrationLoop(

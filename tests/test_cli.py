@@ -272,6 +272,18 @@ class TestUsageErrors:
             ),
             (["trace", "--duration", "-5"], "argument --duration: must be > 0.0, got -5"),
             (["trace", "--duration", "inf"], "argument --duration: must be finite, got inf"),
+            (
+                ["serve", "--calibrate", "--truth-spread", "inf"],
+                "argument --truth-spread: must be finite, got inf",
+            ),
+            (
+                ["serve", "--calibrate", "--truth-spread", "nan"],
+                "argument --truth-spread: must be > 0.0, got nan",
+            ),
+            (
+                ["serve", "--calibrate", "--mixture", "1"],
+                "argument --mixture: must be 0 or >= 2, got 1",
+            ),
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, argv, message):

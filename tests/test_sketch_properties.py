@@ -22,7 +22,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, QuantileSketch, build_sketches
+from repro.calib.sketch import (
+    DEFAULT_SKETCH_ALPHA,
+    QuantileSketch,
+    SketchRows,
+    build_sketches,
+)
 
 finite = st.floats(-1e9, 1e9, allow_nan=False, allow_infinity=False)
 positive = st.floats(1e-6, 1e9, allow_nan=False, allow_infinity=False)
@@ -81,6 +86,81 @@ class TestMergeAlgebra:
     def test_serialisation_round_trip(self, xs):
         sk = _sketch(xs)
         assert QuantileSketch.from_dict(sk.to_dict()) == sk
+
+
+class TestStoreFormat:
+    """The JSON format of ``to_dict`` is fixed: sparse ``{index: count}``
+    maps per sign, whatever the in-memory bucket store."""
+
+    A = [-2.5, -2.5, -0.75, 0.0, 1e-13, 0.5, 1.0, 40.0]
+    B = [-300.0, -0.76, 0.0, 2.0, 40.0, 40.5]
+
+    def test_to_dict_literal(self):
+        assert _sketch(self.A).to_dict() == {
+            "alpha": 0.01,
+            "count": 8,
+            "zero": 2,
+            "min": -2.5,
+            "max": 40.0,
+            "pos": {"-34": 1, "0": 1, "185": 1},
+            "neg": {"-14": 1, "46": 2},
+        }
+
+    def test_merged_to_dict_literal(self):
+        merged = _sketch(self.A).merge(_sketch(self.B))
+        assert merged.to_dict() == {
+            "alpha": 0.01,
+            "count": 14,
+            "zero": 3,
+            "min": -300.0,
+            "max": 40.5,
+            "pos": {"-34": 1, "0": 1, "35": 1, "185": 2, "186": 1},
+            "neg": {"-14": 1, "-13": 1, "46": 2, "286": 1},
+        }
+        assert QuantileSketch.from_dict(merged.to_dict()) == merged
+
+
+narrow = st.lists(st.floats(1.0, 10.0), min_size=1, max_size=30)
+#: How the second sketch's bucket window sits against the first's.
+layouts = st.sampled_from(["disjoint", "nested", "overlapping"])
+
+
+def _layout(xs, ys, layout):
+    if layout == "disjoint":
+        return xs, [y * 1e3 for y in ys]
+    if layout == "nested":
+        return xs + [0.5, 20.0], ys
+    return xs, [y * 3.0 for y in ys]
+
+
+class TestMergeWindows:
+    """Merging never writes into a source sketch's buckets, whichever
+    way the two bucket windows overlap."""
+
+    @given(narrow, narrow, layouts, st.sampled_from([1.0, -1.0]))
+    @settings(max_examples=100)
+    def test_merge_leaves_sources_unchanged(self, xs, ys, layout, sign):
+        a, b = _layout(xs, ys, layout)
+        a, b = [sign * v for v in a], [sign * v for v in b]
+        sa, sb = _sketch(a), _sketch(b)
+        da, db = sa.to_dict(), sb.to_dict()
+        assert QuantileSketch(DEFAULT_SKETCH_ALPHA).merge(sa).merge(sb) == _sketch(a + b)
+        assert sa.to_dict() == da and sb.to_dict() == db
+        assert QuantileSketch.merged([sb, sa]) == _sketch(a + b)
+
+    @given(narrow, narrow, layouts)
+    @settings(max_examples=100)
+    def test_batch_rows_merge_without_touching_the_grid(self, xs, ys, layout):
+        a, b = _layout(xs, ys, layout)
+        rows = build_sketches([np.asarray(a), np.asarray(b)])
+        assert isinstance(rows, SketchRows)
+        grid = rows.counts.copy()
+        assert rows[0].merge(rows[1]) == _sketch(a + b)
+        assert rows[1].merge(rows[0]) == _sketch(a + b)
+        assert rows[0].extend(np.asarray(b)) == _sketch(a + b)
+        assert rows[1].merge(_sketch(a)) == _sketch(a + b)
+        assert np.array_equal(rows.counts, grid)
+        assert rows[0] == _sketch(a) and rows[1] == _sketch(b)
 
 
 class TestRankErrorBound:
