@@ -56,6 +56,7 @@ from repro.structural.engine import (
     compile_expr,
 )
 from repro.structural.montecarlo import _reference_loop
+from repro.util.stats import ragged_summary
 
 __all__ = ["CalibrationConfig", "CalibrationLoop"]
 
@@ -182,10 +183,11 @@ class CalibrationLoop:
         draw arrays.  Row ``j`` of the result reads as
         ``DistributionInfo.from_samples(samples[j], mixture_components=...)``,
         but sketches and quantile grids come from one fused vectorised
-        pass (:func:`~repro.calib.sketch.build_sketches`) and a matrix's
-        moments from one axis reduction — the serving hot path.
-        Quantile grids and sketches are bit-equal to the one-row
-        builder; moments may differ by float reduction order only.
+        pass (:func:`~repro.calib.sketch.build_sketches`) and the moments
+        from one axis reduction per distinct draw count — the serving hot
+        path.  Quantile grids and sketches are bit-equal to the one-row
+        builder; a matrix's moments may differ by float reduction order
+        only, a ragged list's are bit-equal.
         With ``mixture_components`` set, each row's fitted mixture goes
         into the batch's ``modes`` column.
         """
@@ -201,8 +203,7 @@ class CalibrationLoop:
             arrays = [np.asarray(s, dtype=float).ravel() for s in samples]
             sketches, qmat = build_sketches(arrays, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
             counts = [a.size for a in arrays]
-            mean = [a.mean() for a in arrays]
-            std = [a.std(ddof=1) if a.size >= 2 else 0.0 for a in arrays]
+            mean, std, _ = ragged_summary(arrays)
         k = self.config.mixture_components
         modes = [fit_modes(a, k) for a in arrays] if k else None
         return DistributionBatch(counts, mean, std, self._levels, qmat, sketches, modes)

@@ -155,10 +155,14 @@ def _cmd_trace_pipeline(args) -> int:
     failovers = tracer.find(name="cluster.route", failover=True)
     if failovers:
         print(f"failover hops: {len(failovers)}")
-    if args.json_out:
-        print(f"wrote JSON trace: {write_json(tracer, args.json_out)}")
-    if args.chrome_out:
-        print(f"wrote Chrome trace: {write_chrome(tracer, args.chrome_out)}")
+    try:
+        if args.json_out:
+            print(f"wrote JSON trace: {write_json(tracer, args.json_out)}")
+        if args.chrome_out:
+            print(f"wrote Chrome trace: {write_chrome(tracer, args.chrome_out)}")
+    except OSError as exc:
+        print(f"repro trace: error: cannot write the trace: {exc}", file=sys.stderr)
+        return 1
     return 0
 
 
@@ -599,6 +603,12 @@ def _at_least(lo, kind=int, *, strict=False, finite=False):
 #: one interior row.
 _SOR_SIZE = _at_least(6)
 
+#: A fault rate (events per simulated second).
+_RATE = _at_least(0.0, float, finite=True)
+
+#: A decision instant in a trace (simulated seconds after its start).
+_INSTANT = _at_least(0.0, float, strict=True, finite=True)
+
 
 def _parse_precision(parser: argparse.ArgumentParser, args) -> None:
     """Turn ``--precision`` into a target capped at ``--samples``."""
@@ -772,10 +782,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_SOR_SIZE, default=600)
     p.add_argument("--iterations", type=_at_least(1), default=10)
     p.add_argument("--seed", type=int, default=23)
-    p.add_argument("--dropout-rate", type=float, default=1 / 120.0)
-    p.add_argument("--crash-rate", type=float, default=1 / 900.0)
-    p.add_argument("--outage-rate", type=float, default=1 / 600.0)
-    p.add_argument("--corruption-rate", type=float, default=1 / 90.0)
+    p.add_argument("--dropout-rate", type=_RATE, default=1 / 120.0)
+    p.add_argument("--crash-rate", type=_RATE, default=1 / 900.0)
+    p.add_argument("--outage-rate", type=_RATE, default=1 / 600.0)
+    p.add_argument("--corruption-rate", type=_RATE, default=1 / 90.0)
     p.set_defaults(func=_cmd_chaos)
 
     p = sub.add_parser(
@@ -785,7 +795,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("--size", type=_SOR_SIZE, default=1000)
     p.add_argument("--iterations", type=_at_least(1), default=20)
-    p.add_argument("--at", type=float, default=600.0, help="decision time in the trace")
+    p.add_argument("--at", type=_INSTANT, default=600.0, help="decision time in the trace")
     p.add_argument("--samples", type=_at_least(2), default=2000,
                    help="fixed draw budget (the adaptive cap with --precision)")
     p.add_argument("--precision", default=None, metavar="METRIC:TOL[:RULE]",
@@ -863,7 +873,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("advise", help="SOR decomposition advice on Platform 2")
     p.add_argument("--size", type=_SOR_SIZE, default=1600)
     p.add_argument("--iterations", type=_at_least(1), default=20)
-    p.add_argument("--at", type=float, default=600.0, help="decision time in the trace")
+    p.add_argument("--at", type=_INSTANT, default=600.0, help="decision time in the trace")
     p.add_argument("--lam", type=float, default=1.0)
     p.add_argument("--seed", type=int, default=17)
     p.set_defaults(func=_cmd_advise)

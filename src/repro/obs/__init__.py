@@ -15,7 +15,7 @@ every golden trace — is bit-identical to the uninstrumented code.
 """
 
 from repro.obs.export import trace_to_chrome, trace_to_dict, write_chrome, write_json
-from repro.obs.pipeline import traced_cluster_run, traced_server_run
+from repro.obs.pipeline import traced_adaptive_run, traced_cluster_run, traced_server_run
 from repro.obs.tracer import (
     NULL_TRACER,
     STAGE_CALIB,
@@ -52,4 +52,5 @@ __all__ = [
     "write_chrome",
     "traced_server_run",
     "traced_cluster_run",
+    "traced_adaptive_run",
 ]

@@ -1,10 +1,12 @@
 """Ready-made traced pipeline runs over the Platform 1 serving demo.
 
 Shared by the ``repro trace --pipeline`` CLI mode, the tracing-overhead
-benchmark and the tracing integration tests: a seeded closed-loop drive
-against the demo server (or demo cluster, with a mid-window worker
-crash so the trace contains a real failover hop), with one
-:class:`~repro.obs.tracer.Tracer` threaded through every stage.
+benchmark and the tracing tests: a seeded closed-loop drive against the
+demo server (or demo cluster, with a mid-window worker crash so the
+trace contains a real failover hop), and a seeded open-loop overload of
+an adaptive, calibrated demo server (ragged early stopping, queue-full
+and deadline sheds), each with one :class:`~repro.obs.tracer.Tracer`
+threaded through every stage.
 
 The global plan cache is cleared before each run so the ``plan.compile``
 spans' hit/miss pattern — and therefore the exported trace — depends
@@ -15,7 +17,7 @@ from __future__ import annotations
 
 from repro.obs.tracer import Tracer
 
-__all__ = ["traced_server_run", "traced_cluster_run"]
+__all__ = ["traced_server_run", "traced_cluster_run", "traced_adaptive_run"]
 
 
 def traced_server_run(
@@ -93,3 +95,52 @@ def traced_cluster_run(
         rng=rng,
     ).run()
     return tracer, report, cluster
+
+
+def traced_adaptive_run(
+    *,
+    max_requests: int = 1500,
+    rng=7,
+    tracer: Tracer | None = None,
+):
+    """A traced open-loop overload of the adaptive, calibrated server:
+    ``(tracer, report, server)``.
+
+    Requests arrive at 1,500 per simulated second.  The server answers
+    ``p95:2%`` precision targets (early stopping leaves most batches
+    ragged), scores every answer against a world twice as spread as the
+    model, and sheds on a 128-row queue and a 90 ms deadline, so the
+    trace holds ``mc.converged`` spans, ``request`` spans of every
+    outcome, and ``serving.reject`` spans.
+    """
+    from repro.calib.loop import CalibrationConfig
+    from repro.serving import (
+        DEFAULT_PRECISION_LADDER,
+        AdmissionPolicy,
+        LoadDriver,
+        OpenLoop,
+        ServerConfig,
+        demo_server,
+    )
+    from repro.structural.engine import clear_plan_cache
+    from repro.structural.repeaters import PrecisionTarget
+
+    clear_plan_cache()
+    if tracer is None:
+        tracer = Tracer()
+    config = ServerConfig(
+        n_samples=2000,
+        precision=PrecisionTarget.parse("p95:2%", min_samples=64, max_samples=2000),
+        admission=AdmissionPolicy(max_queue=128, precision_ladder=DEFAULT_PRECISION_LADDER),
+        calibration=CalibrationConfig(truth_spread_scale=2.0),
+    )
+    server, _, _ = demo_server(duration=600.0, config=config, rng=rng, tracer=tracer)
+    report = LoadDriver(
+        server,
+        server.models,
+        OpenLoop(rate=1500.0),
+        max_requests=max_requests,
+        deadline=0.09,
+        rng=rng,
+    ).run()
+    return tracer, report, server

@@ -30,16 +30,26 @@ passes and ends when the caller says so (``finish(t)``), defaulting to
 an instant (zero-duration) span.  Stages are free-form strings; the
 pipeline uses :data:`STAGE_NWS`, :data:`STAGE_STRUCTURAL`,
 :data:`STAGE_SERVING` and :data:`STAGE_CLUSTER`.
+
+Per-request spans (one per submitted row, one per converged row) are
+recorded as :class:`SpanRows` blocks: consecutive span ids whose times
+and attributes are columns, updated many rows per call.  They become
+:class:`Span` objects only when :attr:`Tracer.spans` is read, and read
+back exactly as the same spans started one at a time would.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass, field
+from operator import attrgetter
+
+import numpy as np
 
 __all__ = [
     "Span",
     "SpanEvent",
+    "SpanRows",
     "Tracer",
     "NullTracer",
     "NULL_TRACER",
@@ -162,6 +172,125 @@ class Span:
         }
 
 
+def _is_rows(value) -> bool:
+    """A list or an array holds one value per row; anything else is one
+    value for every row."""
+    return isinstance(value, (list, np.ndarray))
+
+
+class SpanRows:
+    """A block of ``n`` spans with consecutive ids, kept as columns.
+
+    Row ``i`` is the span ``first_id + i``.  Names, trace ids and start
+    and end times are arrays (or one value shared by every row); the
+    attributes are a log of :meth:`set` calls, each holding its rows and
+    its values as given, replayed row by row only when the block is read
+    (:meth:`to_spans`) — so each row reads back exactly as a span that
+    received the same ``set`` calls one at a time, attribute order
+    included.  :meth:`set` and :meth:`finish` update many rows in one
+    call; an index is anything that indexes a 1-D array (positions, a
+    mask, a slice).  Values that are lists or arrays hold one value per
+    selected row; anything else is one value for every selected row.
+    """
+
+    __slots__ = (
+        "_tracer",
+        "first_id",
+        "n",
+        "name",
+        "stage",
+        "trace_id",
+        "parent_id",
+        "start",
+        "end",
+        "_log",
+    )
+
+    def __init__(self, tracer, first_id, n, name, stage, trace_id, parent_id, start):
+        self._tracer = tracer
+        self.first_id = first_id
+        self.n = n
+        self.name = name
+        self.stage = stage
+        self.trace_id = trace_id
+        self.parent_id = parent_id
+        self.start = start
+        #: NaN marks a row still open.
+        self.end = np.full(n, np.nan)
+        self._log: list[tuple[np.ndarray, dict]] = []
+
+    def __len__(self) -> int:
+        return self.n
+
+    def set(self, idx, **columns) -> "SpanRows":
+        """Attach attributes to rows ``idx``; later values win."""
+        rows = np.arange(self.n)[idx]
+        values = {}
+        for key, value in columns.items():
+            if _is_rows(value):
+                if len(value) != rows.size:
+                    raise ValueError(
+                        f"column {key!r} has {len(value)} values for {rows.size} rows"
+                    )
+                value = value.copy() if isinstance(value, np.ndarray) else list(value)
+            values[key] = value
+        self._log.append((rows, values))
+        self._tracer._built = None
+        return self
+
+    def finish(self, idx, t=None) -> "SpanRows":
+        """Close the still-open rows among ``idx`` at ``t`` (a value, or
+        one per selected row; default: each row's start).  Finishing a
+        finished row is a no-op."""
+        rows = np.arange(self.n)[idx]
+        still = np.isnan(self.end[rows])
+        rows = rows[still]
+        if t is None:
+            t = self.start if np.ndim(self.start) == 0 else self.start[rows]
+        elif np.ndim(t):
+            t = np.asarray(t, dtype=float)[still]
+        self.end[rows] = t
+        self._tracer._built = None
+        return self
+
+    def open_rows(self) -> np.ndarray:
+        """Positions of the rows not yet finished."""
+        return np.flatnonzero(np.isnan(self.end))
+
+    def to_spans(self) -> list[Span]:
+        """The rows as :class:`Span` objects (new objects, built now)."""
+        n = self.n
+        attrs: list[dict] = [{} for _ in range(n)]
+        for rows, values in self._log:
+            positions = rows.tolist()
+            for key, value in values.items():
+                if _is_rows(value):
+                    per_row = value.tolist() if isinstance(value, np.ndarray) else value
+                    for i, v in zip(positions, per_row):
+                        attrs[i][key] = v
+                else:
+                    for i in positions:
+                        attrs[i][key] = value
+        names = self.name.tolist() if isinstance(self.name, np.ndarray) else [self.name] * n
+        traces = (
+            self.trace_id.tolist() if isinstance(self.trace_id, np.ndarray) else [self.trace_id] * n
+        )
+        starts = np.broadcast_to(np.asarray(self.start, dtype=float), (n,)).tolist()
+        return [
+            Span(
+                trace_id=traces[i],
+                span_id=self.first_id + i,
+                parent_id=self.parent_id,
+                name=names[i],
+                stage=self.stage,
+                start=starts[i],
+                end=None if end != end else end,
+                attrs=attrs[i],
+            )
+            for i, end in enumerate(self.end.tolist())
+        ]
+
+
 class Tracer:
     """Collects spans and events from a seeded pipeline run.
 
@@ -175,12 +304,32 @@ class Tracer:
     enabled = True
 
     def __init__(self):
-        self.spans: list[Span] = []
         self.events: list[SpanEvent] = []
+        self._spans: list[Span] = []
+        self._blocks: list[SpanRows] = []
+        self._n_rows = 0
+        self._built: list[Span] | None = None
         self._next_trace = 1
         self._next_span = 1
         self._next_seq = 1
         self._stack: list[Span] = []
+
+    @property
+    def spans(self) -> list[Span]:
+        """Every span in id order: those started one at a time (live
+        objects) and every :class:`SpanRows` block's rows, built on read.
+
+        The list is rebuilt after any change to the tracer; a row span
+        in it is a snapshot of its block, changed through the block.
+        """
+        if self._built is None:
+            out = list(self._spans)
+            for block in self._blocks:
+                out.extend(block.to_spans())
+            if self._blocks:
+                out.sort(key=attrgetter("span_id"))
+            self._built = out
+        return self._built
 
     # ------------------------------------------------------------------
     # Recording
@@ -222,8 +371,60 @@ class Tracer:
             attrs=dict(attrs),
         )
         self._next_span += 1
-        self.spans.append(span)
+        self._spans.append(span)
+        self._built = None
         return span
+
+    def start_rows(
+        self,
+        name,
+        t=None,
+        *,
+        stage: str,
+        parent: Span | None = None,
+        new_trace: bool = False,
+        **columns,
+    ) -> SpanRows:
+        """Open one span per row as a :class:`SpanRows` block.
+
+        Row ``i`` reads back as the ``i``-th of the same spans opened one
+        at a time with :meth:`start_span`: ids are consecutive, and each
+        row gets the next trace id (``new_trace`` or no parent) or the
+        parent's.  ``name``, ``t`` and every column are one value per
+        row when a list or an array, else one value for every row; the
+        row count is the length of the first per-row one.
+        """
+        per_row = [v for v in (t, name, *columns.values()) if _is_rows(v)]
+        if not per_row:
+            raise ValueError("start_rows needs at least one per-row value")
+        n = len(per_row[0])
+        if parent is None and self._stack:
+            parent = self._stack[-1]
+        if t is None:
+            t = parent.start if parent is not None else 0.0
+        if new_trace or parent is None:
+            trace_id = np.arange(self._next_trace, self._next_trace + n)
+            self._next_trace += n
+        else:
+            trace_id = parent.trace_id
+        block = SpanRows(
+            self,
+            self._next_span,
+            n,
+            np.asarray(name, dtype=object) if _is_rows(name) else name,
+            stage,
+            trace_id,
+            None if parent is None else parent.span_id,
+            np.array(t, dtype=float) if _is_rows(t) else float(t),
+        )
+        self._next_span += n
+        if n:
+            self._blocks.append(block)
+            self._n_rows += n
+        if columns:
+            block.set(slice(None), **columns)
+        self._built = None
+        return block
 
     @contextmanager
     def span(
@@ -295,12 +496,14 @@ class Tracer:
     def stage_counts(self) -> dict:
         """Number of spans per stage, sorted by stage name."""
         counts: dict = {}
-        for sp in self.spans:
+        for sp in self._spans:
             counts[sp.stage] = counts.get(sp.stage, 0) + 1
+        for block in self._blocks:
+            counts[block.stage] = counts.get(block.stage, 0) + block.n
         return dict(sorted(counts.items()))
 
     def __len__(self) -> int:
-        return len(self.spans)
+        return len(self._spans) + self._n_rows
 
 
 class NullTracer:
@@ -338,12 +541,32 @@ class NullTracer:
 
     _SPAN = _NullSpan()
 
+    #: Shared inert row block handed out by every :meth:`start_rows`.
+    class _NullRows:
+        __slots__ = ()
+        first_id = 0
+        n = 0
+
+        def __len__(self) -> int:
+            return 0
+
+        def set(self, idx, **columns):
+            return self
+
+        def finish(self, idx, t=None):
+            return self
+
+    _ROWS = _NullRows()
+
     spans: tuple = ()
     events: tuple = ()
     active = None
 
     def start_span(self, name, t=None, *, stage, parent=None, new_trace=False, **attrs):
         return self._SPAN
+
+    def start_rows(self, name, t=None, *, stage, parent=None, new_trace=False, **columns):
+        return self._ROWS
 
     @contextmanager
     def span(self, name, t=None, *, stage, new_trace=False, **attrs):

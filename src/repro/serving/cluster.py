@@ -91,6 +91,8 @@ from repro.serving.protocol import (
 from repro.serving.router import ClusterRouter, bindings_fingerprint
 from repro.serving.server import (
     _BATCH_BUCKETS,
+    _QUALITY_NAMES,
+    _STATUS_NAMES,
     ModelSpec,
     PredictionServer,
     ServerConfig,
@@ -432,19 +434,20 @@ class ServingCluster:
         reason[(reason == 0) & (target < 0)] = _RE_UNAVAILABLE
         routed = reason == 0
         failover = np.ones(n, dtype=bool) if migrating else standby[batch.model]
-        if self.tracer.enabled:
-            for i in np.flatnonzero(routed).tolist():
-                self.tracer.start_span(
-                    "cluster.route",
-                    float(at[i]),
-                    stage=STAGE_CLUSTER,
-                    new_trace=not migrating,
-                    request_id=int(batch.request_id[i]),
-                    client_id=batch.clients[batch.client[i]],
-                    shard=self._shards[batch.models[batch.model[i]]],
-                    target=targets[target[i]],
-                    failover=bool(failover[i]),
-                ).finish(float(at[i]))
+        if self.tracer.enabled and routed.any():
+            r = np.flatnonzero(routed)
+            shards = np.array([self._shards.get(m) for m in batch.models], dtype=object)
+            self.tracer.start_rows(
+                "cluster.route",
+                at[r],
+                stage=STAGE_CLUSTER,
+                new_trace=not migrating,
+                request_id=batch.request_id[r],
+                client_id=np.array(batch.clients, dtype=object)[batch.client[r]],
+                shard=shards[batch.model[r]],
+                target=np.array(targets, dtype=object)[target[r]],
+                failover=failover[r],
+            ).finish(slice(None), at[r])
 
         admitted = np.zeros(n, dtype=bool)
         parts: list[ResponseBatch] = []
@@ -818,22 +821,19 @@ class ServingCluster:
                         for m, h, q in zip(rb.messages, hit.tolist(), rb.quality.tolist())
                     )
                 self.metrics.counter("failovers_total").inc(int(np.count_nonzero(hit)))
-        if self.tracer.enabled:
-            for i in range(len(rb)):
-                at = float(rb.completed[i])
-                ok = rb.status[i] == _ST_OK
-                self.tracer.start_span(
-                    "cluster.deliver",
-                    at,
-                    stage=STAGE_CLUSTER,
-                    new_trace=True,
-                    request_id=int(rb.request_id[i]),
-                    client_id=rb.clients[rb.client[i]],
-                    worker=name,
-                    failover=flags is not None and bool(flags[i]),
-                    status=STATUSES[rb.status[i]],
-                    **({"quality": QUALITIES[rb.quality[i]]} if ok else {}),
-                ).finish(at)
+        if self.tracer.enabled and len(rb):
+            ok = np.flatnonzero(rb.status == _ST_OK)
+            self.tracer.start_rows(
+                "cluster.deliver",
+                rb.completed,
+                stage=STAGE_CLUSTER,
+                new_trace=True,
+                request_id=rb.request_id,
+                client_id=np.array(rb.clients, dtype=object)[rb.client],
+                worker=name,
+                failover=False if flags is None else flags,
+                status=_STATUS_NAMES[rb.status],
+            ).set(ok, quality=_QUALITY_NAMES[rb.quality[ok]]).finish(slice(None), rb.completed)
         return self._account_batch(rb)
 
     def _account_batch(self, rb: ResponseBatch) -> ResponseBatch:

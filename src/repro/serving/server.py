@@ -70,6 +70,7 @@ from repro.structural.parameters import Bindings
 from repro.structural.montecarlo import _row_values, propagate
 from repro.structural.repeaters import PrecisionTarget
 from repro.util.rng import as_generator
+from repro.util.stats import ragged_summary
 from repro.util.validation import check_positive
 
 __all__ = ["ModelSpec", "ServerConfig", "PredictionServer"]
@@ -87,6 +88,11 @@ _DRAWS_BUCKETS = (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 _ST_OVERLOADED = STATUSES.index("overloaded")
 _ST_ERROR = STATUSES.index("error")
 _RE_DEADLINE = REASONS.index(SHED_DEADLINE)
+
+#: Span-attribute spellings of the columnar codes, indexed by code arrays.
+_QUALITY_NAMES = np.array(QUALITIES, dtype=object)
+_STATUS_NAMES = np.array(STATUSES, dtype=object)
+_SHED_OUTCOMES = np.array([f"shed:{r}" for r in REASONS], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -317,7 +323,8 @@ class PredictionServer:
         # whose answers are not yet delivered, as (rows, numbers,
         # completion instant); and those computed answers.  Together the
         # first two are every unanswered row, which drain() hands back
-        # in admission order.
+        # in admission order.  With a live tracer each admission number
+        # is paired with its row's ``request`` span id (a second column).
         self._queue: list[RequestBatch] = []
         self._qseq: list[np.ndarray] = []
         self._qlen = 0
@@ -348,9 +355,11 @@ class PredictionServer:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-        # Open per-request trace spans, keyed (client_id, request_id);
-        # only populated when a live tracer is installed.
-        self._req_spans: dict[tuple[str, int], object] = {}
+        # Tracing only: the submissions' span blocks that still hold open
+        # request rows, in id order, and each pending answer's request
+        # span id (-1: its span is already closed).
+        self._span_blocks: list = []
+        self._pending_spans: list[np.ndarray] = []
         # Touch the headline metrics so an idle snapshot shows them at 0.
         for name in (
             "requests_total",
@@ -478,11 +487,14 @@ class PredictionServer:
                     self.metrics.counter(f"shed_{name}").inc(int(reason_counts[code]))
         if n_admitted:
             self._queue.append(batch if n_admitted == n else batch.select(admitted))
-            self._qseq.append(np.arange(self._seq, self._seq + n_admitted))
+            seq = np.arange(self._seq, self._seq + n_admitted)
+            if self.tracer.enabled:
+                seq = np.column_stack((seq, self._trace_submissions(batch, errors, verdict)))
+            self._qseq.append(seq)
             self._seq += n_admitted
             self._qlen += n_admitted
             self.metrics.gauge("queue_depth").set(self._qlen)
-        if self.tracer.enabled:
+        elif self.tracer.enabled:
             self._trace_submissions(batch, errors, verdict)
         if n_admitted == n:
             return ResponseBatch.empty(), admitted
@@ -539,27 +551,58 @@ class PredictionServer:
                     )
         return errors
 
-    def _trace_submissions(self, batch, errors, verdict) -> None:
-        """Open ``request`` spans for admitted rows, reject spans for the
-        rest, in row order."""
+    def _trace_submissions(self, batch, errors, verdict) -> np.ndarray:
+        """One span block for a submission, in row order: an open
+        ``request`` row per admitted row, a closed ``serving.reject`` row
+        per rejected one.  Returns the admitted rows' span ids."""
         now = np.maximum(batch.submitted, self._clock)
-        for i in range(len(batch)):
-            key = (batch.clients[batch.client[i]], int(batch.request_id[i]))
-            attrs = dict(
-                request_id=key[1], client_id=key[0], model=batch.models[batch.model[i]]
+        admitted = verdict == ADMIT
+        rows = self.tracer.start_rows(
+            np.where(admitted, "request", "serving.reject").astype(object),
+            now,
+            stage=STAGE_SERVING,
+            new_trace=True,
+            request_id=batch.request_id,
+            client_id=np.array(batch.clients, dtype=object)[batch.client],
+            model=np.array(batch.models, dtype=object)[batch.model],
+        )
+        rejected = np.flatnonzero(~admitted)
+        if rejected.size:
+            outcome = _SHED_OUTCOMES[np.maximum(verdict[rejected], 0)]
+            if errors:
+                at = np.searchsorted(rejected, list(errors))
+                outcome[at] = [f"error:{why}" for why, _ in errors.values()]
+            rows.set(rejected, outcome=outcome).finish(rejected, now[rejected])
+        if rejected.size < len(batch):
+            self._span_blocks.append(rows)
+        return rows.first_id + np.flatnonzero(admitted)
+
+    def _trace_rows(self, ids: np.ndarray, t=None, **columns) -> None:
+        """Set ``columns`` on the open request span rows ``ids`` and, with
+        ``t``, finish them there; array values hold one value per id."""
+        if not ids.size:
+            return
+        blocks = self._span_blocks
+        first = np.array([b.first_id for b in blocks])
+        which = np.searchsorted(first, ids, side="right") - 1
+        for j in np.unique(which).tolist():
+            sel = which == j
+            local = ids[sel] - first[j]
+            blocks[j].set(
+                local, **{k: v[sel] if isinstance(v, np.ndarray) else v for k, v in columns.items()}
             )
-            t = float(now[i])
-            if verdict[i] == ADMIT:
-                self._req_spans[key] = self.tracer.start_span(
-                    "request", t, stage=STAGE_SERVING, new_trace=True, **attrs
-                )
-                continue
-            outcome = (
-                f"error:{errors[i][0]}" if i in errors else f"shed:{REASONS[verdict[i]]}"
-            )
-            self.tracer.start_span(
-                "serving.reject", t, stage=STAGE_SERVING, new_trace=True, **attrs, outcome=outcome
-            ).finish(t)
+            if t is not None:
+                blocks[j].finish(local, t[sel] if isinstance(t, np.ndarray) else t)
+        if t is not None:
+            self._span_blocks = [b for b in blocks if b.open_rows().size]
+
+    def _close_request_spans(self, t: float, outcome: str) -> None:
+        """Finish every open request span at ``t`` with ``outcome``."""
+        for block in self._span_blocks:
+            rows = block.open_rows()
+            block.set(rows, outcome=outcome).finish(rows, t)
+        self._span_blocks = []
+        self._pending_spans = []
 
     # ------------------------------------------------------------------
     # Event loop
@@ -594,7 +637,7 @@ class PredictionServer:
                 break
             batch, seq = self._next_batch()
             t_start = max(t_start, float(batch.submitted.max()))
-            self._pending.append(self._serve(batch, t_start))
+            self._pending.append(self._serve(batch, seq, t_start))
             self._served.append((batch, seq, self._busy_until))
             self.metrics.counter("batches_total").inc()
             self.metrics.histogram("batch_size", _BATCH_BUCKETS).observe(len(batch))
@@ -630,10 +673,8 @@ class PredictionServer:
             )
         )
         if self.tracer.enabled:
-            for i in range(n):
-                sp = self._req_spans.pop((sub.clients[sub.client[i]], int(sub.request_id[i])), None)
-                if sp is not None:
-                    sp.set(outcome=f"shed:{SHED_DEADLINE}").finish(t)
+            self._trace_rows(self._qseq[0][expired, 1], t, outcome=f"shed:{SHED_DEADLINE}")
+            self._pending_spans.append(np.full(n, -1))
         rest = queue.select(~expired)
         self._queue = [rest] if len(rest) else []
         self._qseq = [self._qseq[0][~expired]] if len(rest) else []
@@ -669,6 +710,8 @@ class PredictionServer:
         else:
             self._pending = [pending.select(~ready)]
             out = pending.select(ready)
+        if self.tracer.enabled:
+            self._trace_delivered(out, ready)
         out = out.sorted_by_completion()
         # Answer metrics are observed at *delivery*, not at compute time,
         # so work computed by a worker that crashes before delivering
@@ -683,23 +726,27 @@ class PredictionServer:
             self.metrics.histogram("staleness_at_answer_s", _STALENESS_BUCKETS).observe_many(
                 np.minimum(out.staleness[ok], 1e9)
             )
-        if self.tracer.enabled:
-            for i in range(len(out)):
-                sp = self._req_spans.pop((out.clients[out.client[i]], int(out.request_id[i])), None)
-                if sp is None:
-                    continue
-                if ok[i]:
-                    sp.set(
-                        outcome="ok",
-                        quality=QUALITIES[out.quality[i]],
-                        staleness=float(out.staleness[i]),
-                        latency=float(out.latency[i]),
-                        batch_size=int(out.batch_size[i]),
-                    )
-                else:
-                    sp.set(outcome=STATUSES[out.status[i]])
-                sp.finish(float(out.completed[i]))
         return out
+
+    def _trace_delivered(self, out: ResponseBatch, ready: np.ndarray) -> None:
+        """Close the request spans of the delivered answers ``out`` (the
+        ``ready`` rows of the pending answers, in pending order)."""
+        spans = np.concatenate(self._pending_spans)
+        self._pending_spans = [] if ready.all() else [spans[~ready]]
+        ids = spans[ready]
+        ok = out.ok_mask
+        hit = ok & (ids >= 0)
+        self._trace_rows(
+            ids[hit],
+            out.completed[hit],
+            outcome="ok",
+            quality=_QUALITY_NAMES[out.quality[hit]],
+            staleness=out.staleness[hit],
+            latency=out.latency[hit],
+            batch_size=out.batch_size[hit],
+        )
+        hit = ~ok & (ids >= 0)
+        self._trace_rows(ids[hit], out.completed[hit], outcome=_STATUS_NAMES[out.status[hit]])
 
     # ------------------------------------------------------------------
     # Cluster lifecycle hooks
@@ -723,12 +770,11 @@ class PredictionServer:
         self._busy_until = self._clock
         self.metrics.gauge("queue_depth").set(0)
         if self.tracer.enabled:
-            for sp in self._req_spans.values():
-                sp.set(outcome="drained").finish(self._clock)
-            self._req_spans.clear()
+            self._close_request_spans(self._clock, "drained")
         if not parts:
             return RequestBatch.from_requests(())
-        order = np.argsort(np.concatenate(seqs), kind="stable")
+        seq = np.concatenate(seqs)
+        order = np.argsort(seq if seq.ndim == 1 else seq[:, 0], kind="stable")
         return RequestBatch.concat(parts).select(order)
 
     def restart(self, at: float) -> None:
@@ -750,16 +796,15 @@ class PredictionServer:
         self.forecasts.invalidate()
         self.metrics.counter("restarts_total").inc()
         if self.tracer.enabled:
-            for sp in self._req_spans.values():
-                sp.set(outcome="lost_in_restart").finish(at)
-            self._req_spans.clear()
+            self._close_request_spans(at, "lost_in_restart")
             self.tracer.event("worker.restart", at)
 
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _serve(self, batch: RequestBatch, t_start: float) -> ResponseBatch:
-        """Answer one single-model batch; the server is busy until done.
+    def _serve(self, batch: RequestBatch, seq: np.ndarray, t_start: float) -> ResponseBatch:
+        """Answer one single-model batch (``seq``: its rows' admission
+        numbers); the server is busy until done.
 
         With a live tracer the batch gets a ``serving.batch`` span of its
         own trace (it serves several request traces at once); request
@@ -784,12 +829,8 @@ class PredictionServer:
                 if targets is not None:
                     sp.set(draws=draws)
                 sp.finish(t_done)
-            for key in zip(
-                (batch.clients[c] for c in batch.client), batch.request_id.tolist()
-            ):
-                rsp = self._req_spans.get(key)
-                if rsp is not None:
-                    rsp.set(batch_span=sp.span_id)
+            self._trace_rows(seq[:, 1], batch_span=sp.span_id)
+            self._pending_spans.append(seq[:, 1])
         self._busy_until = t_done
         return rb
 
@@ -870,9 +911,8 @@ class PredictionServer:
             spread = 2.0 * samples.std(axis=1, ddof=1)
             p95 = np.quantile(samples, 0.95, axis=1)
         else:
-            mean = np.array([s.mean() for s in samples])
-            spread = np.array([2.0 * s.std(ddof=1) if s.size >= 2 else 0.0 for s in samples])
-            p95 = np.array([np.quantile(s, 0.95) for s in samples])
+            mean, std, p95 = ragged_summary(samples, 0.95)
+            spread = 2.0 * std
 
         scale, dists = 1.0, None
         if self.calib is not None:

@@ -311,24 +311,25 @@ def propagate(
             converged[due] = [r.converged for r in records.values()]
         done = (filled[active] >= caps[active]) | converged[active]
         if trc.enabled:
-            for i in active[done].tolist():
-                record = records.get(i)
-                if record is None:
-                    continue
-                target = targets[i]
-                trc.start_span(
+            # One block for the rows that finished at this chunk after a
+            # check (a row never checked leaves without a span).
+            ended = active[done & (mins[active] <= filled[active])]
+            if ended.size:
+                idx = ended.tolist()
+                done_records = [records[i] for i in idx]
+                trc.start_rows(
                     "mc.converged",
                     stage=STAGE_STRUCTURAL,
-                    request_id=None if request_ids is None else int(request_ids[i]),
-                    metric=target.metric,
-                    rule=target.rule,
-                    draws=record.draws,
+                    request_id=None if request_ids is None else np.asarray(request_ids)[ended],
+                    metric=[targets[i].metric for i in idx],
+                    rule=[targets[i].rule for i in idx],
+                    draws=[r.draws for r in done_records],
                     budget=budget,
-                    converged=record.converged,
-                    half_width=record.half_width,
-                    tolerance=record.tolerance,
-                    votes={v.rule: v.converged for v in record.votes},
-                ).finish()
+                    converged=[r.converged for r in done_records],
+                    half_width=[r.half_width for r in done_records],
+                    tolerance=[r.tolerance for r in done_records],
+                    votes=[{v.rule: v.converged for v in r.votes} for r in done_records],
+                ).finish(slice(None))
         active = active[~done]
         if trc.enabled:
             trc.start_span(

@@ -18,6 +18,7 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "mean_and_std",
+    "ragged_summary",
     "weighted_mean_and_std",
     "sample_skewness",
     "sample_kurtosis",
@@ -136,6 +137,31 @@ def mean_and_std(data, ddof: int = 1) -> tuple[float, float]:
     if arr.size <= ddof:
         return float(arr.mean()), 0.0
     return float(arr.mean()), float(arr.std(ddof=ddof))
+
+
+def ragged_summary(arrays, q: float | None = None) -> tuple:
+    """Per-row mean, ``std(ddof=1)`` and (with ``q``) ``q``-quantile of
+    1-D arrays of differing lengths: ``(mean, std, quantile or None)``.
+
+    Rows are grouped by length and each group is reduced along
+    ``axis=1`` of its stacked matrix, so a batch costs one reduction per
+    distinct length instead of one per row.  Each value is bit-equal to
+    the row's own ``a.mean()``, ``a.std(ddof=1)`` and
+    ``np.quantile(a, q)``; a row of fewer than 2 values has std 0.0.
+    """
+    n = len(arrays)
+    lengths = np.fromiter((a.size for a in arrays), dtype=np.int64, count=n)
+    mean, std = np.empty(n), np.zeros(n)
+    quantile = None if q is None else np.empty(n)
+    for size in np.unique(lengths).tolist():
+        rows = np.flatnonzero(lengths == size)
+        mat = np.stack([arrays[i] for i in rows.tolist()])
+        mean[rows] = mat.mean(axis=1)
+        if size >= 2:
+            std[rows] = mat.std(axis=1, ddof=1)
+        if q is not None:
+            quantile[rows] = np.quantile(mat, q, axis=1)
+    return mean, std, quantile
 
 
 def weighted_mean_and_std(values, weights) -> tuple[float, float]:

@@ -284,6 +284,17 @@ class TestUsageErrors:
                 ["serve", "--calibrate", "--mixture", "1"],
                 "argument --mixture: must be 0 or >= 2, got 1",
             ),
+            (["chaos", "--dropout-rate", "-1"], "argument --dropout-rate: must be >= 0.0, got -1"),
+            (["chaos", "--crash-rate", "nan"], "argument --crash-rate: must be >= 0.0, got nan"),
+            (["chaos", "--outage-rate", "inf"], "argument --outage-rate: must be finite, got inf"),
+            (
+                ["chaos", "--corruption-rate", "-0.5"],
+                "argument --corruption-rate: must be >= 0.0, got -0.5",
+            ),
+            (["predict", "--at", "0"], "argument --at: must be > 0.0, got 0"),
+            (["predict", "--at", "nan"], "argument --at: must be > 0.0, got nan"),
+            (["advise", "--at", "nan"], "argument --at: must be > 0.0, got nan"),
+            (["advise", "--at", "inf"], "argument --at: must be finite, got inf"),
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, argv, message):
@@ -293,6 +304,13 @@ class TestUsageErrors:
         err = capsys.readouterr().err
         assert f"repro {argv[0]}: error:" in err and message in err
         assert "Traceback" not in err
+
+    def test_unwritable_trace_export_is_a_one_line_error(self, capsys, tmp_path):
+        path = tmp_path / "missing-dir" / "x.json"
+        assert main(["trace", "--pipeline", "--json-out", str(path)]) == 1
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("repro trace: error: cannot write the trace:")
+        assert str(path) in err and "\n" not in err
 
 
 class TestServe:

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 from scipy.special import erf as scipy_erf
 
@@ -13,6 +15,7 @@ from repro.util.stats import (
     normal_cdf,
     normal_pdf,
     normal_quantile,
+    ragged_summary,
     sample_kurtosis,
     sample_skewness,
     weighted_mean_and_std,
@@ -122,6 +125,57 @@ class TestNormalQuantile:
 
     def test_scalar_output_type(self):
         assert isinstance(normal_quantile(0.3), float)
+
+
+def _per_row(arrays, q):
+    """The per-row formulas ``ragged_summary`` must reproduce bit for bit."""
+    mean = np.array([a.mean() for a in arrays])
+    std = np.array([a.std(ddof=1) if a.size >= 2 else 0.0 for a in arrays])
+    quantile = np.array([np.quantile(a, q) for a in arrays])
+    return mean, std, quantile
+
+
+def _assert_bit_equal(arrays, q=0.95):
+    got = ragged_summary(arrays, q)
+    want = _per_row(arrays, q)
+    for g, w in zip(got, want):
+        assert g.tobytes() == w.tobytes()
+
+
+class TestRaggedSummary:
+    """Grouped-by-length reductions equal the one-row formulas exactly."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        lengths=st.lists(st.integers(1, 300), min_size=1, max_size=24),
+        scale=st.floats(1e-3, 1e3),
+        sigma=st.floats(1e-3, 2.0),
+        seed=st.integers(0, 2**32 - 1),
+        q=st.sampled_from([0.05, 0.5, 0.95]),
+    )
+    def test_random_lengths(self, lengths, scale, sigma, seed, q):
+        rng = np.random.default_rng(seed)
+        buf = scale * rng.lognormal(0.0, sigma, size=(len(lengths), max(lengths)))
+        # Rows are views of one buffer, as the Monte Carlo chunk loop
+        # hands them over.
+        _assert_bit_equal([buf[i, :n] for i, n in enumerate(lengths)], q)
+
+    def test_rows_with_one_draw_have_zero_spread(self):
+        arrays = [np.array([3.5]), np.array([1.0, 2.0, 4.0]), np.array([-2.0])]
+        _assert_bit_equal(arrays)
+        mean, std, p95 = ragged_summary(arrays, 0.95)
+        assert std[0] == 0.0 and std[2] == 0.0
+        assert (mean[0], p95[0]) == (3.5, 3.5)
+
+    def test_every_length_differs(self):
+        rng = np.random.default_rng(11)
+        arrays = [rng.normal(10.0, 2.0, size=n) for n in (64, 96, 144, 216, 324, 486, 729, 2000)]
+        _assert_bit_equal(arrays)
+
+    def test_without_a_level_no_quantile(self):
+        mean, std, quantile = ragged_summary([np.arange(4.0), np.arange(3.0)])
+        assert quantile is None
+        assert mean.tolist() == [1.5, 1.0]
 
 
 class TestMoments:
