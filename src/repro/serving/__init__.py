@@ -91,6 +91,7 @@ from repro.serving.protocol import (
     DEGRADED_QUEUE_PRESSURE,
     ErrorResponse,
     OverloadedResponse,
+    PrecisionBlock,
     PrecisionInfo,
     PredictRequest,
     PredictResponse,
@@ -133,6 +134,7 @@ __all__ = [
     "MetricsRegistry",
     "PredictRequest",
     "PredictResponse",
+    "PrecisionBlock",
     "PrecisionInfo",
     "DistributionInfo",
     "CalibrationConfig",

@@ -34,7 +34,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.util.validation import check_nonnegative, check_positive
+from repro.util.validation import (
+    check_count,
+    check_finite,
+    check_nonnegative,
+    check_positive,
+)
 
 __all__ = [
     "AdmissionPolicy",
@@ -78,8 +83,7 @@ class AdmissionPolicy:
     precision_ladder: tuple = ()
 
     def __post_init__(self) -> None:
-        if self.max_queue < 1:
-            raise ValueError(f"max_queue must be >= 1, got {self.max_queue}")
+        check_count(self.max_queue, "max_queue", 1)
         check_nonnegative(self.client_rate, "client_rate")
         check_positive(self.client_burst, "client_burst")
         ladder = tuple((float(f), float(m)) for f, m in self.precision_ladder)
@@ -94,6 +98,7 @@ class AdmissionPolicy:
                 raise ValueError(
                     f"ladder factors must ascend and exceed 1, got {ladder}"
                 )
+            check_finite(mult, "ladder factor")
             prev_frac, prev_mult = frac, mult
 
 

@@ -319,9 +319,10 @@ class ResponseBatch:
     Value columns (``mean``/``spread``/``p95``/…) are meaningful only on
     ``ok`` rows; ``retry_after`` only on ``overloaded`` rows.  The
     ``messages`` sidecar carries what does not columnise: an ``error``
-    row's message, an ``ok`` row's rich blocks as ``(precision,
-    distributions, j)`` (the view reads ``distributions[j]``), or a
-    whole response kept as it came.  ``quality`` indexes
+    row's message, an ``ok`` row's rich blocks as ``(precision block,
+    distributions, j)`` shared by its batch (the view builds ``block[j]``
+    and reads ``distributions[j]``; either may be ``None``), or a whole
+    response kept as it came.  ``quality`` indexes
     :data:`~repro.nws.service.QUALITIES`; ``status`` indexes
     :data:`STATUSES`; ``reason`` indexes :data:`REASONS`.  The optional
     ``failover`` column (``None``: no row failed over) marks answers a
@@ -496,7 +497,9 @@ class ResponseBatch:
         if status == _STATUS_OK:
             precision = distribution = None
             if sidecar is not None:
-                precision, dists, j = sidecar
+                block, dists, j = sidecar
+                if block is not None:
+                    precision = block[j]
                 if dists is not None:
                     distribution = dists[j]
             return PredictResponse(

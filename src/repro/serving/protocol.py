@@ -26,18 +26,20 @@ the transition must never be silent).
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 from repro.calib.distribution import DistributionInfo
 from repro.core.stochastic import StochasticValue
 from repro.nws.service import QUALITIES
-from repro.structural.repeaters import PrecisionTarget
+from repro.structural.repeaters import AdaptiveOutcomes, PrecisionTarget
 from repro.util.validation import check_finite
 
 __all__ = [
     "PredictRequest",
     "PredictResponse",
     "PrecisionInfo",
+    "PrecisionBlock",
     "OverloadedResponse",
     "ErrorResponse",
     "Response",
@@ -160,6 +162,14 @@ class Response:
         return self.status == STATUS_OK
 
 
+def _check_degradation(degraded: bool, shed_factor: float, reason: str) -> None:
+    """A degraded contract states how much (``shed_factor > 1``) and why."""
+    if degraded and shed_factor <= 1.0:
+        raise ValueError(f"degraded precision requires shed_factor > 1, got {shed_factor}")
+    if degraded and not reason:
+        raise ValueError("degraded precision must carry a reason (never silent)")
+
+
 @dataclass(frozen=True)
 class PrecisionInfo:
     """What the adaptive sampler actually did for one answer.
@@ -212,12 +222,7 @@ class PrecisionInfo:
     def __post_init__(self) -> None:
         if self.draws < 0 or self.budget < 0:
             raise ValueError("draws and budget must be >= 0")
-        if self.degraded and self.shed_factor <= 1.0:
-            raise ValueError(
-                f"degraded precision requires shed_factor > 1, got {self.shed_factor}"
-            )
-        if self.degraded and not self.reason:
-            raise ValueError("degraded precision must carry a reason (never silent)")
+        _check_degradation(self.degraded, self.shed_factor, self.reason)
 
     @property
     def saved_fraction(self) -> float:
@@ -240,6 +245,51 @@ class PrecisionInfo:
             "reason": self.reason,
             "saved_fraction": self.saved_fraction,
         }
+
+
+@dataclass(eq=False)
+class PrecisionBlock:
+    """One adaptive batch's precision provenance, as columns.
+
+    ``requested`` holds the batch's distinct clamped targets (``None``:
+    a fixed-budget row) and ``codes`` each row's index into them;
+    ``outcomes`` is the stopping rule's
+    :class:`~repro.structural.repeaters.AdaptiveOutcomes` for the
+    targets actually evaluated.  ``degraded``, ``shed_factor`` and
+    ``reason`` are shared by every row, and the never-silent rule is
+    checked here, when the batch is served.  Reading ``[j]`` builds row
+    ``j``'s :class:`PrecisionInfo` (``None`` for a fixed-budget row).
+    """
+
+    requested: list
+    codes: Sequence[int]
+    outcomes: AdaptiveOutcomes
+    degraded: bool
+    shed_factor: float
+    reason: str
+
+    def __post_init__(self) -> None:
+        _check_degradation(self.degraded, self.shed_factor, self.reason)
+
+    def __getitem__(self, j: int) -> PrecisionInfo | None:
+        o = self.outcomes
+        target = o.targets[j]
+        if target is None:
+            return None
+        return PrecisionInfo(
+            metric=target.metric,
+            rule=target.rule,
+            requested=self.requested[self.codes[j]].describe(),
+            effective=target.describe(),
+            draws=int(o.draws[j]),
+            budget=int(o.budget[j]),
+            half_width=float(o.half_width[j]),
+            tolerance=float(o.tolerance[j]),
+            converged=bool(o.converged[j]),
+            degraded=self.degraded,
+            shed_factor=self.shed_factor,
+            reason=self.reason,
+        )
 
 
 @dataclass(frozen=True)

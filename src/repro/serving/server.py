@@ -55,7 +55,7 @@ from repro.serving.metrics import MetricsRegistry
 from repro.serving.protocol import (
     DEGRADED_QUEUE_PRESSURE,
     SHED_DEADLINE,
-    PrecisionInfo,
+    PrecisionBlock,
     PredictRequest,
     Response,
 )
@@ -68,10 +68,10 @@ from repro.structural.engine import (
 from repro.structural.expr import EvalPolicy, Expr
 from repro.structural.parameters import Bindings
 from repro.structural.montecarlo import _row_values, propagate
-from repro.structural.repeaters import PrecisionTarget
+from repro.structural.repeaters import PrecisionTarget, distinct_targets
 from repro.util.rng import as_generator
 from repro.util.stats import ragged_summary
-from repro.util.validation import check_positive
+from repro.util.validation import check_count, check_positive
 
 __all__ = ["ModelSpec", "ServerConfig", "PredictionServer"]
 
@@ -210,10 +210,8 @@ class ServerConfig:
     calibration: CalibrationConfig | None = None
 
     def __post_init__(self) -> None:
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
-        if self.batch_max < 1:
-            raise ValueError(f"batch_max must be >= 1, got {self.batch_max}")
+        check_count(self.n_samples, "n_samples", 2)
+        check_count(self.batch_max, "batch_max", 1)
         check_positive(self.service_time_base, "service_time_base")
         check_positive(self.service_time_per_request, "service_time_per_request")
         check_positive(self.refresh_interval, "refresh_interval")
@@ -258,19 +256,6 @@ def _worst_quality(qualities) -> str:
     for q in qualities:
         worst = max(worst, QUALITIES.index(q))
     return QUALITIES[worst]
-
-
-def _per_object(fn, items) -> list:
-    """``[fn(x) for x in items]`` with ``fn`` called once per distinct
-    object (rows share their target objects); ``None`` stays ``None``."""
-    memo = {id(None): None}
-    out = []
-    for x in items:
-        key = id(x)
-        if key not in memo:
-            memo[key] = fn(x)
-        out.append(memo[key])
-    return out
 
 
 def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
@@ -835,43 +820,45 @@ class PredictionServer:
         return rb
 
     def _answer(
-        self, batch: RequestBatch, t_start: float, targets: list | None
+        self, batch: RequestBatch, t_start: float, targets: tuple | None
     ) -> tuple[ResponseBatch, float, int]:
         """Evaluate ``batch``: ``(answers, t_done, draws evaluated)``.
 
-        ``targets`` holds each row's clamped precision target (``None``
-        for a fixed-budget row), or is ``None`` when no row has one; the
-        batch then occupies the server for ``service_time(k)``, else for
-        ``adaptive_service_time(draws)``.  Precision shedding happens
-        here: the queue depth left behind sets a tolerance multiplier
-        from the admission ladder, applied to every target *before*
-        sampling and tagged on every answer — the server never silently
-        loosens a contract.
+        ``targets`` is ``(distinct clamped targets, each row's index into
+        them)`` (``None`` for a fixed-budget row), or ``None`` when no row
+        has one; the batch then occupies the server for
+        ``service_time(k)``, else for ``adaptive_service_time(draws)``.
+        Precision shedding happens here: the queue depth left behind sets
+        a tolerance multiplier from the admission ladder, applied to every
+        target *before* sampling and tagged on every answer — the server
+        never silently loosens a contract.
         """
         cfg = self.config
         spec = self._models[batch.models[batch.model[0]]]
+        sampled = spec.sampled
         k = len(batch)
         factor = 1.0
         effective = None
         if targets is not None:
+            requested, codes = targets
             factor = self.admission.precision_factor(self._qlen)
-            effective = _per_object(lambda t: t.degraded(factor), targets)
+            evaluated = [None if t is None else t.degraded(factor) for t in requested]
+            effective = [evaluated[c] for c in codes.tolist()]
         try:
             self.forecasts.ingest_to(t_start)
             shared = {
                 param: self.forecasts.get(resource, t_start)
                 for param, resource in sorted(spec.resources.items())
-                if param in spec.sampled
+                if param in sampled
             }
             base = {
-                p: shared[p].value if p in shared else spec.bindings.resolve(p)
-                for p in spec.sampled
+                p: shared[p].value if p in shared else spec.bindings.resolve(p) for p in sampled
             }
             samples, outcomes, draws = propagate(
                 self._plan(spec),
                 spec.expression,
                 spec.bindings,
-                spec.sampled,
+                sampled,
                 base,
                 self._rng,
                 budget=cfg.n_samples,
@@ -902,7 +889,7 @@ class PredictionServer:
             self.metrics.counter("draws_budget_total").inc(k * cfg.n_samples)
             if factor > 1.0:
                 self.metrics.counter("precision_degraded_total").inc(
-                    sum(1 for t in targets if t is not None)
+                    int(np.count_nonzero(outcomes.live))
                 )
 
         # The summary formulas of EmpiricalValue.to_stochastic/quantile.
@@ -963,40 +950,28 @@ class PredictionServer:
 
     def _blocks(
         self, spec, batch, t_done, quality, targets, outcomes, factor, dists, base
-    ) -> tuple | None:
+    ) -> tuple:
         """The answers' precision and distribution blocks, which do not
-        columnise: row ``i``'s sidecar entry is ``(precision,
-        distributions, i)`` and its response view builds the blocks on
-        read (``None`` where a row has neither).  The distributions are
-        queued for calibration scoring in one call."""
+        columnise: row ``i``'s sidecar entry is ``(precision block,
+        distributions, i)``, one of each per batch (``None`` where the
+        batch has none), and its response view builds row ``i``'s blocks
+        on read.  The distributions are queued for calibration scoring in
+        one call."""
         k = len(batch)
-        infos: list = [None] * k
+        block = None
         if targets is not None:
-            degraded = factor > 1.0
             self.metrics.histogram("draws_used", _DRAWS_BUCKETS).observe_many(
-                [o.draws for o in outcomes if o is not None]
+                outcomes.draws[outcomes.live]
             )
-            requested = _per_object(PrecisionTarget.describe, targets)
-            effective = _per_object(
-                PrecisionTarget.describe, [None if o is None else o.target for o in outcomes]
+            degraded = factor > 1.0
+            block = PrecisionBlock(
+                targets[0],
+                targets[1],
+                outcomes,
+                degraded=degraded,
+                shed_factor=factor,
+                reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
             )
-            for i, outcome in enumerate(outcomes):
-                if outcome is None:
-                    continue
-                infos[i] = PrecisionInfo(
-                    metric=outcome.target.metric,
-                    rule=outcome.target.rule,
-                    requested=requested[i],
-                    effective=effective[i],
-                    draws=outcome.draws,
-                    budget=outcome.budget,
-                    half_width=outcome.half_width,
-                    tolerance=outcome.tolerance,
-                    converged=outcome.converged,
-                    degraded=degraded,
-                    shed_factor=factor,
-                    reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
-                )
         if dists is not None:
             effective = (
                 [base] * k
@@ -1005,23 +980,22 @@ class PredictionServer:
             )
             qualities = [QUALITIES[q] for q in quality.tolist()]
             self.calib.enqueue(spec.name, qualities, dists, effective, t_done)
-            return tuple(zip(infos, repeat(dists), range(k)))
-        if all(info is None for info in infos):
-            return None
-        return tuple(None if info is None else (info, None, i) for i, info in enumerate(infos))
+        return tuple(zip(repeat(block, k), repeat(dists), range(k)))
 
     # ------------------------------------------------------------------
     # Precision targets
     # ------------------------------------------------------------------
-    def _precision_targets(self, batch: RequestBatch) -> list | None:
-        """Clamped per-row precision targets, or ``None`` for fixed.
+    def _precision_targets(self, batch: RequestBatch) -> tuple | None:
+        """Clamped precision targets as ``(distinct targets, each row's
+        index into them)``, or ``None`` for fixed.
 
         A row's own target wins over the server default
-        (``config.precision``); each is clamped to the server's limits.
-        ``None`` means *no* row in the batch is adaptive — the batch is
-        served at the fixed budget.  Adaptive serving needs a sane draw
-        budget; below it targets are ignored and answers simply lack a
-        ``precision`` block.
+        (``config.precision``); each is clamped to the server's limits,
+        once per distinct target object.  A fixed-budget row's target is
+        ``None``; ``None`` overall means *no* row in the batch is
+        adaptive — the batch is served at the fixed budget.  Adaptive
+        serving needs a sane draw budget; below it targets are ignored
+        and answers simply lack a ``precision`` block.
         """
         cfg = self.config
         if cfg.n_samples < 8:
@@ -1029,11 +1003,12 @@ class PredictionServer:
         if batch.precision is None:
             if cfg.precision is None:
                 return None
-            return [self._clamp_target(cfg.precision)] * len(batch)
-        targets = [cfg.precision if t is None else t for t in batch.precision]
+            return [self._clamp_target(cfg.precision)], np.zeros(len(batch), np.intp)
+        distinct, codes = distinct_targets(batch.precision)
+        targets = [cfg.precision if t is None else t for t in distinct]
         if all(t is None for t in targets):
             return None
-        return _per_object(self._clamp_target, targets)
+        return [None if t is None else self._clamp_target(t) for t in targets], codes
 
     def _clamp_target(self, target: PrecisionTarget) -> PrecisionTarget:
         """Apply server-side limits to a client's precision target."""

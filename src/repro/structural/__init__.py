@@ -44,6 +44,8 @@ from repro.structural.parameters import Bindings, ResolveTime, param_name
 from repro.structural.repeaters import (
     STOPPING_RULES,
     AdaptiveOutcome,
+    AdaptiveOutcomes,
+    ChunkChecks,
     ChunkRecord,
     PrecisionTarget,
     RuleVote,
@@ -94,6 +96,8 @@ __all__ = [
     "DEFAULT_MC_SAMPLES",
     "PrecisionTarget",
     "AdaptiveOutcome",
+    "AdaptiveOutcomes",
+    "ChunkChecks",
     "ChunkRecord",
     "RuleVote",
     "SequentialProbe",

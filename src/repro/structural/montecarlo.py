@@ -12,7 +12,11 @@ One routine, :func:`propagate`, draws and evaluates for every caller:
 it advances any number of rows through one geometric chunk schedule,
 stopping each row at its precision target or its cap.  A fixed budget
 is one chunk at the cap; :func:`monte_carlo_predict` is a one-row call
-and the prediction server a many-row one.  Evaluation runs on one of
+and the prediction server a many-row one.  The stopping rule's results
+stay columns through the loop (one
+:class:`~repro.structural.repeaters.ChunkChecks` block per chunk, which
+the ``mc.converged`` span block reads), and the outcomes come back as
+columns too, built into objects only when read.  Evaluation runs on one of
 two engines that consume identical draws (so seeded results agree):
 
 ``vectorised`` (default)
@@ -229,10 +233,16 @@ def propagate(
     the cap.  Without a plan each row draws ``budget`` samples on the
     reference loop (under ``policy``) and its target is assessed once.
 
+    The stopping rule's results stay columns throughout: each chunk's
+    check is one :class:`~repro.structural.repeaters.ChunkChecks` block,
+    and the ``mc.converged`` span block reads its columns.
+
     Returns ``(samples, outcomes, total draws)``: samples as a ``(rows,
     draws)`` matrix when every row drew the same count, else one array
-    per row; outcomes per row (``None`` without a target), or ``None``
-    when ``targets`` is.
+    per row; outcomes as the probe's
+    :class:`~repro.structural.repeaters.AdaptiveOutcomes` columns
+    (``outcomes[i]`` builds row ``i``'s outcome, ``None`` without a
+    target), or ``None`` when ``targets`` is.
     """
     trc = as_tracer(tracer)
     probe = None if targets is None else SequentialProbe(targets, rng)
@@ -261,12 +271,17 @@ def propagate(
         caps = np.full(rows, budget)
         totals = [budget]
     else:
-        caps = np.array([budget if t is None else t.max_samples for t in targets])
-        mins = np.array([np.inf if t is None else t.min_samples for t in targets])
-        adaptive = [t for t in targets if t is not None]
+        # Per-target settings, once per distinct target object.
+        distinct, codes = probe.distinct, probe.codes
+        adaptive = [t for t in distinct if t is not None]
+        caps = np.array([budget if t is None else t.max_samples for t in distinct])[codes]
+        mins = np.array([np.inf if t is None else t.min_samples for t in distinct])[codes]
         first = min(t.min_samples for t in adaptive)
         growth = min(t.growth for t in adaptive)
         totals = sorted(set(chunk_schedule(first, int(caps.max()), growth)) | set(caps.tolist()))
+        if trc.enabled:
+            metric = np.array([None if t is None else t.metric for t in distinct], object)
+            rule = np.array([None if t is None else t.rule for t in distinct], object)
     buf = None
     filled = np.zeros(rows, dtype=np.int64)
     active = np.arange(rows)
@@ -305,30 +320,29 @@ def propagate(
         # due for a check form one equally-filled block.
         due = active[mins[active] <= filled[active]]
         converged = np.zeros(rows, dtype=bool)
-        records = {}
         if due.size:
-            records = dict(zip(due.tolist(), probe.assess(buf[due, :total], due)))
-            converged[due] = [r.converged for r in records.values()]
+            checks = probe.assess(buf[due, :total], due)
+            converged[due] = checks.converged
         done = (filled[active] >= caps[active]) | converged[active]
         if trc.enabled:
             # One block for the rows that finished at this chunk after a
-            # check (a row never checked leaves without a span).
+            # check (a row never checked leaves without a span), read
+            # straight from the check's columns.
             ended = active[done & (mins[active] <= filled[active])]
             if ended.size:
-                idx = ended.tolist()
-                done_records = [records[i] for i in idx]
+                at = np.searchsorted(due, ended)
                 trc.start_rows(
                     "mc.converged",
                     stage=STAGE_STRUCTURAL,
                     request_id=None if request_ids is None else np.asarray(request_ids)[ended],
-                    metric=[targets[i].metric for i in idx],
-                    rule=[targets[i].rule for i in idx],
-                    draws=[r.draws for r in done_records],
+                    metric=metric[codes[ended]],
+                    rule=rule[codes[ended]],
+                    draws=checks.draws,
                     budget=budget,
-                    converged=[r.converged for r in done_records],
-                    half_width=[r.half_width for r in done_records],
-                    tolerance=[r.tolerance for r in done_records],
-                    votes=[{v.rule: v.converged for v in r.votes} for r in done_records],
+                    converged=checks.converged[at],
+                    half_width=checks.half_width[at],
+                    tolerance=checks.tolerance[at],
+                    votes=checks.vote_flags(at),
                 ).finish(slice(None))
         active = active[~done]
         if trc.enabled:

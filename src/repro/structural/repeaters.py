@@ -14,7 +14,11 @@ holding a block of rows, one target each.  After every chunk it gets one
 call with the (rows × n) matrix of the rows due for a check: one sort
 along ``axis=1``, then the closed-form ``ci`` statistics as one
 reduction per metric over the whole block.  ``bootstrap``, ``hdi`` and
-``ks`` (and so ``composite``) votes stay per row inside that call.  A
+``ks`` (and so ``composite``) votes stay per row inside that call.  The
+results stay columns: each call keeps one :class:`ChunkChecks` block
+and :meth:`SequentialProbe.outcomes` returns :class:`AdaptiveOutcomes`
+columns; :class:`ChunkRecord`, :class:`RuleVote` and
+:class:`AdaptiveOutcome` objects are built only when one is read.  A
 one-row probe fed 1-D samples is a view of the same block.  Five rules:
 
 ``ci``
@@ -51,6 +55,7 @@ The serving layer threads these targets end to end — see
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -59,13 +64,17 @@ import numpy as np
 from repro.structural.expr import DEFAULT_MC_SAMPLES
 from repro.util.rng import as_generator
 from repro.util.stats import normal_quantile
+from repro.util.validation import check_count, check_positive
 
 __all__ = [
     "PrecisionTarget",
     "RuleVote",
     "ChunkRecord",
     "AdaptiveOutcome",
+    "AdaptiveOutcomes",
+    "ChunkChecks",
     "SequentialProbe",
+    "distinct_targets",
     "chunk_schedule",
     "STOPPING_RULES",
     "DEFAULT_MIN_SAMPLES",
@@ -158,23 +167,23 @@ class PrecisionTarget:
         _parse_metric(self.metric)  # validates
         if self.rel_tol is None and self.abs_tol is None:
             raise ValueError("at least one of rel_tol/abs_tol must be set")
-        if self.rel_tol is not None and not self.rel_tol > 0.0:
-            raise ValueError(f"rel_tol must be > 0, got {self.rel_tol}")
-        if self.abs_tol is not None and not self.abs_tol > 0.0:
-            raise ValueError(f"abs_tol must be > 0, got {self.abs_tol}")
+        if self.rel_tol is not None:
+            check_positive(self.rel_tol, "rel_tol")
+        if self.abs_tol is not None:
+            check_positive(self.abs_tol, "abs_tol")
         if not 0.0 < self.confidence < 1.0:
             raise ValueError(f"confidence must lie in (0, 1), got {self.confidence}")
         if self.rule not in STOPPING_RULES:
             raise ValueError(f"rule must be one of {STOPPING_RULES}, got {self.rule!r}")
-        if self.min_samples < 8:
-            raise ValueError(f"min_samples must be >= 8, got {self.min_samples}")
+        check_count(self.min_samples, "min_samples", 8)
+        check_count(self.max_samples, "max_samples", 1)
         if self.max_samples < self.min_samples:
             raise ValueError(
                 f"max_samples ({self.max_samples}) must be >= min_samples "
                 f"({self.min_samples})"
             )
-        if not self.growth > 1.0:
-            raise ValueError(f"growth must be > 1, got {self.growth}")
+        if not (self.growth > 1.0 and math.isfinite(self.growth)):
+            raise ValueError(f"growth must be finite and > 1, got {self.growth}")
 
     @classmethod
     def parse(cls, text: str, **overrides) -> "PrecisionTarget":
@@ -365,8 +374,8 @@ def chunk_schedule(
         raise ValueError(
             f"max_samples ({max_samples}) must be >= min_samples ({min_samples})"
         )
-    if not growth > 1.0:
-        raise ValueError(f"growth must be > 1, got {growth}")
+    if not (growth > 1.0 and math.isfinite(growth)):
+        raise ValueError(f"growth must be finite and > 1, got {growth}")
     totals: list[int] = []
     total = min_samples
     while total < max_samples:
@@ -374,6 +383,33 @@ def chunk_schedule(
         total = min(max_samples, max(total + 1, int(math.ceil(total * growth))))
     totals.append(max_samples)
     return totals
+
+
+def _sorted_quantile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
+    """Each row's linear-method quantile, read off rows sorted along
+    ``axis=1``.
+
+    The arithmetic of ``np.quantile(rows, q, axis=1)`` (numpy's
+    ``_lerp``), so the result is bit-equal to it: virtual index
+    ``(n-1)*q``, interpolation from the upper neighbour when the weight
+    is ``>= 0.5``, and NaN for a row whose last sorted value is NaN.
+    """
+    n = sorted_rows.shape[1]
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        below = above = -1
+    else:
+        below = math.floor(virtual)
+        above = below + 1
+    gamma = virtual - below
+    a, b = sorted_rows[:, below], sorted_rows[:, above]
+    diff = b - a
+    out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    last = sorted_rows[:, -1]
+    nan = np.isnan(last)
+    if nan.any():
+        out[nan] = last[nan]
+    return out
 
 
 def _estimate_and_half_width(
@@ -397,7 +433,7 @@ def _estimate_and_half_width(
         hi = np.minimum(n - 1, np.ceil(n * q + spread)).astype(np.intp)
         at = np.arange(sorted_rows.shape[0])
         half_width = (sorted_rows[at, hi] - sorted_rows[at, lo]) / 2.0
-        return np.quantile(sorted_rows, q, axis=1), half_width
+        return _sorted_quantile(sorted_rows, q), half_width
     sd = np.std(sorted_rows, axis=1, ddof=1)
     if kind == "mean":
         return np.mean(sorted_rows, axis=1), z * sd / math.sqrt(n)
@@ -450,21 +486,109 @@ def _critical_z(confidence: float) -> float:
     return float(normal_quantile((1.0 + confidence) / 2.0))
 
 
-def _outcome(target, records, budget) -> AdaptiveOutcome:
-    """One row's summary (``budget`` defaults to the target's cap)."""
-    if not records:
-        raise ValueError("outcome() before any assess()")
-    last = records[-1]
-    return AdaptiveOutcome(
-        target=target,
-        draws=last.draws,
-        budget=target.max_samples if budget is None else budget,
-        converged=last.converged,
-        estimate=last.estimate,
-        half_width=last.half_width,
-        tolerance=last.tolerance,
-        chunks=tuple(records),
+def distinct_targets(targets) -> tuple[list, np.ndarray]:
+    """``(distinct, codes)``: each distinct target object of ``targets``
+    once, in order of first appearance (``None`` included), and each
+    row's index into them.  Rows share their target objects, so work per
+    target runs once per distinct object."""
+    ids: dict[int, int] = {}
+    codes = np.fromiter(
+        (ids.setdefault(id(t), len(ids)) for t in targets), dtype=np.intp, count=len(targets)
     )
+    by_id = dict(zip(map(id, targets), targets))
+    return [by_id[key] for key in ids], codes
+
+
+@dataclass(eq=False)
+class ChunkChecks(Sequence):
+    """One :meth:`SequentialProbe.assess` call's results, as columns.
+
+    Every checked row had drawn ``draws`` samples; ``rows`` names their
+    block rows, and ``estimate``, ``half_width`` (the closed-form ``ci``
+    half-width), ``tolerance``, ``ci_ok`` and ``converged`` hold one
+    value per checked row, in the same order.  A ``ci``-rule row's
+    verdict is its ``ci_ok``; ``votes`` keeps every other rule's votes
+    by position.  Reading ``[j]`` builds row ``j``'s :class:`ChunkRecord`.
+    """
+
+    draws: int
+    rows: np.ndarray
+    estimate: np.ndarray
+    half_width: np.ndarray
+    tolerance: np.ndarray
+    ci_ok: np.ndarray
+    converged: np.ndarray
+    votes: dict
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __getitem__(self, j: int) -> ChunkRecord:
+        j = range(len(self.rows))[j]
+        hw, tol = float(self.half_width[j]), float(self.tolerance[j])
+        votes = self.votes.get(j) or (RuleVote("ci", bool(self.ci_ok[j]), hw, tol),)
+        return ChunkRecord(
+            draws=self.draws,
+            estimate=float(self.estimate[j]),
+            half_width=hw,
+            tolerance=tol,
+            converged=bool(self.converged[j]),
+            votes=votes,
+        )
+
+    def vote_flags(self, positions: np.ndarray) -> list[dict]:
+        """``{rule: converged}`` for each of ``positions``."""
+        return [
+            {"ci": ok} if j not in self.votes else {v.rule: v.converged for v in self.votes[j]}
+            for j, ok in zip(positions.tolist(), self.ci_ok[positions].tolist())
+        ]
+
+
+def _row_records(checks, row: int) -> tuple[ChunkRecord, ...]:
+    """Block row ``row``'s records among ``checks``, in order, built now."""
+    return tuple(c[j] for c in checks for j in np.flatnonzero(c.rows == row).tolist())
+
+
+@dataclass(eq=False)
+class AdaptiveOutcomes(Sequence):
+    """Every row's last check, as columns (:meth:`SequentialProbe.outcomes`).
+
+    ``targets`` holds the rows' targets and ``live`` marks the rows with
+    one; ``draws``, ``estimate``, ``half_width``, ``tolerance``,
+    ``converged`` and ``budget`` hold each live row's summary (zeros and
+    NaN elsewhere).  Reading ``[i]`` builds row ``i``'s
+    :class:`AdaptiveOutcome`, its chunk records rebuilt from ``checks``,
+    or ``None`` for a row without a target.
+    """
+
+    targets: tuple
+    live: np.ndarray
+    draws: np.ndarray
+    estimate: np.ndarray
+    half_width: np.ndarray
+    tolerance: np.ndarray
+    converged: np.ndarray
+    budget: np.ndarray
+    checks: tuple
+
+    def __len__(self) -> int:
+        return len(self.live)
+
+    def __getitem__(self, i: int) -> AdaptiveOutcome | None:
+        i = range(len(self.live))[i]
+        target = self.targets[i]
+        if target is None:
+            return None
+        return AdaptiveOutcome(
+            target=target,
+            draws=int(self.draws[i]),
+            budget=int(self.budget[i]),
+            converged=bool(self.converged[i]),
+            estimate=float(self.estimate[i]),
+            half_width=float(self.half_width[i]),
+            tolerance=float(self.tolerance[i]),
+            chunks=_row_records(self.checks, i),
+        )
 
 
 class SequentialProbe:
@@ -472,18 +596,23 @@ class SequentialProbe:
 
     ``targets`` holds one :class:`PrecisionTarget` per row (``None`` for
     a row that is never assessed); a single target makes a one-row
-    probe.  Feed :meth:`assess` the *accumulated* samples of the rows
-    due for a check after each chunk; it returns one
-    :class:`ChunkRecord` per row with every rule vote.  The closed-form
-    ``ci`` statistics come from one sort and one reduction per metric
-    over the whole block; ``bootstrap``, ``hdi`` and ``ks`` votes are
-    computed row by row inside the same call.  Rule checks that need
-    randomness (bootstrap/hdi) run on a child stream per row, spawned
-    from ``rng`` at that row's first such check (rows in order), so
-    they are deterministic under a fixed seed and never touch the
-    caller's draw stream.
+    probe.  Per-target settings (metric, critical ``z``, tolerances,
+    rule) are worked out once per distinct target object (``distinct``,
+    with each row's index into it in ``codes``).  Feed
+    :meth:`assess` the *accumulated* samples of the rows due for a check
+    after each chunk; it returns the check's :class:`ChunkChecks`
+    columns.  The closed-form ``ci`` statistics come from one sort and
+    one reduction per metric over the whole block; ``bootstrap``,
+    ``hdi`` and ``ks`` votes are computed row by row inside the same
+    call.  Rule checks that need randomness (bootstrap/hdi) run on a
+    child stream per row, spawned from ``rng`` at that row's first such
+    check (rows in order), so they are deterministic under a fixed seed
+    and never touch the caller's draw stream.
 
-    The one-row form is a view of the block: ``assess`` on a 1-D sample
+    The probe keeps every check's columns and each row's last check (two
+    index arrays); :class:`ChunkRecord`, :class:`RuleVote` and
+    :class:`AdaptiveOutcome` objects are built only when read.  The
+    one-row form is a view of the block: ``assess`` on a 1-D sample
     array returns one record, and :attr:`target`, :attr:`records`,
     :attr:`converged` and :meth:`outcome` read the single row.
     """
@@ -492,19 +621,27 @@ class SequentialProbe:
         if isinstance(targets, PrecisionTarget):
             targets = (targets,)
         self.targets = tuple(targets)
-        live = [t for t in self.targets if t is not None]
-        metrics = {t.metric: _parse_metric(t.metric) for t in live}
-        self._metric = [None if t is None else metrics[t.metric] for t in self.targets]
-        self._z = np.array(
-            [math.nan if t is None else _critical_z(t.confidence) for t in self.targets]
-        )
-        self._rel = np.array(
-            [math.nan if t is None or t.rel_tol is None else t.rel_tol for t in self.targets]
-        )
-        self._abs = np.array(
-            [math.nan if t is None or t.abs_tol is None else t.abs_tol for t in self.targets]
-        )
-        self._records: list[list[ChunkRecord]] = [[] for _ in self.targets]
+        self.distinct, self.codes = distinct, codes = distinct_targets(self.targets)
+        metrics = list(dict.fromkeys(t.metric for t in distinct if t is not None))
+        self._kinds = [_parse_metric(m) for m in metrics]
+
+        def per_row(fn, missing, dtype=float) -> np.ndarray:
+            """``fn(target)`` for every row, computed per distinct target."""
+            return np.array([missing if t is None else fn(t) for t in distinct], dtype)[codes]
+
+        nan = math.nan
+        self._kind = per_row(lambda t: metrics.index(t.metric), -1, np.intp)
+        self._live = per_row(lambda t: True, False, bool)
+        self._ci_only = per_row(lambda t: t.rule == "ci", False, bool)
+        self._z = per_row(lambda t: _critical_z(t.confidence), nan)
+        self._rel = per_row(lambda t: nan if t.rel_tol is None else t.rel_tol, nan)
+        self._abs = per_row(lambda t: nan if t.abs_tol is None else t.abs_tol, nan)
+        self._max_samples = per_row(lambda t: t.max_samples, 0, np.int64)
+        self._checks: list[ChunkChecks] = []
+        # Each row's last check: its index in _checks (-1: none yet) and
+        # its position there.
+        self._last_check = np.full(len(self.targets), -1, dtype=np.intp)
+        self._last_pos = np.zeros(len(self.targets), dtype=np.intp)
         self._check_rngs: list[np.random.Generator | None] = [None] * len(self.targets)
         self._rng_source = rng
 
@@ -528,69 +665,71 @@ class SequentialProbe:
         (target,) = self.targets
         return target
 
+    def _one_row(self) -> None:
+        if len(self.targets) != 1:
+            raise ValueError(f"a probe of {len(self.targets)} rows has no one-row view")
+
     @property
     def records(self) -> list[ChunkRecord]:
         """The one-row probe's chunk records, in order."""
-        (records,) = self._records
-        return records
+        self._one_row()
+        return list(_row_records(self._checks, 0))
 
     @property
     def converged(self) -> bool:
-        return bool(self.records) and self.records[-1].converged
+        self._one_row()
+        last = int(self._last_check[0])
+        return last >= 0 and bool(self._checks[last].converged[self._last_pos[0]])
 
     def assess(self, samples: np.ndarray, rows=None):
         """Vote on the accumulated samples of the rows due for a check.
 
         ``samples`` is a (due rows × n) matrix, every row filled to the
         same ``n``, and ``rows`` names each matrix row's block row
-        (default: the block's rows in order).  Appends each row's
-        :class:`ChunkRecord` to its records and returns them in order;
-        a 1-D ``samples`` is the one-row form and returns one record.
+        (default: the block's rows in order).  Keeps and returns the
+        check's :class:`ChunkChecks`, whose ``[j]`` is matrix row ``j``'s
+        :class:`ChunkRecord`; a 1-D ``samples`` is the one-row form and
+        returns one record.
         """
         one = samples.ndim == 1
         block = samples[None, :] if one else samples
         n = block.shape[1]
         if n < 8:
             raise ValueError(f"need >= 8 samples to assess convergence, got {n}")
-        due = list(range(block.shape[0])) if rows is None else [int(r) for r in rows]
+        due = np.arange(block.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+        kind = self._kind[due]
+        if (kind < 0).any():
+            raise ValueError("cannot assess a row without a precision target")
         sorted_rows = np.sort(block, axis=1)
-        estimate = np.empty(len(due))
-        ci_hw = np.empty(len(due))
-        groups: dict[tuple, list[int]] = {}
-        for j, r in enumerate(due):
-            groups.setdefault(self._metric[r], []).append(j)
         z = self._z[due]
-        for (kind, q), js in groups.items():
-            whole = len(js) == len(due)
-            estimate[js], ci_hw[js] = _estimate_and_half_width(
-                sorted_rows if whole else sorted_rows[js], kind, q, z if whole else z[js]
-            )
+        if kind.size and (kind == kind[0]).all():
+            estimate, ci_hw = _estimate_and_half_width(sorted_rows, *self._kinds[kind[0]], z)
+        else:
+            estimate, ci_hw = np.empty(len(due)), np.empty(len(due))
+            for k in np.unique(kind).tolist():
+                js = np.flatnonzero(kind == k)
+                estimate[js], ci_hw[js] = _estimate_and_half_width(
+                    sorted_rows[js], *self._kinds[k], z[js]
+                )
         # PrecisionTarget.tolerance per row: the looser of abs/rel wins.
         rel_bound = self._rel[due] * np.abs(estimate)
         abs_tol = self._abs[due]
         tolerance = np.where(
             ~np.isnan(abs_tol) & ~(rel_bound > abs_tol), abs_tol, rel_bound
         )
-        ci_ok = (ci_hw <= tolerance).tolist()
-
-        records = []
-        for j, (r, est, hw, tol) in enumerate(
-            zip(due, estimate.tolist(), ci_hw.tolist(), tolerance.tolist())
-        ):
-            ci = RuleVote("ci", ci_ok[j], hw, tol)
-            rule = self.targets[r].rule
-            votes = (ci,) if rule == "ci" else self._row_votes(r, block[j], tol, ci)
-            record = ChunkRecord(
-                draws=n,
-                estimate=est,
-                half_width=hw,
-                tolerance=tol,
-                converged=all(v.converged for v in votes),
-                votes=votes,
-            )
-            self._records[r].append(record)
-            records.append(record)
-        return records[0] if one else records
+        ci_ok = ci_hw <= tolerance
+        converged = ci_ok.copy()
+        votes: dict[int, tuple[RuleVote, ...]] = {}
+        for j in np.flatnonzero(~self._ci_only[due]).tolist():
+            hw, tol = float(ci_hw[j]), float(tolerance[j])
+            ci = RuleVote("ci", bool(ci_ok[j]), hw, tol)
+            votes[j] = self._row_votes(int(due[j]), block[j], tol, ci)
+            converged[j] = all(v.converged for v in votes[j])
+        checks = ChunkChecks(n, due, estimate, ci_hw, tolerance, ci_ok, converged, votes)
+        self._last_check[due] = len(self._checks)
+        self._last_pos[due] = np.arange(len(due))
+        self._checks.append(checks)
+        return checks[0] if one else checks
 
     def _row_votes(
         self, row: int, samples: np.ndarray, tolerance: float, ci: RuleVote
@@ -598,7 +737,7 @@ class SequentialProbe:
         """One row's votes under a ``bootstrap``/``hdi``/``ks``/
         ``composite`` rule, on its samples in draw order."""
         target = self.targets[row]
-        kind, q = self._metric[row]
+        kind, q = self._kinds[self._kind[row]]
         wanted = _COMPOSITE_MEMBERS if target.rule == "composite" else (target.rule,)
         votes: list[RuleVote] = []
         replicates: np.ndarray | None = None
@@ -626,12 +765,39 @@ class SequentialProbe:
     def outcome(self, budget: int | None = None) -> AdaptiveOutcome:
         """Summarise the one-row run (``budget`` defaults to the
         target's cap)."""
-        return _outcome(self.target, self.records, budget)
+        self._one_row()
+        return self.outcomes(budget)[0]
 
-    def outcomes(self, budget: int | None = None) -> list:
-        """Each row's :class:`AdaptiveOutcome` (``None`` for a row
-        without a target)."""
-        return [
-            None if t is None else _outcome(t, records, budget)
-            for t, records in zip(self.targets, self._records)
-        ]
+    def outcomes(self, budget: int | None = None) -> AdaptiveOutcomes:
+        """Every row's last check as :class:`AdaptiveOutcomes` columns;
+        ``[i]`` is row ``i``'s :class:`AdaptiveOutcome` (``None`` for a
+        row without a target).  ``budget`` defaults to each target's
+        cap."""
+        n = len(self.targets)
+        live, last, pos = self._live, self._last_check, self._last_pos
+        if (last[live] < 0).any():
+            raise ValueError("outcome() before any assess()")
+        draws = np.zeros(n, dtype=np.int64)
+        estimate, half_width, tolerance = np.full((3, n), math.nan)
+        converged = np.zeros(n, dtype=bool)
+        for b, checks in enumerate(self._checks):
+            at = np.flatnonzero(last == b)
+            if at.size:
+                j = pos[at]
+                draws[at] = checks.draws
+                estimate[at] = checks.estimate[j]
+                half_width[at] = checks.half_width[j]
+                tolerance[at] = checks.tolerance[j]
+                converged[at] = checks.converged[j]
+        caps = self._max_samples if budget is None else budget
+        return AdaptiveOutcomes(
+            self.targets,
+            live.copy(),
+            draws,
+            estimate,
+            half_width,
+            tolerance,
+            converged,
+            np.where(live, caps, 0),
+            tuple(self._checks),
+        )

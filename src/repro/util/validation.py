@@ -3,10 +3,17 @@
 from __future__ import annotations
 
 import math
+from numbers import Integral
 
 import numpy as np
 
-__all__ = ["check_finite", "check_positive", "check_nonnegative", "check_in_range"]
+__all__ = [
+    "check_finite",
+    "check_positive",
+    "check_nonnegative",
+    "check_in_range",
+    "check_count",
+]
 
 
 def check_finite(value: float, name: str) -> float:
@@ -50,6 +57,15 @@ def check_in_range(
         hib = "]" if inclusive[1] else ")"
         raise ValueError(f"{name} must be in {lob}{lo}, {hi}{hib}, got {value!r}")
     return v
+
+
+def check_count(value, name: str, lo: int) -> int:
+    """Return ``value`` if it is an integer (not a bool) ``>= lo``."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < lo:
+        raise ValueError(f"{name} must be >= {lo}, got {value!r}")
+    return value
 
 
 def check_array_1d(data, name: str) -> np.ndarray:

@@ -1,8 +1,12 @@
 """Tests for per-request precision targets in the serving stack."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
+import repro.serving.server as server_module
+from repro.calib.loop import CalibrationConfig
 from repro.serving import (
     DEFAULT_PRECISION_LADDER,
     AdmissionController,
@@ -10,13 +14,20 @@ from repro.serving import (
     ClosedLoop,
     ClusterConfig,
     LoadDriver,
+    PrecisionBlock,
     PrecisionInfo,
+    RequestBatch,
     ServerConfig,
     demo_cluster,
     demo_server,
 )
 from repro.serving.protocol import DEGRADED_QUEUE_PRESSURE, PredictRequest
-from repro.structural.repeaters import PrecisionTarget
+from repro.structural.repeaters import (
+    AdaptiveOutcome,
+    ChunkRecord,
+    PrecisionTarget,
+    RuleVote,
+)
 
 TARGET = PrecisionTarget.parse("p95:2%", min_samples=64)
 
@@ -53,6 +64,15 @@ class TestPrecisionProtocol:
         assert info.saved_fraction == pytest.approx(0.75)
         assert info.to_dict()["reason"] == "queue_pressure"
 
+    def test_degraded_block_requires_factor_and_reason(self):
+        # The batch-level block enforces the never-silent rule when the
+        # batch is served, not when a row is read.
+        codes = np.zeros(1, np.intp)
+        with pytest.raises(ValueError, match="shed_factor > 1"):
+            PrecisionBlock([TARGET], codes, None, degraded=True, shed_factor=1.0, reason="x")
+        with pytest.raises(ValueError, match="never silent"):
+            PrecisionBlock([TARGET], codes, None, degraded=True, shed_factor=2.0, reason="")
+
 
 class TestPrecisionLadder:
     def test_policy_validates_ladder(self):
@@ -63,6 +83,10 @@ class TestPrecisionLadder:
             AdmissionPolicy(precision_ladder=((0.5, 2.0), (0.75, 2.0)))
         with pytest.raises(ValueError):
             AdmissionPolicy(precision_ladder=((1.5, 2.0),))
+        # An infinite factor would loosen a tolerance past what a
+        # PrecisionTarget accepts, so it fails here, not while serving.
+        with pytest.raises(ValueError, match="ladder factor must be finite"):
+            AdmissionPolicy(precision_ladder=((0.5, 2.0), (0.9, float("inf"))))
 
     def test_factor_steps_with_queue_depth(self):
         ctl = AdmissionController(
@@ -268,3 +292,72 @@ class TestClusterAdaptive:
         snap = cluster.snapshot()
         assert "draws_used" not in snap["aggregated"]
         assert set(snap["aggregated"]) == {"latency_s", "batch_size"}
+
+
+class TestBuiltOnRead:
+    """The adaptive path keeps provenance as columns while serving and
+    builds the per-row objects only when a response is read."""
+
+    CONFIG = ServerConfig(
+        batch_max=8,
+        precision=TARGET,
+        calibration=CalibrationConfig(),
+        admission=AdmissionPolicy(max_queue=32, precision_ladder=DEFAULT_PRECISION_LADDER),
+    )
+
+    @staticmethod
+    def _drive(server, n=32):
+        batch = RequestBatch.from_requests(
+            [
+                PredictRequest(request_id=i, client_id=f"c{i}", model="sor-1000", submitted=60.0)
+                for i in range(n)
+            ]
+        )
+        assert len(server.submit_batch(batch)) == 0
+        return server.step_batch(200.0)
+
+    def test_no_provenance_objects_are_built_while_serving(self, monkeypatch):
+        built = Counter()
+        for cls in (PrecisionInfo, AdaptiveOutcome, ChunkRecord, RuleVote):
+
+            def counting(self, *args, _init=cls.__init__, _name=cls.__name__, **kwargs):
+                built[_name] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting)
+        server, _, _ = demo_server(duration=600.0, config=self.CONFIG)
+        rb = self._drive(server)
+        assert len(rb) == 32 and rb.ok_mask.all()
+        assert not built, f"built during step_batch: {dict(built)}"
+
+        requested = server._clamp_target(TARGET).describe()
+        degraded = 0
+        for i in range(len(rb)):
+            block, dists, j = rb.messages[i]
+            assert dists is not None
+            outcome = block.outcomes[j]
+            info = rb.response(i).precision
+            assert info == PrecisionInfo(
+                metric=outcome.target.metric,
+                rule=outcome.target.rule,
+                requested=requested,
+                effective=outcome.target.describe(),
+                draws=outcome.draws,
+                budget=outcome.budget,
+                half_width=outcome.half_width,
+                tolerance=outcome.tolerance,
+                converged=outcome.converged,
+                degraded=block.degraded,
+                shed_factor=block.shed_factor,
+                reason=DEGRADED_QUEUE_PRESSURE if block.degraded else "",
+            )
+            degraded += info.degraded
+        assert degraded, "expected precision-shed batches under the flooded queue"
+        assert built["PrecisionInfo"] == 2 * len(rb)
+        assert built["AdaptiveOutcome"] == len(rb)
+
+    def test_inconsistent_degradation_raises_at_serve_time(self, monkeypatch):
+        monkeypatch.setattr(server_module, "DEGRADED_QUEUE_PRESSURE", "")
+        server, _, _ = demo_server(duration=600.0, config=self.CONFIG)
+        with pytest.raises(ValueError, match="never silent"):
+            self._drive(server)

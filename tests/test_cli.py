@@ -295,6 +295,10 @@ class TestUsageErrors:
             (["predict", "--at", "nan"], "argument --at: must be > 0.0, got nan"),
             (["advise", "--at", "nan"], "argument --at: must be > 0.0, got nan"),
             (["advise", "--at", "inf"], "argument --at: must be finite, got inf"),
+            (
+                ["serve", "--precision", "p95:inf%"],
+                "argument --precision: rel_tol must be finite, got inf",
+            ),
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, argv, message):

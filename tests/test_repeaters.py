@@ -25,6 +25,7 @@ from repro.structural.repeaters import (
     STOPPING_RULES,
     PrecisionTarget,
     SequentialProbe,
+    _sorted_quantile,
     chunk_schedule,
 )
 from repro.util.stats import normal_quantile
@@ -77,6 +78,33 @@ class TestPrecisionTarget:
         with pytest.raises(ValueError):
             PrecisionTarget(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"growth": math.inf}, "growth must be finite"),
+            ({"growth": math.nan}, "growth must be finite"),
+            ({"max_samples": 2000.5}, "max_samples must be an integer"),
+            ({"min_samples": 64.5}, "min_samples must be an integer"),
+            ({"min_samples": 64.0}, "min_samples must be an integer"),
+            ({"rel_tol": math.inf}, "rel_tol must be finite"),
+            ({"rel_tol": math.nan}, "rel_tol must be finite"),
+            ({"rel_tol": None, "abs_tol": math.inf}, "abs_tol must be finite"),
+        ],
+    )
+    def test_typed_errors_at_construction(self, kwargs, message):
+        # Each of these used to fail deep inside sampling (or, for an
+        # infinite tolerance, "converge" at the first check).
+        with pytest.raises(ValueError, match=message):
+            PrecisionTarget(**kwargs)
+
+    def test_numpy_integer_counts_are_accepted(self):
+        t = PrecisionTarget(min_samples=np.int64(64), max_samples=np.int32(2000))
+        assert chunk_schedule(t.min_samples, t.max_samples, t.growth)[-1] == 2000
+
+    def test_parse_rejects_an_infinite_tolerance(self):
+        with pytest.raises(ValueError, match="rel_tol must be finite"):
+            PrecisionTarget.parse("p95:inf%")
+
     def test_tolerance_takes_the_looser_bound(self):
         t = PrecisionTarget(metric="mean", rel_tol=0.01, abs_tol=0.5)
         assert t.tolerance(10.0) == pytest.approx(0.5)  # abs wins at small estimates
@@ -113,6 +141,8 @@ class TestChunkSchedule:
             chunk_schedule(100, 50)
         with pytest.raises(ValueError):
             chunk_schedule(8, 100, growth=1.0)
+        with pytest.raises(ValueError, match="growth must be finite"):
+            chunk_schedule(8, 100, growth=math.inf)
 
 
 class TestSequentialProbe:
@@ -224,7 +254,7 @@ def _assert_block_equals_one_row_probes(targets, samples, fills, seed):
     for n in fills:
         got = block.assess(np.ascontiguousarray(samples[due, :n]), due)
         want = [singles[i].assess(samples[i, :n]) for i in due]
-        assert repr(got) == repr(want)
+        assert repr(list(got)) == repr(want)
         for i, record in zip(due, got):
             oracle = _scalar_ci(targets[i], samples[i, :n])
             assert repr((record.estimate, record.half_width, record.tolerance)) == repr(oracle)
@@ -273,6 +303,115 @@ class TestBlockProbe:
         probe = SequentialProbe([PrecisionTarget(), PrecisionTarget()])
         with pytest.raises(ValueError):
             probe.records
+        with pytest.raises(ValueError):
+            probe.converged
+        with pytest.raises(ValueError):
+            probe.outcome()
+
+    @pytest.mark.parametrize("rule", STOPPING_RULES)
+    @pytest.mark.parametrize("metric", _METRICS)
+    def test_outcome_columns_equal_one_row_outcomes(self, rule, metric):
+        """``outcomes(budget)[i]`` (built from the columns) equals the
+        one-row probe's ``outcome(budget)``, and the columns hold the
+        same numbers; rows without a target read ``None``."""
+        targets = [
+            None if i % 4 == 3 else PrecisionTarget(
+                metric=metric, rel_tol=[0.002, 0.05, 0.3][i % 3], rule=rule, min_samples=8
+            )
+            for i in range(9)
+        ]
+        samples = _block_samples(11, len(targets), 900)
+        budget = 900
+        rng = np.random.default_rng(5)
+        block = SequentialProbe(targets, rng)
+        ref_rng = np.random.default_rng(5)  # children spawn in row order, as in the block
+        singles = {i: SequentialProbe(t, ref_rng) for i, t in enumerate(targets) if t}
+        active = [i for i in singles]
+        for n in (64, 300, 900):
+            checks = block.assess(np.ascontiguousarray(samples[active, :n]), active)
+            for i in active:
+                singles[i].assess(samples[i, :n])
+            # Converged rows leave, as in propagate.
+            active = [i for i, done in zip(active, checks.converged.tolist()) if not done]
+            if not active:
+                break
+        outcomes = block.outcomes(budget)
+        assert len(outcomes) == len(targets)
+        assert outcomes.live.tolist() == [t is not None for t in targets]
+        for i, target in enumerate(targets):
+            got = outcomes[i]
+            if target is None:
+                assert got is None
+                continue
+            want = singles[i].outcome(budget)
+            assert got.to_dict() == want.to_dict()
+            assert repr(got) == repr(want)
+            assert outcomes.draws[i] == want.draws and outcomes.budget[i] == budget
+            assert outcomes.converged[i] == want.converged
+            assert repr(float(outcomes.half_width[i])) == repr(want.half_width)
+            assert repr(float(outcomes.tolerance[i])) == repr(want.tolerance)
+
+
+def _zero_signs_equal(got: np.ndarray, want: np.ndarray) -> bool:
+    """Bit-equal, except that +0.0 and -0.0 count as the same value.
+
+    ``np.quantile`` selects its order statistics with an unstable
+    partition, so when +0.0 and -0.0 tie at the interpolation index,
+    which of the two it returns is not fixed by the arithmetic.
+    """
+    same = got.view(np.int64) == want.view(np.int64)
+    return bool((same | ((got == 0.0) & (want == 0.0))).all())
+
+
+class TestSortedQuantile:
+    """The quantile read straight off sorted rows is ``np.quantile``'s
+    linear method, bit for bit: a numpy release that changes that
+    arithmetic fails here rather than in a golden."""
+
+    QS = (0.01, 0.5, 0.95, 0.99, 0.999)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        rows=st.integers(1, 40),
+        n=st.integers(8, 2100),
+        seed=st.integers(0, 2**32 - 1),
+        ties=st.sampled_from([None, 0, 1, 3]),
+        specials=st.lists(
+            st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0]), max_size=4
+        ),
+        special_frac=st.floats(0.0, 0.6),
+        q=st.sampled_from(QS),
+    )
+    def test_equals_np_quantile(self, rows, n, seed, ties, specials, special_frac, q):
+        rng = np.random.default_rng(seed)
+        m = rng.normal(0.0, 1.0, size=(rows, n)) * rng.lognormal(0.0, 2.0, size=(rows, 1))
+        if ties is not None:
+            m = np.round(m, ties)  # many equal values per row
+        if specials:
+            hit = rng.random((rows, n)) < special_frac * rng.random((rows, 1))
+            m[hit] = rng.choice(specials, size=int(hit.sum()))
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(m, q, axis=1)
+            got = _sorted_quantile(np.sort(m, axis=1), q)
+        assert got.shape == want.shape
+        assert _zero_signs_equal(got, want), (got, want)
+
+    @pytest.mark.parametrize("q", QS)
+    def test_exact_special_rows(self, q):
+        m = np.array(
+            [
+                np.arange(8.0),
+                [1.0] * 7 + [math.nan],
+                [-math.inf] + [1.0] * 6 + [math.inf],
+                [math.inf] * 8,
+                [5.0] * 8,
+            ]
+        )
+        with np.errstate(invalid="ignore"):
+            want = np.quantile(m, q, axis=1)
+            got = _sorted_quantile(np.sort(m, axis=1), q)
+        assert got.tobytes() == want.tobytes()
+        assert math.isnan(got[1])
 
 
 class TestStoppingRuleContract:

@@ -326,6 +326,32 @@ class TestForecastCache:
         assert cache.stats()["refreshes"] == 2
 
 
+class TestServerConfig:
+    @pytest.mark.parametrize(
+        "kwargs, message",
+        [
+            ({"n_samples": 400.5}, "n_samples must be an integer"),
+            ({"n_samples": 400.0}, "n_samples must be an integer"),
+            ({"n_samples": 1}, "n_samples must be >= 2"),
+            ({"batch_max": 8.5}, "batch_max must be an integer"),
+            ({"batch_max": True}, "batch_max must be an integer"),
+            ({"batch_max": 0}, "batch_max must be >= 1"),
+        ],
+    )
+    def test_sizes_are_integers_checked_at_construction(self, kwargs, message):
+        with pytest.raises(ValueError, match=message):
+            ServerConfig(**kwargs)
+
+    @pytest.mark.parametrize("max_queue", [8.5, 0])
+    def test_queue_bound_is_an_integer_checked_at_construction(self, max_queue):
+        with pytest.raises(ValueError, match="max_queue must be"):
+            AdmissionPolicy(max_queue=max_queue)
+
+    def test_numpy_integer_sizes_are_accepted(self):
+        cfg = ServerConfig(n_samples=np.int64(400), batch_max=np.int32(8))
+        assert cfg.n_samples == 400 and cfg.batch_max == 8
+
+
 class TestServer:
     def test_single_request_round_trip(self):
         server = tiny_server()
