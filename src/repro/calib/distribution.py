@@ -17,7 +17,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from repro.calib.sketch import QuantileSketch
+from repro.calib.sketch import QuantileSketch, SketchRows
 from repro.core.stochastic import StochasticValue
 from repro.distributions.modal import fit_gaussian_mixture
 
@@ -241,6 +241,14 @@ class DistributionInfo:
         return doc
 
 
+def _take(rows, index: np.ndarray):
+    """``rows`` at ``index``: a :class:`SketchRows` takes its columns, a
+    list (general-path sketches, mixture modes) its items."""
+    if isinstance(rows, SketchRows):
+        return rows.take(index)
+    return [rows[i] for i in index.tolist()]
+
+
 class DistributionBatch:
     """The distribution blocks of one evaluated batch, as columns.
 
@@ -271,13 +279,18 @@ class DistributionBatch:
         return int(self.count.shape[0])
 
     def __getitem__(self, j: int) -> DistributionInfo:
+        sketch = self.sketches[j]
+        if not isinstance(self.sketches, SketchRows):
+            # Rows of one evaluation group share a sketch object; each
+            # read gets its own, as SketchRows reads do.
+            sketch = QuantileSketch.merged([sketch])
         info = DistributionInfo(
             count=int(self.count[j]),
             mean=float(self.mean[j]),
             std=float(self.std[j]),
             levels=self.levels,
             quantiles=tuple(self.quantiles[j].tolist()),
-            sketch=self.sketches[j],
+            sketch=sketch,
             modes=() if self.modes is None else self.modes[j],
         )
         return info.widened(self.scale) if self.scale != 1.0 else info
@@ -292,6 +305,22 @@ class DistributionBatch:
             self.quantiles[rows],
             self.sketches[rows],
             None if self.modes is None else self.modes[rows],
+            self.scale,
+        )
+
+    def take(self, index) -> "DistributionBatch":
+        """Rows ``index`` (an integer array, repeats allowed) as a batch
+        of their own: ``take(codes)[i]`` reads as ``self[codes[i]]``.
+        The server broadcasts its evaluation groups to their rows so."""
+        index = np.asarray(index, dtype=np.intp)
+        return DistributionBatch(
+            self.count[index],
+            self.mean[index],
+            self.std[index],
+            self.levels,
+            self.quantiles[index],
+            _take(self.sketches, index),
+            None if self.modes is None else _take(self.modes, index),
             self.scale,
         )
 

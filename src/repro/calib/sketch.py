@@ -492,3 +492,15 @@ class SketchRows:
         sk._max = float(self.maxs[index])
         sk._pos = (self.bmin, self.counts[index])
         return sk
+
+    def take(self, index) -> "SketchRows":
+        """Rows ``index`` (an integer array, repeats allowed) as another
+        :class:`SketchRows`: ``take(index)[i]`` reads as ``self[index[i]]``."""
+        return SketchRows(
+            self.alpha,
+            self.bmin,
+            self.counts[index],
+            self.sizes[index],
+            self.mins[index],
+            self.maxs[index],
+        )

@@ -822,7 +822,7 @@ class PredictionServer:
     def _answer(
         self, batch: RequestBatch, t_start: float, targets: tuple | None
     ) -> tuple[ResponseBatch, float, int]:
-        """Evaluate ``batch``: ``(answers, t_done, draws evaluated)``.
+        """Evaluate ``batch``: ``(answers, t_done, draws charged)``.
 
         ``targets`` is ``(distinct clamped targets, each row's index into
         them)`` (``None`` for a fixed-budget row), or ``None`` when no row
@@ -832,18 +832,22 @@ class PredictionServer:
         a tolerance multiplier from the admission ladder, applied to every
         target *before* sampling and tagged on every answer — the server
         never silently loosens a contract.
+
+        Rows are evaluated once per evaluation key (:meth:`_groups`): one
+        propagated row and one summary per group, broadcast to its rows
+        through the group codes.  The charge stays per answered row: each
+        row counts its group's draws.
         """
         cfg = self.config
         spec = self._models[batch.models[batch.model[0]]]
         sampled = spec.sampled
         k = len(batch)
         factor = 1.0
-        effective = None
+        evaluated = None
         if targets is not None:
-            requested, codes = targets
+            requested, tcodes = targets
             factor = self.admission.precision_factor(self._qlen)
             evaluated = [None if t is None else t.degraded(factor) for t in requested]
-            effective = [evaluated[c] for c in codes.tolist()]
         try:
             self.forecasts.ingest_to(t_start)
             shared = {
@@ -854,7 +858,12 @@ class PredictionServer:
             base = {
                 p: shared[p].value if p in shared else spec.bindings.resolve(p) for p in sampled
             }
-            samples, outcomes, draws = propagate(
+            first, codes = self._groups(batch, targets)
+            reps = first.tolist()
+            overrides = None
+            if batch.overrides is not None:
+                overrides = tuple(batch.overrides[i] for i in reps)
+            samples, outcomes, _ = propagate(
                 self._plan(spec),
                 spec.expression,
                 spec.bindings,
@@ -862,11 +871,11 @@ class PredictionServer:
                 base,
                 self._rng,
                 budget=cfg.n_samples,
-                rows=k,
-                targets=effective,
-                overrides=batch.overrides,
+                rows=len(reps),
+                targets=None if targets is None else [evaluated[tcodes[i]] for i in reps],
+                overrides=overrides,
                 clip=spec.clip,
-                request_ids=batch.request_id,
+                request_ids=batch.request_id[first],
                 tracer=self.tracer,
             )
         except Exception as exc:  # noqa: BLE001 - protocol boundary
@@ -880,6 +889,18 @@ class PredictionServer:
             )
             return rb, t_done, 0
 
+        # The summary formulas of EmpiricalValue.to_stochastic/quantile,
+        # once per group.
+        if isinstance(samples, np.ndarray):
+            mean = samples.mean(axis=1)
+            std = samples.std(axis=1, ddof=1)
+            p95 = np.quantile(samples, 0.95, axis=1)
+            draws = k * samples.shape[1]
+        else:
+            mean, std, p95 = ragged_summary(samples, 0.95)
+            draws = int(np.fromiter(map(len, samples), np.int64, len(samples))[codes].sum())
+        spread = 2.0 * std
+
         if targets is None:
             t_done = t_start + cfg.service_time(k)
         else:
@@ -889,17 +910,8 @@ class PredictionServer:
             self.metrics.counter("draws_budget_total").inc(k * cfg.n_samples)
             if factor > 1.0:
                 self.metrics.counter("precision_degraded_total").inc(
-                    int(np.count_nonzero(outcomes.live))
+                    int(np.count_nonzero(outcomes.live[codes]))
                 )
-
-        # The summary formulas of EmpiricalValue.to_stochastic/quantile.
-        if isinstance(samples, np.ndarray):
-            mean = samples.mean(axis=1)
-            spread = 2.0 * samples.std(axis=1, ddof=1)
-            p95 = np.quantile(samples, 0.95, axis=1)
-        else:
-            mean, std, p95 = ragged_summary(samples, 0.95)
-            spread = 2.0 * std
 
         scale, dists = 1.0, None
         if self.calib is not None:
@@ -918,69 +930,110 @@ class PredictionServer:
             p95 = mean + (p95 - mean) * scale
 
         consulted = list(shared.values())
-        quality = np.full(k, QUALITIES.index(_worst_quality(f.quality for f in consulted)), np.int8)
-        staleness = np.full(k, max((f.staleness for f in consulted), default=0.0))
-        overrides = batch.overrides
+        worst = QUALITIES.index(_worst_quality(f.quality for f in consulted))
+        quality = np.full(len(reps), worst, np.int8)
+        staleness = np.full(len(reps), max((f.staleness for f in consulted), default=0.0))
         if overrides is not None:
-            for i, o in enumerate(overrides):
+            for g, o in enumerate(overrides):
                 if o:
                     own = [f for p, f in shared.items() if p not in o]
-                    quality[i] = QUALITIES.index(_worst_quality(f.quality for f in own))
-                    staleness[i] = max((f.staleness for f in own), default=0.0)
-        latency = t_done - batch.submitted
+                    quality[g] = QUALITIES.index(_worst_quality(f.quality for f in own))
+                    staleness[g] = max((f.staleness for f in own), default=0.0)
 
         rich = None
         if dists is not None or targets is not None:
+            values = [base] if overrides is None else [_row_values(base, o) for o in overrides]
             rich = self._blocks(
-                spec, batch, t_done, quality, targets, outcomes, factor, dists, base
+                spec, batch, t_done, (first, codes), quality, targets, outcomes, factor,
+                dists, values,
             )
         rb = _answers(
             batch,
             completed=np.full(k, t_done),
-            mean=mean,
-            spread=spread,
-            p95=p95,
-            quality=quality,
-            staleness=staleness,
-            latency=latency,
+            mean=mean[codes],
+            spread=spread[codes],
+            p95=p95[codes],
+            quality=quality[codes],
+            staleness=staleness[codes],
+            latency=t_done - batch.submitted,
             batch_size=np.full(k, k, np.int32),
             messages=rich,
         )
         return rb, t_done, draws
 
+    def _groups(self, batch: RequestBatch, targets: tuple | None) -> tuple[np.ndarray, np.ndarray]:
+        """``(first row of each evaluation group, each row's group code)``.
+
+        A row's evaluation key is its override values plus its clamped
+        precision target; rows with equal keys stand on the same
+        distribution and share one evaluation.  Groups are numbered in
+        order of first appearance, so a batch whose keys all differ
+        evaluates exactly as one group per row.  An adaptive row is a
+        group of its own: its drawn count sets the batch's charge.  An
+        override-free, fixed-budget batch is one group without a look at
+        its rows.
+        """
+        k = len(batch)
+        overrides = batch.overrides
+        live = None
+        if targets is not None:
+            live = np.array([t is not None for t in targets[0]])[targets[1]]
+            if live.all():
+                every = np.arange(k)
+                return every, every
+        if overrides is None and live is None:
+            return np.zeros(1, np.intp), np.zeros(k, np.intp)
+        keys: dict = {}
+        first = []
+        codes = np.empty(k, np.intp)
+        for i in range(k):
+            if live is not None and live[i]:
+                key = i
+            elif overrides is None or not overrides[i]:
+                key = ()
+            else:
+                # repr keeps values that compare equal but evaluate
+                # differently (0.0 and -0.0) apart.
+                key = tuple(sorted((p, repr(v)) for p, v in overrides[i].items()))
+            code = keys.setdefault(key, len(keys))
+            if code == len(first):
+                first.append(i)
+            codes[i] = code
+        return np.asarray(first, np.intp), codes
+
     def _blocks(
-        self, spec, batch, t_done, quality, targets, outcomes, factor, dists, base
+        self, spec, batch, t_done, groups, quality, targets, outcomes, factor, dists, values
     ) -> tuple:
         """The answers' precision and distribution blocks, which do not
         columnise: row ``i``'s sidecar entry is ``(precision block,
-        distributions, i)``, one of each per batch (``None`` where the
-        batch has none), and its response view builds row ``i``'s blocks
-        on read.  The distributions are queued for calibration scoring in
-        one call."""
+        distributions, codes[i])``, one of each per batch over its
+        evaluation groups (``groups``: their first rows and each row's
+        code; ``None`` where the batch has none), and its response view
+        builds its group's blocks on read.  Every row's distribution is
+        queued for calibration scoring in one call, with the parameter
+        values its group stood on (``values``, one dict per group)."""
+        first, codes = groups
         k = len(batch)
         block = None
         if targets is not None:
+            live = outcomes.live[codes]
             self.metrics.histogram("draws_used", _DRAWS_BUCKETS).observe_many(
-                outcomes.draws[outcomes.live]
+                outcomes.draws[codes][live]
             )
             degraded = factor > 1.0
             block = PrecisionBlock(
                 targets[0],
-                targets[1],
+                targets[1][first],
                 outcomes,
                 degraded=degraded,
                 shed_factor=factor,
                 reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
             )
         if dists is not None:
-            effective = (
-                [base] * k
-                if batch.overrides is None
-                else [_row_values(base, o) for o in batch.overrides]
-            )
-            qualities = [QUALITIES[q] for q in quality.tolist()]
-            self.calib.enqueue(spec.name, qualities, dists, effective, t_done)
-        return tuple(zip(repeat(block, k), repeat(dists), range(k)))
+            effective = values * k if len(values) == 1 else [values[c] for c in codes.tolist()]
+            qualities = [QUALITIES[q] for q in quality[codes].tolist()]
+            self.calib.enqueue(spec.name, qualities, dists.take(codes), effective, t_done)
+        return tuple(zip(repeat(block, k), repeat(dists), codes.tolist()))
 
     # ------------------------------------------------------------------
     # Precision targets
