@@ -49,6 +49,7 @@ from repro.calib.recalibrate import RecalibrationEvent, RecalibrationPolicy, Rec
 from repro.calib.scorer import CalibrationScorer, score_rows
 from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, build_sketches
 from repro.core.stochastic import StochasticValue
+from repro.nws.service import QUALITIES
 from repro.obs.tracer import STAGE_CALIB, as_tracer
 from repro.structural.engine import (
     UnsupportedExpressionError,
@@ -151,10 +152,11 @@ class CalibrationLoop:
         )
         self._levels = grid_levels(DEFAULT_GRID_SIZE)
         self._levels_arr = np.asarray(self._levels, dtype=float)
-        # Deferred-scoring queue: per model, (qualities, dists,
-        # effective) chunks of served batches awaiting outcome
-        # simulation.
+        # Deferred-scoring queue: per model, (quality codes, dists,
+        # group values, group codes) chunks of served batches awaiting
+        # outcome simulation.
         self._pending: dict[str, list[tuple]] = {}
+        self._queued: dict[str, int] = {}  # rows in each model's queue
         self._last_t = 0.0
         # Compiled truth plans (None = reference fallback), keyed by
         # model; avoids re-hashing the expression every flush.
@@ -226,60 +228,39 @@ class CalibrationLoop:
     # ------------------------------------------------------------------
     # Outcome simulation
     # ------------------------------------------------------------------
-    def realise(self, model: str, effective: list[dict]) -> np.ndarray:
+    def realise(self, model: str, values: list[dict], codes) -> np.ndarray:
         """One realised outcome per request, drawn from the truth model.
 
-        ``effective`` carries, per request, the resolved
-        :class:`~repro.core.stochastic.StochasticValue` of every
-        run-time parameter (live forecast or override) — the same
-        values the served answer stood on, so prediction and outcome
-        disagree only by sampling noise and any configured truth
-        distortion.  One vectorised plan evaluation covers the batch
-        (each "draw" is one request's realisation).
+        Request ``i`` stood on ``values[codes[i]]``: the resolved
+        :class:`~repro.core.stochastic.StochasticValue` of every run-time
+        parameter (live forecast or override), one dict per evaluation
+        group — the same values the served answer stood on, so
+        prediction and outcome disagree only by sampling noise and any
+        configured truth distortion.  Per parameter, requests that share
+        a value draw theirs in one RNG call (in request order, distinct
+        values in sorted order), and one vectorised plan evaluation
+        covers the batch (each "draw" is one request's realisation).
         """
         truth = self._truth.get(model)
         if truth is None:
             raise KeyError(f"no truth model registered for {model!r}")
-        k_total = len(effective)
-        w = self.config.truth_spread_scale
-        # The serving layer shares one resolved-forecast dict across all
-        # override-free requests of a batch, so collapsing by object
-        # identity first reduces the per-parameter grouping work from
-        # one pass over requests to one pass over distinct dicts.
-        uniq_effs: list[dict] = []
-        members: list[list[int]] = []
-        slot_of: dict[int, int] = {}
-        for j, values in enumerate(effective):
-            slot = slot_of.get(id(values))
-            if slot is None:
-                slot_of[id(values)] = len(uniq_effs)
-                uniq_effs.append(values)
-                members.append([j])
-            else:
-                members[slot].append(j)
+        codes = np.asarray(codes, dtype=np.intp)
+        k_total = codes.size
         draws: dict[str, np.ndarray] = {}
         for param in truth.sampled:
             bounds = truth.clip.get(param) if truth.clip else None
-            arr = np.empty(k_total)
-            # Group identical parameter values so the whole batch costs
-            # one RNG call per distinct forecast, not one per request.
-            groups: dict[tuple[float, float], list[int]] = {}
-            for slot, values in enumerate(uniq_effs):
-                sv = values.get(param)
-                if sv is None:
-                    sv = truth.bindings.resolve(param)
-                key = (sv.mean, sv.spread)
-                got = groups.get(key)
-                if got is None:
-                    groups[key] = list(members[slot])
-                else:
-                    got.extend(members[slot])
-            for (mean, spread), idxs in sorted(groups.items()):
-                spread *= w
-                if spread == 0.0:
-                    arr[idxs] = mean
-                else:
-                    arr[idxs] = StochasticValue(mean, spread).sample(len(idxs), self._rng)
+            default = truth.bindings.resolve(param)
+            pairs = [(sv.mean, sv.spread) for sv in (v.get(param, default) for v in values)]
+            distinct = sorted(set(pairs))
+            if len(distinct) == 1:
+                arr = self._outcomes(*distinct[0], k_total)
+            else:
+                slot = {pair: g for g, pair in enumerate(distinct)}
+                row = np.fromiter(map(slot.__getitem__, pairs), np.intp, len(pairs))[codes]
+                arr = np.empty(k_total)
+                for g, (mean, spread) in enumerate(distinct):
+                    idxs = np.flatnonzero(row == g)
+                    arr[idxs] = self._outcomes(mean, spread, idxs.size)
             if bounds is not None:
                 arr = np.clip(arr, *bounds)
             draws[param] = arr
@@ -297,44 +278,57 @@ class CalibrationLoop:
             return _reference_loop(truth.expression, truth.bindings, truth.sampled, draws, k_total)
         return plan.evaluate(draws, truth.bindings, n_samples=k_total)
 
+    def _outcomes(self, mean: float, spread: float, n: int) -> np.ndarray:
+        """``n`` realisations of one parameter value, spread distorted."""
+        spread *= self.config.truth_spread_scale
+        if spread == 0.0:
+            return np.full(n, mean)
+        return StochasticValue(mean, spread).sample(n, self._rng)
+
     # ------------------------------------------------------------------
     # Scoring + control
     # ------------------------------------------------------------------
     def enqueue(
         self,
         model: str,
-        qualities: list[str],
+        quality: np.ndarray,
         dists: DistributionBatch,
-        effective: list[dict],
+        values: list[dict],
+        codes: np.ndarray,
         t: float,
     ) -> None:
         """Queue one batch of served answers for deferred outcome scoring.
 
-        Row ``j`` is an answer of forecast quality ``qualities[j]``
-        serving ``dists[j]``; ``effective[j]`` carries its resolved
-        per-parameter :class:`~repro.core.stochastic.StochasticValue`
-        forecasts (the values the answer stood on).  Each time
-        ``flush_every`` answers are queued for ``model`` they are
-        realised and scored in one flush — at the same answer a
-        one-at-a-time queue would flush at; ``summary()`` drains any
-        remainder.
+        Row ``j`` is an answer of forecast quality
+        ``QUALITIES[quality[j]]`` serving ``dists[j]``; ``values`` holds
+        the resolved per-parameter
+        :class:`~repro.core.stochastic.StochasticValue` forecasts of each
+        evaluation group (the values an answer stood on) and ``codes[j]``
+        row ``j``'s group.  Each time ``flush_every`` answers are queued
+        for ``model`` they are realised and scored in one flush — at the
+        same answer a one-at-a-time queue would flush at; ``summary()``
+        drains any remainder.
         """
         self._last_t = t
+        quality = np.asarray(quality, dtype=np.int8)
+        codes = np.asarray(codes, dtype=np.intp)
         k, lo = len(dists), 0
         while lo < k:
-            room = self.config.flush_every - self.pending(model)
+            room = self.config.flush_every - self._queued.get(model, 0)
             hi = min(k, lo + room)
             rows = slice(lo, hi)
-            chunk = (qualities[rows], dists.select(rows), effective[rows])
+            chunk = (quality[rows], dists.select(rows), values, codes[rows])
             self._pending.setdefault(model, []).append(chunk)
+            self._queued[model] = self._queued.get(model, 0) + hi - lo
             if hi - lo == room:
                 self._flush(model, t)
             lo = hi
 
     def pending(self, model: str | None = None) -> int:
         """Queued-but-unscored answers (for ``model``, or in total)."""
-        models = list(self._pending) if model is None else [model]
-        return sum(len(chunk[1]) for m in models for chunk in self._pending.get(m, ()))
+        if model is None:
+            return sum(self._queued.values())
+        return self._queued.get(model, 0)
 
     def flush(self, t: float | None = None) -> None:
         """Score every queued answer now (sorted by model for determinism)."""
@@ -350,12 +344,13 @@ class CalibrationLoop:
         and ``calib_errors_total`` counts it.
         """
         queue = self._pending.pop(model, [])
+        self._queued.pop(model, None)
         if not queue:
             return
         span = None
         try:
             scale = self.scale(model)
-            qualities = [q for chunk in queue for q in chunk[0]]
+            quality = np.concatenate([chunk[0] for chunk in queue])
             served = [chunk[1].served() for chunk in queue]
             if self.tracer.enabled:
                 span = self.tracer.start_span(
@@ -364,19 +359,22 @@ class CalibrationLoop:
                     stage=STAGE_CALIB,
                     new_trace=True,
                     model=model,
-                    batch_size=len(qualities),
+                    batch_size=len(quality),
                     scale=scale,
                 )
-            y = np.asarray(
-                self.realise(model, [e for chunk in queue for e in chunk[2]]), dtype=float
-            )
+            values, codes, base = [], [], 0
+            for chunk in queue:
+                values += chunk[2]
+                codes.append(chunk[3] + base)
+                base += len(chunk[2])
+            y = np.asarray(self.realise(model, values, np.concatenate(codes)), dtype=float)
             covered_a, crps_a, pit_bins, z_a, mae_a, sharp_a = score_rows(
                 np.concatenate([chunk[1].mean for chunk in queue]),
                 *(np.concatenate(col) for col in zip(*served)),
                 self._levels_arr,
                 y,
             )
-            k = len(qualities)
+            k = len(quality)
             sc = self.scorer.score(model)
             # Ingest in chunks split at the control cadence: control()
             # acts only when score.n hits a multiple of its interval, so
@@ -384,8 +382,7 @@ class CalibrationLoop:
             # identical to running it after every observation.
             if self.recalibrator is not None:
                 interval = self.recalibrator.policy.control_interval
-                n0 = sc.n
-                cuts = [i for i in range(1, k + 1) if (n0 + i) % interval == 0]
+                cuts = list(range(interval - sc.n % interval, k + 1, interval))
             else:
                 cuts = []
             if not cuts or cuts[-1] != k:
@@ -401,12 +398,9 @@ class CalibrationLoop:
                     if event is not None:
                         self._note_event(event, t)
                 lo = hi
-            by_quality: dict[str, list[int]] = {}
-            for i, quality in enumerate(qualities):
-                by_quality.setdefault(quality, []).append(i)
-            for quality, idxs in sorted(by_quality.items()):
-                ii = np.asarray(idxs, dtype=np.int64)
-                self.scorer.cohort(quality).ingest_many(
+            for q in np.unique(quality).tolist():
+                ii = np.flatnonzero(quality == q)
+                self.scorer.cohort(QUALITIES[q]).ingest_many(
                     covered_a[ii], crps_a[ii], pit_bins[ii], z_a[ii], mae_a[ii], sharp_a[ii]
                 )
             covered = int(covered_a.sum())

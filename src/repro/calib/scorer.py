@@ -25,6 +25,8 @@ online serving loop both use it):
 
 from __future__ import annotations
 
+import math
+
 from collections import deque
 from dataclasses import dataclass
 
@@ -288,7 +290,12 @@ class ModelScore:
         """
         if not self._z_win:
             raise ValueError(f"no z-scores observed for {self.key!r}")
-        return float(np.quantile(np.asarray(self._z_win), q, method="higher"))
+        # np.quantile(z, q, method="higher") without its set-up: the same
+        # index, the same partition, NaN when the window holds one.
+        z = np.array(self._z_win)
+        i = math.ceil((z.size - 1) * q)
+        z.partition((i, -1))
+        return math.nan if math.isnan(z[-1]) else float(z[i])
 
     def pit_histogram(self) -> list[float]:
         """PIT bin fractions (sums to 1 once observations exist)."""

@@ -942,7 +942,11 @@ class PredictionServer:
 
         rich = None
         if dists is not None or targets is not None:
-            values = [base] if overrides is None else [_row_values(base, o) for o in overrides]
+            values = (
+                [base] * len(reps)
+                if overrides is None
+                else [_row_values(base, o) for o in overrides]
+            )
             rich = self._blocks(
                 spec, batch, t_done, (first, codes), quality, targets, outcomes, factor,
                 dists, values,
@@ -1030,9 +1034,9 @@ class PredictionServer:
                 reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
             )
         if dists is not None:
-            effective = values * k if len(values) == 1 else [values[c] for c in codes.tolist()]
-            qualities = [QUALITIES[q] for q in quality[codes].tolist()]
-            self.calib.enqueue(spec.name, qualities, dists.take(codes), effective, t_done)
+            self.calib.enqueue(
+                spec.name, quality[codes], dists.take(codes), values, codes, t_done
+            )
         return tuple(zip(repeat(block, k), repeat(dists), codes.tolist()))
 
     # ------------------------------------------------------------------

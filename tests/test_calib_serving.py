@@ -243,7 +243,7 @@ class TestDeferredScoring:
         cfg = CalibrationConfig(truth_spread_scale=3.0, flush_every=16)
         spec = calib_server(CalibrationConfig()).calib._truth["m"]
         samples = np.random.default_rng(5).normal(5.0, 0.1, size=(120, 64))
-        effective = [{"load": StochasticValue(0.5, 0.1)}] * 120
+        values = [{"load": StochasticValue(0.5, 0.1)}]
         loops = []
         for sizes in ([5, 37, 11, 50, 17], [1] * 120):
             loop = CalibrationLoop(cfg, np.random.default_rng(0))
@@ -252,7 +252,8 @@ class TestDeferredScoring:
             lo = 0
             for k in sizes:
                 rows = slice(lo, lo + k)
-                loop.enqueue("m", ["fresh"] * k, dists.select(rows), effective[rows], 60.0)
+                fresh, codes = np.zeros(k, np.int8), np.zeros(k, np.intp)
+                loop.enqueue("m", fresh, dists.select(rows), values, codes, 60.0)
                 lo += k
             assert loop.pending() == 120 % 16
             loops.append(loop.summary())
