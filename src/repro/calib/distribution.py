@@ -58,10 +58,9 @@ class DistributionInfo:
         Monte Carlo draws the distribution summarises.
     mean, std:
         Moments of the draw cloud, including any recalibration scaling.
-        They equal the response's ``value`` summary (``value.mean``,
-        ``value.std``) up to float reduction order: the two are
-        computed by different array reductions and may differ in the
-        last ulp.
+        On a served answer they are the response's ``value`` summary
+        (``value.mean``, ``value.spread / 2``) bit for bit: the server
+        computes the moments once per evaluation and both read them.
     levels, quantiles:
         The quantile grid: ``quantiles[k]`` estimates the ``levels[k]``
         quantile of the predictive distribution (within the sketch's

@@ -178,34 +178,32 @@ class CalibrationLoop:
     # ------------------------------------------------------------------
     # Distribution building
     # ------------------------------------------------------------------
-    def distributions(self, samples) -> DistributionBatch:
+    def distributions(self, samples, mean=None, std=None) -> DistributionBatch:
         """Distribution blocks for a whole batch of draw clouds.
 
         ``samples`` is a ``(rows, draws)`` matrix or a list of per-row
         draw arrays.  Row ``j`` of the result reads as
         ``DistributionInfo.from_samples(samples[j], mixture_components=...)``,
-        but sketches and quantile grids come from one fused vectorised
-        pass (:func:`~repro.calib.sketch.build_sketches`) and the moments
-        from one axis reduction per distinct draw count — the serving hot
-        path.  Quantile grids and sketches are bit-equal to the one-row
-        builder; a matrix's moments may differ by float reduction order
-        only, a ragged list's are bit-equal.
+        field for field, but sketches and quantile grids come from one
+        fused vectorised pass (:func:`~repro.calib.sketch.build_sketches`)
+        — the serving hot path.  ``mean`` and ``std`` are the rows'
+        moments when the caller has them (the server's answer summary),
+        else one axis reduction per distinct draw count computes them.
         With ``mixture_components`` set, each row's fitted mixture goes
         into the batch's ``modes`` column.
         """
         if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] >= 2:
             # A matrix iterates as its rows, like the ragged list below.
-            arrays = mat = np.ascontiguousarray(samples, dtype=float)
-            sketches, qmat = build_sketches(mat, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
-            counts = np.full(mat.shape[0], mat.shape[1])
-            mean = mat.mean(axis=1)
-            dev = mat - mean[:, None]
-            std = np.sqrt(np.einsum("ij,ij->i", dev, dev) / (mat.shape[1] - 1))
+            arrays = np.ascontiguousarray(samples, dtype=float)
+            counts = np.full(arrays.shape[0], arrays.shape[1])
+            if mean is None:
+                mean, std = arrays.mean(axis=1), arrays.std(axis=1, ddof=1)
         else:
             arrays = [np.asarray(s, dtype=float).ravel() for s in samples]
-            sketches, qmat = build_sketches(arrays, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
             counts = [a.size for a in arrays]
-            mean, std, _ = ragged_summary(arrays)
+            if mean is None:
+                mean, std, _ = ragged_summary(arrays)
+        sketches, qmat = build_sketches(arrays, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
         k = self.config.mixture_components
         modes = [fit_modes(a, k) for a in arrays] if k else None
         return DistributionBatch(counts, mean, std, self._levels, qmat, sketches, modes)

@@ -890,7 +890,7 @@ class PredictionServer:
             return rb, t_done, 0
 
         # The summary formulas of EmpiricalValue.to_stochastic/quantile,
-        # once per group.
+        # once per group; the distribution blocks read the same moments.
         if isinstance(samples, np.ndarray):
             mean = samples.mean(axis=1)
             std = samples.std(axis=1, ddof=1)
@@ -919,7 +919,7 @@ class PredictionServer:
             # answered un-annotated and calib_errors_total counts it.
             try:
                 scale = self.calib.scale(spec.name)
-                dists = self.calib.distributions(samples)
+                dists = self.calib.distributions(samples, mean, std)
                 if scale != 1.0:
                     dists = dists.widened(scale)
             except Exception:  # noqa: BLE001 - scoring must never break serving

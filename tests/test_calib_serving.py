@@ -93,8 +93,8 @@ class TestDistributionBlocks:
             assert d.levels == grid_levels(DEFAULT_GRID_SIZE)
             assert len(d.quantiles) == len(d.levels)
             # The block's moments ARE the response's value summary.
-            assert d.mean == pytest.approx(r.value.mean, rel=1e-12)
-            assert d.spread == pytest.approx(r.value.spread, rel=1e-12)
+            assert d.mean == r.value.mean
+            assert d.spread == r.value.spread
             assert not d.recalibrated and d.scale == 1.0
             assert d.sketch is not None and d.sketch.count == d.count
             assert d.modes == ()
@@ -271,7 +271,7 @@ class TestDeferredScoring:
             assert dists[j].quantiles == eager.quantiles
             assert dists[j].sketch == eager.sketch
             assert dists[j].count == eager.count
-            assert dists[j].mean == pytest.approx(eager.mean, rel=1e-12)
+            assert (dists[j].mean, dists[j].std) == (eager.mean, eager.std)
         wide = dists.widened(1.5)
         std, quantiles, scale = wide.served()
         for j in range(6):
@@ -302,8 +302,7 @@ class TestDeferredScoring:
             assert got.sketch == eager.sketch
             assert got.modes == eager.modes
             assert got.count == eager.count
-            assert got.mean == pytest.approx(eager.mean, rel=1e-12)
-            assert got.std == pytest.approx(eager.std, rel=1e-12)
+            assert (got.mean, got.std) == (eager.mean, eager.std)
         assert [len(dists[j].modes) for j in range(5)] == [0 if ragged else 2] + [2] * 4
 
     def test_loop_scale_without_recalibrator_is_initial_scale(self):

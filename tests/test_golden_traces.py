@@ -71,7 +71,8 @@ def test_platform2_trace_is_frozen(golden):
     )
 
 
-def test_serving_trace_is_frozen(golden):
+def serving_trace_payload() -> dict:
+    """The served drive's observable record (the ``serving_seed7`` golden)."""
     server, _, _ = demo_server(duration=600.0, rng=7)
     driver = LoadDriver(
         server,
@@ -82,35 +83,36 @@ def test_serving_trace_is_frozen(golden):
     )
     report = driver.run()
     snapshot = server.metrics.snapshot()
-    golden(
-        "serving_seed7",
-        {
-            "responses": [
-                {
-                    "request_id": r.request_id,
-                    "client_id": r.client_id,
-                    "model": r.model,
-                    "completed": r.completed,
-                    "latency": r.latency,
-                    "quality": r.quality,
-                    "staleness": r.staleness,
-                    "batch_size": r.batch_size,
-                    "value": stochastic_payload(r.value),
-                    "p95": r.p95,
-                }
-                for r in report.responses
-                if r.ok
-            ],
-            "summary": {
-                "submitted": report.submitted,
-                "ok": report.ok,
-                "shed": report.shed,
-                "errors": report.errors,
-                "qualities": report.qualities,
-            },
-            "metrics": {
-                "counters": snapshot["counters"],
-                "gauges": snapshot["gauges"],
-            },
+    return {
+        "responses": [
+            {
+                "request_id": r.request_id,
+                "client_id": r.client_id,
+                "model": r.model,
+                "completed": r.completed,
+                "latency": r.latency,
+                "quality": r.quality,
+                "staleness": r.staleness,
+                "batch_size": r.batch_size,
+                "value": stochastic_payload(r.value),
+                "p95": r.p95,
+            }
+            for r in report.responses
+            if r.ok
+        ],
+        "summary": {
+            "submitted": report.submitted,
+            "ok": report.ok,
+            "shed": report.shed,
+            "errors": report.errors,
+            "qualities": report.qualities,
         },
-    )
+        "metrics": {
+            "counters": snapshot["counters"],
+            "gauges": snapshot["gauges"],
+        },
+    }
+
+
+def test_serving_trace_is_frozen(golden):
+    golden("serving_seed7", serving_trace_payload())
