@@ -1034,9 +1034,9 @@ class PredictionServer:
                 reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
             )
         if dists is not None:
-            self.calib.enqueue(
-                spec.name, quality[codes], dists.take(codes), values, codes, t_done
-            )
+            # Singleton groups (every adaptive batch) are the rows already.
+            rows = dists if len(first) == k else dists.take(codes)
+            self.calib.enqueue(spec.name, quality[codes], rows, values, codes, t_done)
         return tuple(zip(repeat(block, k), repeat(dists), codes.tolist()))
 
     # ------------------------------------------------------------------
