@@ -188,3 +188,5 @@ def test_take_reads_as_indexing(clouds, positive, ragged, components, scale, pic
         got, want = taken[i], batch[c]
         for f in dataclasses.fields(want):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
+        # Rows that share a group never share a mutable sketch.
+        assert got.sketch is not want.sketch
