@@ -57,7 +57,6 @@ from repro.structural.engine import (
     compile_expr,
 )
 from repro.structural.montecarlo import _reference_loop
-from repro.util.stats import ragged_summary
 
 __all__ = ["CalibrationConfig", "CalibrationLoop"]
 
@@ -178,31 +177,26 @@ class CalibrationLoop:
     # ------------------------------------------------------------------
     # Distribution building
     # ------------------------------------------------------------------
-    def distributions(self, samples, mean=None, std=None) -> DistributionBatch:
+    def distributions(self, samples, mean, std) -> DistributionBatch:
         """Distribution blocks for a whole batch of draw clouds.
 
         ``samples`` is a ``(rows, draws)`` matrix or a list of per-row
-        draw arrays.  Row ``j`` of the result reads as
+        draw arrays, and ``mean``/``std`` their moments as the caller
+        summarised them (the server's answer summary: the blocks do not
+        recompute them).  Row ``j`` of the result reads as
         ``DistributionInfo.from_samples(samples[j], mixture_components=...)``,
         field for field, but sketches and quantile grids come from one
         fused vectorised pass (:func:`~repro.calib.sketch.build_sketches`)
-        — the serving hot path.  ``mean`` and ``std`` are the rows'
-        moments when the caller has them (the server's answer summary),
-        else one axis reduction per distinct draw count computes them.
-        With ``mixture_components`` set, each row's fitted mixture goes
-        into the batch's ``modes`` column.
+        — the serving hot path.  With ``mixture_components`` set, each
+        row's fitted mixture goes into the batch's ``modes`` column.
         """
         if isinstance(samples, np.ndarray) and samples.ndim == 2 and samples.shape[1] >= 2:
             # A matrix iterates as its rows, like the ragged list below.
             arrays = np.ascontiguousarray(samples, dtype=float)
             counts = np.full(arrays.shape[0], arrays.shape[1])
-            if mean is None:
-                mean, std = arrays.mean(axis=1), arrays.std(axis=1, ddof=1)
         else:
             arrays = [np.asarray(s, dtype=float).ravel() for s in samples]
             counts = [a.size for a in arrays]
-            if mean is None:
-                mean, std, _ = ragged_summary(arrays)
         sketches, qmat = build_sketches(arrays, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
         k = self.config.mixture_components
         modes = [fit_modes(a, k) for a in arrays] if k else None

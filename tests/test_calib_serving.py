@@ -44,6 +44,7 @@ from repro.serving import (
 )
 from repro.structural.expr import Param
 from repro.structural.parameters import Bindings
+from repro.util.stats import ragged_summary
 from repro.workload.traces import Trace
 
 
@@ -51,6 +52,13 @@ def _request(i=0, client="c0", model="m", submitted=60.0, **kw):
     return PredictRequest(
         request_id=i, client_id=client, model=model, submitted=submitted, **kw
     )
+
+
+def _distributions(loop, samples):
+    """The loop's blocks over ``samples``, given the moments a server
+    passes (its answer summary)."""
+    mean, std, _ = ragged_summary(samples)
+    return loop.distributions(samples, mean, std)
 
 
 def calib_server(calibration=None, *, config_kw=None, tracer=None):
@@ -248,7 +256,7 @@ class TestDeferredScoring:
         for sizes in ([5, 37, 11, 50, 17], [1] * 120):
             loop = CalibrationLoop(cfg, np.random.default_rng(0))
             loop.register(spec)
-            dists = loop.distributions(samples)
+            dists = _distributions(loop, samples)
             lo = 0
             for k in sizes:
                 rows = slice(lo, lo + k)
@@ -264,7 +272,7 @@ class TestDeferredScoring:
     def test_distribution_batch_rows_match_the_eager_blocks(self):
         loop = CalibrationLoop(CalibrationConfig(), np.random.default_rng(0))
         samples = np.random.default_rng(1).normal(5.0, 0.3, size=(6, 50))
-        dists = loop.distributions(samples)
+        dists = _distributions(loop, samples)
         assert len(dists) == 6
         for j in range(6):
             eager = DistributionInfo.from_samples(samples[j])
@@ -293,7 +301,7 @@ class TestDeferredScoring:
         )
         # Ragged rows of 3 .. 27 draws: the 3-draw row is too short to fit.
         samples = [mat[j, : 3 + 6 * j] for j in range(5)] if ragged else mat
-        dists = loop.distributions(samples)
+        dists = _distributions(loop, samples)
         assert len(dists) == 5
         for j in range(5):
             eager = DistributionInfo.from_samples(samples[j], mixture_components=2)

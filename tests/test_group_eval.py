@@ -27,6 +27,7 @@ from repro.core.stochastic import StochasticValue
 from repro.serving import PredictRequest, RequestBatch, ServerConfig, demo_server
 from repro.structural.montecarlo import propagate
 from repro.structural.repeaters import PrecisionTarget
+from repro.util.stats import ragged_summary
 
 SEED = 5
 
@@ -178,7 +179,8 @@ def test_take_reads_as_indexing(clouds, positive, ragged, components, scale, pic
         arrays = np.vstack([a[:n] for a in arrays])
     config = CalibrationConfig(mixture_components=components)
     loop = CalibrationLoop(config, np.random.default_rng(1))
-    batch = loop.distributions(arrays)
+    mean, std, _ = ragged_summary(arrays)
+    batch = loop.distributions(arrays, mean, std)
     if scale != 1.0:
         batch = batch.widened(scale)
     codes = np.asarray([p % len(batch) for p in picks])
