@@ -20,6 +20,7 @@ import numpy as np
 from repro.calib.sketch import QuantileSketch, SketchRows
 from repro.core.stochastic import StochasticValue
 from repro.distributions.modal import fit_gaussian_mixture
+from repro.util.columns import REQUIRED, Columns
 
 __all__ = ["DistributionInfo", "DistributionBatch", "DEFAULT_GRID_SIZE", "grid_levels"]
 
@@ -240,42 +241,24 @@ class DistributionInfo:
         return doc
 
 
-def _take(rows, index: np.ndarray):
-    """``rows`` at ``index``: a :class:`SketchRows` takes its columns, a
-    list (general-path sketches, mixture modes) its items."""
-    if isinstance(rows, SketchRows):
-        return rows.take(index)
-    return [rows[i] for i in index.tolist()]
-
-
-class DistributionBatch:
+class DistributionBatch(Columns):
     """The distribution blocks of one evaluated batch, as columns.
 
     The serving hot path keeps a batch's draw counts, moments, quantile
     grids and sketches as arrays, scores them as arrays, and builds a
     row's :class:`DistributionInfo` only when it is read (``batch[j]``).
-    The columns stay raw; ``scale`` is the recalibration widening every
-    row carries (``1.0``: none), applied to a read row by
+    ``sketches`` holds the rows' raw-draw sketches (a :class:`SketchRows`
+    or a list) and ``modes`` their fitted mixtures (``None``: none
+    fitted).  The columns stay raw; ``scale`` is the recalibration
+    widening every row carries (``1.0``: none), applied to a read row by
     :meth:`DistributionInfo.widened` — so ``batch[j]`` equals the block
     an eager build would have served, field for field.
     """
 
-    __slots__ = ("count", "mean", "std", "levels", "quantiles", "sketches", "modes", "scale")
-
-    def __init__(self, count, mean, std, levels, quantiles, sketches, modes=None, scale=1.0):
-        self.count = np.asarray(count, dtype=np.int64)
-        self.mean = np.asarray(mean, dtype=float)
-        self.std = np.asarray(std, dtype=float)
-        self.levels = tuple(levels)
-        self.quantiles = np.asarray(quantiles, dtype=float)
-        #: Per-row raw-draw sketches (any sequence that indexes and slices).
-        self.sketches = sketches
-        #: Per-row fitted mixtures (``None``: none fitted).
-        self.modes = modes
-        self.scale = float(scale)
-
-    def __len__(self) -> int:
-        return int(self.count.shape[0])
+    _ROWS = {"count": np.int64, "mean": float, "std": float, "quantiles": float}
+    _SIDECARS = {"sketches": None, "modes": ()}
+    _SHARED = {"levels": REQUIRED, "scale": 1.0}
+    __slots__ = (*_ROWS, *_SIDECARS, *_SHARED)
 
     def __getitem__(self, j: int) -> DistributionInfo:
         sketch = self.sketches[j]
@@ -294,42 +277,11 @@ class DistributionBatch:
         )
         return info.widened(self.scale) if self.scale != 1.0 else info
 
-    def select(self, rows: slice) -> "DistributionBatch":
-        """The rows in ``rows``, as a batch of their own."""
-        return DistributionBatch(
-            self.count[rows],
-            self.mean[rows],
-            self.std[rows],
-            self.levels,
-            self.quantiles[rows],
-            self.sketches[rows],
-            None if self.modes is None else self.modes[rows],
-            self.scale,
-        )
-
-    def take(self, index) -> "DistributionBatch":
-        """Rows ``index`` (an integer array, repeats allowed) as a batch
-        of their own: ``take(codes)[i]`` reads as ``self[codes[i]]``.
-        The server broadcasts its evaluation groups to their rows so."""
-        index = np.asarray(index, dtype=np.intp)
-        return DistributionBatch(
-            self.count[index],
-            self.mean[index],
-            self.std[index],
-            self.levels,
-            self.quantiles[index],
-            _take(self.sketches, index),
-            None if self.modes is None else _take(self.modes, index),
-            self.scale,
-        )
-
     def widened(self, factor: float) -> "DistributionBatch":
         """Every row widened by ``factor`` (see :meth:`DistributionInfo.widened`)."""
         if factor <= 0.0:
             raise ValueError(f"widening factor must be > 0, got {factor}")
-        out = self.select(slice(None))
-        out.scale = self.scale * factor
-        return out
+        return self._with(scale=self.scale * factor)
 
     def served(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """``(std, quantiles, scale)`` as served: the columns widened

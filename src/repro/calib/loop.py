@@ -200,7 +200,10 @@ class CalibrationLoop:
         sketches, qmat = build_sketches(arrays, DEFAULT_SKETCH_ALPHA, levels=self._levels_arr)
         k = self.config.mixture_components
         modes = [fit_modes(a, k) for a in arrays] if k else None
-        return DistributionBatch(counts, mean, std, self._levels, qmat, sketches, modes)
+        return DistributionBatch(
+            count=counts, mean=mean, std=std, quantiles=qmat, sketches=sketches, modes=modes,
+            levels=self._levels,
+        )
 
     def scale(self, model: str) -> float:
         """The recalibration spread scale currently applied to ``model``.
@@ -309,7 +312,7 @@ class CalibrationLoop:
             room = self.config.flush_every - self._queued.get(model, 0)
             hi = min(k, lo + room)
             rows = slice(lo, hi)
-            chunk = (quality[rows], dists.select(rows), values, codes[rows])
+            chunk = (quality[rows], dists.take(rows), values, codes[rows])
             self._pending.setdefault(model, []).append(chunk)
             self._queued[model] = self._queued.get(model, 0) + hi - lo
             if hi - lo == room:

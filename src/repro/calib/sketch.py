@@ -37,6 +37,8 @@ import math
 
 import numpy as np
 
+from repro.util.columns import REQUIRED, Columns
+
 __all__ = ["QuantileSketch", "SketchRows", "build_sketches", "DEFAULT_SKETCH_ALPHA"]
 
 #: Default relative accuracy of quantile estimates.
@@ -427,7 +429,10 @@ def build_sketches(
     # once; the counts stay as a dense (k_arr, span) grid, one row view
     # per sketch.
     counts_all = np.bincount(combined, minlength=k_arr * span)
-    sketches = SketchRows(alpha, bmin, counts_all.reshape(k_arr, span), sizes, mins, maxs)
+    sketches = SketchRows(
+        alpha=alpha, bmin=bmin, counts=counts_all.reshape(k_arr, span), sizes=sizes, mins=mins,
+        maxs=maxs,
+    )
     if lv is None:
         return sketches
     # All quantile grids in one rank search: the flat cumulative count
@@ -448,59 +453,29 @@ def build_sketches(
     return sketches, qmat
 
 
-class SketchRows:
+class SketchRows(Columns):
     """The sketches of one :func:`build_sketches` batch, built on read.
 
     Row ``i``'s bucket counts are row ``i`` of one dense ``(k, span)``
     count grid over the batch's shared bucket window starting at index
     ``bmin``.  Indexing builds the :class:`QuantileSketch` whose
     positive store is a view of that row (never written: inserts and
-    merges build new arrays); slicing keeps the rows as another
+    merges build new arrays); :meth:`take` keeps rows as another
     :class:`SketchRows`.  The serving hot path builds thousands of
     sketches whose state is seldom read at all.
     """
 
-    __slots__ = ("alpha", "bmin", "counts", "sizes", "mins", "maxs")
-
-    def __init__(self, alpha: float, bmin: int, counts, sizes, mins, maxs):
-        self.alpha = alpha
-        self.bmin = bmin
-        self.counts = counts
-        self.sizes = sizes
-        self.mins = mins
-        self.maxs = maxs
-
-    def __len__(self) -> int:
-        return int(self.counts.shape[0])
+    _ROWS = {"counts": None, "sizes": None, "mins": None, "maxs": None}
+    _SHARED = {"alpha": REQUIRED, "bmin": REQUIRED}
+    __slots__ = (*_ROWS, *_SHARED)
 
     def __iter__(self):
         return (self[i] for i in range(len(self)))
 
-    def __getitem__(self, index):
-        if isinstance(index, slice):
-            return SketchRows(
-                self.alpha,
-                self.bmin,
-                self.counts[index],
-                self.sizes[index],
-                self.mins[index],
-                self.maxs[index],
-            )
+    def __getitem__(self, i: int) -> QuantileSketch:
         sk = QuantileSketch(self.alpha)
-        sk._count = int(self.sizes[index])
-        sk._min = float(self.mins[index])
-        sk._max = float(self.maxs[index])
-        sk._pos = (self.bmin, self.counts[index])
+        sk._count = int(self.sizes[i])
+        sk._min = float(self.mins[i])
+        sk._max = float(self.maxs[i])
+        sk._pos = (self.bmin, self.counts[i])
         return sk
-
-    def take(self, index) -> "SketchRows":
-        """Rows ``index`` (an integer array, repeats allowed) as another
-        :class:`SketchRows`: ``take(index)[i]`` reads as ``self[index[i]]``."""
-        return SketchRows(
-            self.alpha,
-            self.bmin,
-            self.counts[index],
-            self.sizes[index],
-            self.mins[index],
-            self.maxs[index],
-        )

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 from copy import copy
 from dataclasses import replace
-from itertools import chain
 
 import numpy as np
 
@@ -63,6 +62,7 @@ from repro.serving.protocol import (
     PredictResponse,
     Response,
 )
+from repro.util.columns import Columns, intern
 
 __all__ = [
     "NO_DEADLINE",
@@ -90,24 +90,9 @@ _VERDICT_THROTTLED = REASONS.index(SHED_THROTTLED)
 
 _STATUS_OK = STATUSES.index(STATUS_OK)
 _STATUS_OVERLOADED = STATUSES.index(STATUS_OVERLOADED)
-_STATUS_ERROR = STATUSES.index(STATUS_ERROR)
 
 
-def _intern(values) -> tuple[np.ndarray, tuple[str, ...]]:
-    """Encode a sequence of strings as ``(codes, table)``."""
-    table: list[str] = []
-    index: dict[str, int] = {}
-    codes = np.empty(len(values), dtype=np.int32)
-    for i, v in enumerate(values):
-        code = index.get(v)
-        if code is None:
-            code = index[v] = len(table)
-            table.append(v)
-        codes[i] = code
-    return codes, tuple(table)
-
-
-class RequestBatch:
+class RequestBatch(Columns):
     """Many :class:`~repro.serving.protocol.PredictRequest`\\ s as columns.
 
     Parameters
@@ -128,67 +113,32 @@ class RequestBatch:
         rides through the worker to the answer, which the cluster then
         tags and degrades.  ``None`` means no row failed over.  Routing
         state, not protocol: :meth:`request` does not carry it.
+
+    Columns are passed by keyword; every row column and table is required.
     """
 
-    __slots__ = (
-        "request_id",
-        "client",
-        "clients",
-        "model",
-        "models",
-        "submitted",
-        "deadline",
-        "overrides",
-        "precision",
-        "failover",
-    )
-
-    def __init__(
-        self,
-        request_id: np.ndarray,
-        client: np.ndarray,
-        clients: tuple,
-        model: np.ndarray,
-        models: tuple,
-        submitted: np.ndarray,
-        deadline: np.ndarray,
-        overrides: tuple | None = None,
-        precision: tuple | None = None,
-        failover: np.ndarray | None = None,
-    ):
-        self.request_id = np.asarray(request_id, dtype=np.int64)
-        self.client = np.asarray(client, dtype=np.int32)
-        self.clients = tuple(clients)
-        self.model = np.asarray(model, dtype=np.int32)
-        self.models = tuple(models)
-        self.submitted = np.asarray(submitted, dtype=float)
-        self.deadline = np.asarray(deadline, dtype=float)
-        n = self.request_id.shape[0]
-        self.overrides = overrides
-        self.precision = precision
-        self.failover = failover
-        for name in ("client", "model", "submitted", "deadline"):
-            arr = getattr(self, name)
-            if arr.shape != (n,):
-                raise ValueError(
-                    f"column {name!r} has shape {arr.shape}, expected ({n},)"
-                )
-        for name in ("overrides", "precision", "failover"):
-            side = getattr(self, name)
-            if side is not None and len(side) != n:
-                raise ValueError(f"sidecar {name!r} has {len(side)} entries, expected {n}")
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return int(self.request_id.shape[0])
+    _ROWS = {
+        "request_id": np.int64,
+        "client": np.int32,
+        "model": np.int32,
+        "submitted": float,
+        "deadline": float,
+    }
+    _TABLES = {"client": "clients", "model": "models"}
+    _SIDECARS = {"overrides": {}, "precision": None, "failover": False}
+    __slots__ = (*_ROWS, *_TABLES.values(), *_SIDECARS)
+    # Bound here rather than inherited: the layer profiler wraps them by
+    # class (``benchmarks/perf/layers.py``).
+    select = Columns.take
+    concat = vars(Columns)["concat"]
 
     @classmethod
     def from_requests(cls, requests) -> "RequestBatch":
         """Columnise a sequence of :class:`PredictRequest` objects."""
         requests = list(requests)
         n = len(requests)
-        client, clients = _intern([r.client_id for r in requests])
-        model, models = _intern([r.model for r in requests])
+        client, clients = intern([r.client_id for r in requests])
+        model, models = intern([r.model for r in requests])
         overrides = tuple(r.overrides for r in requests)
         precision = tuple(r.precision for r in requests)
         return cls(
@@ -226,98 +176,16 @@ class RequestBatch:
         return (self.request(i) for i in range(len(self)))
 
     def to_requests(self) -> list[PredictRequest]:
-        """Every row materialised (tests and scalar fallbacks only)."""
+        """Every row materialised, in order (the inverse of :meth:`from_requests`)."""
         return [self.request(i) for i in range(len(self))]
 
-    def select(self, index) -> "RequestBatch":
-        """Row subset by boolean mask or index array (tables shared)."""
-        index = np.asarray(index)
-        if index.dtype == bool:
-            index = np.flatnonzero(index)
-        return RequestBatch(
-            request_id=self.request_id[index],
-            client=self.client[index],
-            clients=self.clients,
-            model=self.model[index],
-            models=self.models,
-            submitted=self.submitted[index],
-            deadline=self.deadline[index],
-            overrides=None
-            if self.overrides is None
-            else tuple(self.overrides[i] for i in index),
-            precision=None
-            if self.precision is None
-            else tuple(self.precision[i] for i in index),
-            failover=None if self.failover is None else self.failover[index],
-        )
 
-    @classmethod
-    def concat(cls, batches) -> "RequestBatch":
-        """Concatenate batches (string tables re-interned as needed)."""
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            raise ValueError("cannot concatenate zero non-empty batches")
-        if len(batches) == 1:
-            return batches[0]
-        clients, client_cols = _merge_tables(
-            [(b.client, b.clients) for b in batches]
-        )
-        models, model_cols = _merge_tables([(b.model, b.models) for b in batches])
-        any_over = any(b.overrides is not None for b in batches)
-        any_prec = any(b.precision is not None for b in batches)
-        return cls(
-            request_id=np.concatenate([b.request_id for b in batches]),
-            client=np.concatenate(client_cols),
-            clients=clients,
-            model=np.concatenate(model_cols),
-            models=models,
-            submitted=np.concatenate([b.submitted for b in batches]),
-            deadline=np.concatenate([b.deadline for b in batches]),
-            overrides=None
-            if not any_over
-            else tuple(
-                o for b in batches for o in (b.overrides or ({},) * len(b))
-            ),
-            precision=None
-            if not any_prec
-            else tuple(
-                p for b in batches for p in (b.precision or (None,) * len(b))
-            ),
-            failover=_concat_failover(batches),
-        )
-
-
-def _concat_failover(batches) -> np.ndarray | None:
-    """The batches' ``failover`` columns joined (``None`` reads as all False)."""
-    if all(b.failover is None for b in batches):
-        return None
-    return np.concatenate(
-        [np.zeros(len(b), dtype=bool) if b.failover is None else b.failover for b in batches]
-    )
-
-
-def _merge_tables(columns) -> tuple[tuple[str, ...], list[np.ndarray]]:
-    """Re-intern several ``(codes, table)`` columns into one table."""
-    table: list[str] = []
-    index: dict[str, int] = {}
-    out_cols: list[np.ndarray] = []
-    for codes, tab in columns:
-        remap = np.empty(max(len(tab), 1), dtype=np.int32)
-        for j, name in enumerate(tab):
-            code = index.get(name)
-            if code is None:
-                code = index[name] = len(table)
-                table.append(name)
-            remap[j] = code
-        out_cols.append(remap[codes])
-    return tuple(table), out_cols
-
-
-class ResponseBatch:
+class ResponseBatch(Columns):
     """Many typed responses as columns, with lazy dataclass views.
 
     Value columns (``mean``/``spread``/``p95``/…) are meaningful only on
-    ``ok`` rows; ``retry_after`` only on ``overloaded`` rows.  The
+    ``ok`` rows; ``retry_after`` only on ``overloaded`` rows.  A column
+    left out of the constructor is zeros (``ok``, no shed reason).  The
     ``messages`` sidecar carries what does not columnise: an ``error``
     row's message, an ``ok`` row's rich blocks as ``(precision block,
     distributions, j)`` shared by its batch (the view builds ``block[j]``
@@ -329,158 +197,78 @@ class ResponseBatch:
     standby served; it is carried over from the request rows.
     """
 
-    __slots__ = (
-        "request_id",
-        "client",
-        "clients",
-        "model",
-        "models",
-        "status",
-        "reason",
-        "completed",
-        "mean",
-        "spread",
-        "p95",
-        "quality",
-        "staleness",
-        "latency",
-        "batch_size",
-        "retry_after",
-        "worker",
-        "workers",
-        "messages",
-        "failover",
-    )
-
-    def __init__(
-        self,
-        request_id,
-        client,
-        clients,
-        model,
-        models,
-        status,
-        reason,
-        completed,
-        mean,
-        spread,
-        p95,
-        quality,
-        staleness,
-        latency,
-        batch_size,
-        retry_after,
-        worker=None,
-        workers=("",),
-        messages=None,
-        failover=None,
-    ):
-        self.request_id = np.asarray(request_id, dtype=np.int64)
-        n = self.request_id.shape[0]
-        self.client = np.asarray(client, dtype=np.int32)
-        self.clients = tuple(clients)
-        self.model = np.asarray(model, dtype=np.int32)
-        self.models = tuple(models)
-        self.status = np.asarray(status, dtype=np.int8)
-        self.reason = np.asarray(reason, dtype=np.int8)
-        self.completed = np.asarray(completed, dtype=float)
-        self.mean = np.asarray(mean, dtype=float)
-        self.spread = np.asarray(spread, dtype=float)
-        self.p95 = np.asarray(p95, dtype=float)
-        self.quality = np.asarray(quality, dtype=np.int8)
-        self.staleness = np.asarray(staleness, dtype=float)
-        self.latency = np.asarray(latency, dtype=float)
-        self.batch_size = np.asarray(batch_size, dtype=np.int32)
-        self.retry_after = np.asarray(retry_after, dtype=float)
-        self.worker = (
-            np.zeros(n, dtype=np.int16) if worker is None else np.asarray(worker, dtype=np.int16)
-        )
-        self.workers = tuple(workers)
-        self.messages = messages
-        if messages is not None and len(messages) != n:
-            raise ValueError(f"messages sidecar has {len(messages)} entries, expected {n}")
-        self.failover = failover
-        if failover is not None and len(failover) != n:
-            raise ValueError(f"failover column has {len(failover)} entries, expected {n}")
-
-    # ------------------------------------------------------------------
-    def __len__(self) -> int:
-        return int(self.request_id.shape[0])
-
-    @classmethod
-    def empty(cls) -> "ResponseBatch":
-        z = np.empty(0)
-        zi = np.empty(0, dtype=np.int64)
-        return cls(zi, z, (), z, (), z, z, z, z, z, z, z, z, z, z, z)
+    _ROWS = {
+        "request_id": np.int64,
+        "client": np.int32,
+        "model": np.int32,
+        "status": np.int8,
+        "reason": np.int8,
+        "completed": float,
+        "mean": float,
+        "spread": float,
+        "p95": float,
+        "quality": np.int8,
+        "staleness": float,
+        "latency": float,
+        "batch_size": np.int32,
+        "retry_after": float,
+        "worker": np.int16,
+    }
+    _TABLES = {"client": "clients", "model": "models", "worker": "workers"}
+    _SIDECARS = {"messages": None, "failover": False}
+    _ZERO_FILL = True
+    __slots__ = (*_ROWS, *_TABLES.values(), *_SIDECARS)
+    # Bound here rather than inherited, as on RequestBatch.
+    select = Columns.take
+    concat = vars(Columns)["concat"]
 
     @classmethod
     def from_responses(cls, responses) -> "ResponseBatch":
-        """Columnise scalar responses (the scalar-fallback merge path)."""
+        """Columnise typed responses (the inverse of :meth:`to_responses`)."""
         responses = list(responses)
         n = len(responses)
-        client, clients = _intern([r.client_id for r in responses])
-        worker, workers = _intern([r.worker for r in responses])
-        model, models = _intern(
+        client, clients = intern([r.client_id for r in responses])
+        worker, workers = intern([r.worker for r in responses])
+        model, models = intern(
             [r.model if isinstance(r, PredictResponse) else "" for r in responses]
         )
-        status = np.fromiter(
-            (STATUSES.index(r.status) for r in responses), dtype=np.int8, count=n
-        )
-        reason = np.zeros(n, dtype=np.int8)
-        mean = np.zeros(n)
-        spread = np.zeros(n)
-        p95 = np.zeros(n)
-        quality = np.zeros(n, dtype=np.int8)
-        staleness = np.zeros(n)
-        latency = np.zeros(n)
-        batch_size = np.ones(n, dtype=np.int32)
-        retry_after = np.zeros(n)
-        failover = np.zeros(n, dtype=bool)
-        messages = [None] * n
-        any_message = False
-        for i, r in enumerate(responses):
-            if isinstance(r, PredictResponse):
-                mean[i] = r.value.mean
-                spread[i] = r.value.spread
-                p95[i] = r.p95
-                quality[i] = QUALITIES.index(r.quality)
-                staleness[i] = r.staleness
-                latency[i] = r.latency
-                batch_size[i] = r.batch_size
-                failover[i] = r.failover
-                if r.precision is not None or r.distribution is not None or r.failover:
-                    # Rich per-answer blocks do not columnise; keep the
-                    # original object so the view stays byte-identical.
-                    messages[i] = r
-                    any_message = True
-            elif isinstance(r, OverloadedResponse):
-                reason[i] = REASONS.index(r.reason)
-                retry_after[i] = r.retry_after
-            else:
-                messages[i] = r.message
-                any_message = True
-        return cls(
+        out = cls(
             request_id=np.fromiter((r.request_id for r in responses), np.int64, count=n),
             client=client,
             clients=clients,
             model=model,
             models=models,
-            status=status,
-            reason=reason,
+            status=np.fromiter((STATUSES.index(r.status) for r in responses), np.int8, count=n),
             completed=np.fromiter((r.completed for r in responses), float, count=n),
-            mean=mean,
-            spread=spread,
-            p95=p95,
-            quality=quality,
-            staleness=staleness,
-            latency=latency,
-            batch_size=batch_size,
-            retry_after=retry_after,
             worker=worker,
             workers=workers,
-            messages=tuple(messages) if any_message else None,
-            failover=failover if failover.any() else None,
         )
+        failover = np.zeros(n, dtype=bool)
+        messages = [None] * n
+        for i, r in enumerate(responses):
+            if isinstance(r, PredictResponse):
+                out.mean[i] = r.value.mean
+                out.spread[i] = r.value.spread
+                out.p95[i] = r.p95
+                out.quality[i] = QUALITIES.index(r.quality)
+                out.staleness[i] = r.staleness
+                out.latency[i] = r.latency
+                out.batch_size[i] = r.batch_size
+                failover[i] = r.failover
+                if r.precision is not None or r.distribution is not None or r.failover:
+                    # Rich per-answer blocks do not columnise; keep the
+                    # original object so the view stays byte-identical.
+                    messages[i] = r
+            elif isinstance(r, OverloadedResponse):
+                out.reason[i] = REASONS.index(r.reason)
+                out.retry_after[i] = r.retry_after
+            else:
+                messages[i] = r.message
+        if any(m is not None for m in messages):
+            out.messages = tuple(messages)
+        if failover.any():
+            out.failover = failover
+        return out
 
     def response(self, i: int) -> Response:
         """Materialise row ``i`` as its scalar-protocol dataclass."""
@@ -538,10 +326,6 @@ class ResponseBatch:
     def overloaded_mask(self) -> np.ndarray:
         return self.status == _STATUS_OVERLOADED
 
-    @property
-    def error_mask(self) -> np.ndarray:
-        return self.status == _STATUS_ERROR
-
     def status_counts(self) -> dict:
         """``{"ok": n, "overloaded": n, "error": n}``."""
         counts = np.bincount(self.status, minlength=len(STATUSES))
@@ -559,88 +343,17 @@ class ResponseBatch:
         counts = np.bincount(quality, minlength=len(QUALITIES))
         return {name: int(c) for name, c in zip(QUALITIES, counts) if c}
 
-    def select(self, index) -> "ResponseBatch":
-        """Row subset by boolean mask or index array (tables shared)."""
-        index = np.asarray(index)
-        if index.dtype == bool:
-            index = np.flatnonzero(index)
-        return ResponseBatch(
-            request_id=self.request_id[index],
-            client=self.client[index],
-            clients=self.clients,
-            model=self.model[index],
-            models=self.models,
-            status=self.status[index],
-            reason=self.reason[index],
-            completed=self.completed[index],
-            mean=self.mean[index],
-            spread=self.spread[index],
-            p95=self.p95[index],
-            quality=self.quality[index],
-            staleness=self.staleness[index],
-            latency=self.latency[index],
-            batch_size=self.batch_size[index],
-            retry_after=self.retry_after[index],
-            worker=self.worker[index],
-            workers=self.workers,
-            messages=None
-            if self.messages is None
-            else tuple(map(self.messages.__getitem__, index.tolist())),
-            failover=None if self.failover is None else self.failover[index],
-        )
-
     def with_worker(self, name: str) -> "ResponseBatch":
-        """Stamp one worker's attribution on every row (cluster delivery)."""
-        out = self.select(np.arange(len(self)))
-        out.workers = (name,)
-        out.worker = np.zeros(len(out), dtype=np.int16)
-        if out.messages is not None:
+        """Stamp one worker's attribution on every row (cluster
+        delivery): a shallow copy sharing every other column."""
+        messages = self.messages
+        if messages is not None:
             # Rows carried as whole Response objects (rich per-answer
             # blocks) must be stamped individually, like the columns.
-            out.messages = tuple(
-                replace(m, worker=name) if isinstance(m, Response) else m
-                for m in out.messages
+            messages = tuple(
+                replace(m, worker=name) if isinstance(m, Response) else m for m in messages
             )
-        return out
-
-    @classmethod
-    def concat(cls, batches) -> "ResponseBatch":
-        """Concatenate batches, re-interning the string tables."""
-        batches = [b for b in batches if len(b)]
-        if not batches:
-            return cls.empty()
-        if len(batches) == 1:
-            return batches[0]
-        clients, client_cols = _merge_tables([(b.client, b.clients) for b in batches])
-        models, model_cols = _merge_tables([(b.model, b.models) for b in batches])
-        workers, worker_cols = _merge_tables([(b.worker, b.workers) for b in batches])
-        any_msg = any(b.messages is not None for b in batches)
-        return cls(
-            request_id=np.concatenate([b.request_id for b in batches]),
-            client=np.concatenate(client_cols),
-            clients=clients,
-            model=np.concatenate(model_cols),
-            models=models,
-            status=np.concatenate([b.status for b in batches]),
-            reason=np.concatenate([b.reason for b in batches]),
-            completed=np.concatenate([b.completed for b in batches]),
-            mean=np.concatenate([b.mean for b in batches]),
-            spread=np.concatenate([b.spread for b in batches]),
-            p95=np.concatenate([b.p95 for b in batches]),
-            quality=np.concatenate([b.quality for b in batches]),
-            staleness=np.concatenate([b.staleness for b in batches]),
-            latency=np.concatenate([b.latency for b in batches]),
-            batch_size=np.concatenate([b.batch_size for b in batches]),
-            retry_after=np.concatenate([b.retry_after for b in batches]),
-            worker=np.concatenate(
-                [c.astype(np.int16) for c in worker_cols]
-            ),
-            workers=workers,
-            messages=None
-            if not any_msg
-            else tuple(chain.from_iterable(b.messages or (None,) * len(b) for b in batches)),
-            failover=_concat_failover(batches),
-        )
+        return self._with(workers=(name,), worker=np.zeros(len(self), np.int16), messages=messages)
 
     def sorted_by_completion(self) -> "ResponseBatch":
         """Rows in completion order (stable, so ties keep arrival order)."""

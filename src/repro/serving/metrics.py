@@ -12,7 +12,7 @@ keeps every observation so the snapshot's p50/p90/p99 are exact order
 statistics, and additionally buckets observations for an at-a-glance
 distribution shape.  The store grows with every request served (a
 million-request soak holds millions of float64 values, 8 bytes each);
-bounding it is ROADMAP item 4.
+bounding it is ROADMAP item 5.
 """
 
 from __future__ import annotations

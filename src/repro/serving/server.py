@@ -261,11 +261,6 @@ def _worst_quality(qualities) -> str:
 def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
     """Responses for every row of ``batch``: the given columns, zeros
     (``ok`` status, no shed reason) for the others."""
-    n = len(batch)
-    z, z8 = np.zeros(n), np.zeros(n, np.int8)
-    cols = dict(status=z8, reason=z8, completed=z, mean=z, spread=z, p95=z, quality=z8)
-    cols.update(staleness=z, latency=z, batch_size=np.zeros(n, np.int32), retry_after=z)
-    cols.update(columns)
     return ResponseBatch(
         request_id=batch.request_id,
         client=batch.client,
@@ -273,7 +268,7 @@ def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
         model=batch.model,
         models=batch.models,
         failover=batch.failover,
-        **cols,
+        **columns,
     )
 
 
@@ -757,7 +752,7 @@ class PredictionServer:
         if self.tracer.enabled:
             self._close_request_spans(self._clock, "drained")
         if not parts:
-            return RequestBatch.from_requests(())
+            return RequestBatch.empty()
         seq = np.concatenate(seqs)
         order = np.argsort(seq if seq.ndim == 1 else seq[:, 0], kind="stable")
         return RequestBatch.concat(parts).select(order)

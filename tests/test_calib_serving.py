@@ -261,7 +261,7 @@ class TestDeferredScoring:
             for k in sizes:
                 rows = slice(lo, lo + k)
                 fresh, codes = np.zeros(k, np.int8), np.zeros(k, np.intp)
-                loop.enqueue("m", fresh, dists.select(rows), values, codes, 60.0)
+                loop.enqueue("m", fresh, dists.take(rows), values, codes, 60.0)
                 lo += k
             assert loop.pending() == 120 % 16
             loops.append(loop.summary())
@@ -286,7 +286,7 @@ class TestDeferredScoring:
             assert wide[j] == dists[j].widened(1.5)
             assert wide[j].std == std[j] and wide[j].quantiles == tuple(quantiles[j])
         assert (scale == 1.5).all()
-        assert dists.select(slice(2, 4))[1] == dists[3]
+        assert dists.take(slice(2, 4))[1] == dists[3]
 
     @pytest.mark.parametrize("ragged", [False, True])
     def test_mixture_rows_match_the_one_row_builder(self, ragged):

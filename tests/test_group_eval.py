@@ -10,7 +10,9 @@ stays per answered row.  These tests pin the contract:
   propagated row each, bit for bit;
 * rows that share a key share every summary and distribution field;
 * a mixed fixed/adaptive batch is charged the draws of every row's group;
-* ``DistributionBatch.take`` broadcasts group rows to batch rows.
+* every column class (request rows, answer rows, distribution blocks,
+  sketch rows) takes rows by mask, index or slice and joins parts as
+  one ``take`` would have, tables and absent sidecars included.
 """
 
 from __future__ import annotations
@@ -19,12 +21,17 @@ import copy
 import dataclasses
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.calib import CalibrationConfig, CalibrationLoop
+from repro.calib.distribution import DistributionBatch
+from repro.calib.sketch import SketchRows, build_sketches
 from repro.core.stochastic import StochasticValue
-from repro.serving import PredictRequest, RequestBatch, ServerConfig, demo_server
+from repro.nws.service import QUALITIES
+from repro.serving import PredictRequest, RequestBatch, ResponseBatch, ServerConfig, demo_server
+from repro.serving.columnar import REASONS, STATUSES
 from repro.structural.montecarlo import propagate
 from repro.structural.repeaters import PrecisionTarget
 from repro.util.stats import ragged_summary
@@ -150,7 +157,7 @@ def test_override_free_fixed_batch_is_one_group():
 
 
 # ----------------------------------------------------------------------
-# DistributionBatch.take
+# One take and one join over every column class
 # ----------------------------------------------------------------------
 _clouds = st.lists(
     st.lists(
@@ -163,32 +170,179 @@ _clouds = st.lists(
 )
 
 
-@settings(max_examples=60, deadline=None)
-@given(
-    clouds=_clouds,
-    positive=st.booleans(),
-    ragged=st.booleans(),
-    components=st.sampled_from([0, 2]),
-    scale=st.sampled_from([1.0, 1.5]),
-    picks=st.lists(st.integers(min_value=0, max_value=99), min_size=1, max_size=12),
-)
-def test_take_reads_as_indexing(clouds, positive, ragged, components, scale, picks):
+@st.composite
+def _distributions(draw) -> DistributionBatch:
+    """Distribution blocks as served: sketches as SketchRows (positive
+    draws) or a list, mixtures fitted or not, widened or not."""
+    clouds = draw(_clouds)
+    positive = draw(st.booleans())
     arrays = [np.abs(np.asarray(c)) + 0.5 if positive else np.asarray(c) for c in clouds]
-    if not ragged:
+    if not draw(st.booleans()):
         n = min(a.size for a in arrays)
         arrays = np.vstack([a[:n] for a in arrays])
-    config = CalibrationConfig(mixture_components=components)
-    loop = CalibrationLoop(config, np.random.default_rng(1))
+    config = CalibrationConfig(mixture_components=draw(st.sampled_from([0, 2])))
     mean, std, _ = ragged_summary(arrays)
-    batch = loop.distributions(arrays, mean, std)
-    if scale != 1.0:
-        batch = batch.widened(scale)
-    codes = np.asarray([p % len(batch) for p in picks])
-    taken = batch.take(codes)
-    assert len(taken) == codes.size
-    for i, c in enumerate(codes.tolist()):
-        got, want = taken[i], batch[c]
-        for f in dataclasses.fields(want):
-            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    batch = CalibrationLoop(config, np.random.default_rng(1)).distributions(arrays, mean, std)
+    scale = draw(st.sampled_from([1.0, 1.5]))
+    return batch.widened(scale) if scale != 1.0 else batch
+
+
+@st.composite
+def _sketch_rows(draw) -> SketchRows:
+    clouds = [np.abs(np.asarray(c)) + 0.5 for c in draw(_clouds)]
+    rows = build_sketches(clouds)
+    assert isinstance(rows, SketchRows)
+    return rows
+
+
+@st.composite
+def _requests(draw) -> RequestBatch:
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    target = PrecisionTarget.parse("p95:5%")
+    side = {
+        "overrides": tuple({"bw_avail": 0.1 * k} if k % 2 else {} for k in range(n)),
+        "precision": tuple(target if k % 3 else None for k in range(n)),
+        "failover": rng.random(n) < 0.5,
+    }
+    return RequestBatch(
+        request_id=np.arange(n),
+        client=rng.integers(0, 3, n),
+        clients=("ann", "bob", "cyd"),
+        model=rng.integers(0, 2, n),
+        models=("sor-600", "sor-1000"),
+        submitted=rng.random(n),
+        deadline=np.where(rng.random(n) < 0.5, np.inf, 5.0),
+        **{k: v for k, v in side.items() if draw(st.booleans())},
+    )
+
+
+@st.composite
+def _responses(draw) -> ResponseBatch:
+    n = draw(st.integers(1, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    status = rng.integers(0, len(STATUSES), n)
+    side = {
+        "messages": tuple(f"error {k}" if s == 2 else None for k, s in enumerate(status)),
+        "failover": rng.random(n) < 0.5,
+    }
+    return ResponseBatch(
+        request_id=np.arange(n),
+        client=rng.integers(0, 3, n),
+        clients=("ann", "bob", "cyd"),
+        model=rng.integers(0, 2, n),
+        models=("sor-600", "sor-1000"),
+        status=status,
+        reason=np.where(status == 1, rng.integers(1, len(REASONS), n), 0),
+        completed=rng.random(n),
+        mean=rng.random(n),
+        spread=rng.random(n),
+        p95=rng.random(n),
+        quality=rng.integers(0, len(QUALITIES), n),
+        staleness=rng.random(n),
+        latency=rng.random(n),
+        batch_size=rng.integers(1, 9, n),
+        retry_after=rng.random(n),
+        worker=rng.integers(0, 2, n),
+        workers=("worker-0", "worker-1"),
+        **{k: v for k, v in side.items() if draw(st.booleans())},
+    )
+
+
+_batches = st.one_of(_requests(), _responses(), _distributions(), _sketch_rows())
+
+
+def _flag(column, k: int) -> bool:
+    return column is not None and bool(column[k])
+
+
+def _rows(batch) -> list:
+    """Every row of ``batch`` as a caller reads it."""
+    n = len(batch)
+    if isinstance(batch, RequestBatch):
+        return [(batch.request(k), _flag(batch.failover, k)) for k in range(n)]
+    if isinstance(batch, ResponseBatch):
+        return [(batch.response(k), _flag(batch.failover, k)) for k in range(n)]
+    if isinstance(batch, DistributionBatch):
+        infos = [batch[k] for k in range(n)]
+        return [[getattr(d, f.name) for f in dataclasses.fields(d)] for d in infos]
+    return list(batch)
+
+
+def _reworded(part):
+    """``part`` with every string table reversed and its codes remapped:
+    the same rows under a different table."""
+    swaps = {}
+    for code, name in type(part)._TABLES.items():
+        table = getattr(part, name)
+        swaps[name] = table[::-1]
+        swaps[code] = (len(table) - 1 - getattr(part, code)).astype(getattr(part, code).dtype)
+    return part._with(**swaps)
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=_batches, data=st.data())
+def test_take_reads_as_indexing(batch, data):
+    n = len(batch)
+    rows = _rows(batch)
+    picks = data.draw(st.lists(st.integers(0, n - 1), max_size=12), label="picks")
+    mask = np.asarray(data.draw(st.lists(st.booleans(), min_size=n, max_size=n)), dtype=bool)
+    lo, hi = sorted(data.draw(st.lists(st.integers(0, n), min_size=2, max_size=2)))
+    cases = [
+        (np.asarray(picks, dtype=np.intp), picks),
+        (mask, np.flatnonzero(mask).tolist()),
+        ([], []),
+        (slice(lo, hi), list(range(lo, hi))),
+    ]
+    for index, want in cases:
+        taken = batch.take(index)
+        assert len(taken) == len(want)
+        assert _rows(taken) == [rows[k] for k in want]
+    if isinstance(batch, DistributionBatch):
         # Rows that share a group never share a mutable sketch.
-        assert got.sketch is not want.sketch
+        taken = batch.take(picks)
+        for i, k in enumerate(picks):
+            assert taken[i].sketch is not batch[k].sketch
+
+
+@settings(max_examples=120, deadline=None)
+@given(batch=_batches, data=st.data())
+def test_concat_reads_as_one_take(batch, data):
+    n = len(batch)
+    index = st.lists(st.integers(0, n - 1), max_size=8)
+    i, j = data.draw(index, label="i"), data.draw(index, label="j")
+    whole = batch.take(np.asarray(i + j, dtype=np.intp))
+    joined = type(batch).concat([batch.take(i), batch.take(j)])
+    assert len(joined) == len(i) + len(j)
+    assert _rows(joined) == _rows(whole)
+    # A sidecar absent from one part is its fill value there, and parts
+    # under different tables are re-interned into one.
+    first, second = batch.take(i), batch.take(j)
+    present = [s for s in type(batch)._SIDECARS if getattr(batch, s) is not None]
+    if isinstance(batch, DistributionBatch):
+        present.remove("sketches")
+    if present:
+        gone = data.draw(st.lists(st.sampled_from(present), unique=True), label="gone")
+        first = first._with(**dict.fromkeys(gone))
+    if data.draw(st.booleans(), label="reworded"):
+        second = _reworded(second)
+    joined = type(batch).concat([first, second])
+    assert _rows(joined) == _rows(first) + _rows(second)
+
+
+@pytest.mark.parametrize("make", [_requests, _responses, _distributions, _sketch_rows])
+@given(data=st.data())
+@settings(max_examples=10, deadline=None)
+def test_constructor_rejects_a_wrong_length_column_or_sidecar(make, data):
+    batch = data.draw(make())
+    cls = type(batch)
+    columns = {name: getattr(batch, name) for name in cls.__slots__}
+    for name in (*cls._ROWS, *[s for s in cls._SIDECARS if columns[s] is not None]):
+        if name == next(iter(cls._ROWS)):
+            continue
+        bad = dict(columns)
+        value = columns[name]
+        bad[name] = value.take(slice(1, None)) if isinstance(value, SketchRows) else value[1:]
+        with pytest.raises(ValueError):
+            cls(**bad)
+    assert _rows(cls(**columns)) == _rows(batch)
