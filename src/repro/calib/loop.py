@@ -24,12 +24,17 @@ requests — mirroring production, where realised outcomes arrive well
 after the answer was served.  Control decisions therefore take effect
 at flush boundaries.
 
+A standalone server owns its loop.  A
+:class:`~repro.serving.cluster.ServingCluster` builds one loop and hands
+it to every worker, so a model's scores, scale and queue are the
+deployment's, whichever worker served each answer.
+
 Determinism: the loop draws outcomes from an RNG child *spawned* from
-the server's generator (spawning never consumes the parent bit stream),
-so enabling calibration leaves the serving draw sequence untouched and
-seeded runs stay bit-reproducible.  With ``calibration=None`` the
-server never constructs a loop and behaviour is byte-identical to
-previous releases.
+the server's (or the cluster's) generator — spawning never consumes the
+parent bit stream — so enabling calibration leaves the serving draw
+sequence untouched and seeded runs stay bit-reproducible.  With
+``calibration=None`` no loop is constructed and behaviour is
+byte-identical to previous releases.
 """
 
 from __future__ import annotations

@@ -19,8 +19,8 @@ online serving loop both use it):
   quantile from;
 * :class:`CalibrationScorer` — a keyed registry of scores per model
   and per forecast-quality cohort (``fresh``/``stale``/``fallback`` —
-  the NWS forecaster tournament's output grade), mergeable across
-  cluster workers.
+  the NWS forecaster tournament's output grade).  A cluster keeps one
+  for the whole deployment.
 """
 
 from __future__ import annotations
@@ -329,33 +329,6 @@ class ModelScore:
             "pit": self.pit_histogram(),
         }
 
-    # ------------------------------------------------------------------
-    # Merge (cluster aggregation)
-    # ------------------------------------------------------------------
-    def merge(self, other: "ModelScore") -> "ModelScore":
-        """Fold another worker's score for the same key into this one.
-
-        Cumulative totals add exactly; rolling windows concatenate in
-        merge order and keep the newest ``window`` entries (workers
-        don't share a global observation order, so any deterministic
-        convention is as good as another).
-        """
-        if other.key != self.key:
-            raise ValueError(f"cannot merge {other.key!r} into {self.key!r}")
-        if other.nominal != self.nominal:
-            raise ValueError("cannot merge scores with different nominal coverage")
-        self.n += other.n
-        self.covered_n += other.covered_n
-        self.crps_total += other.crps_total
-        self.mae_total += other.mae_total
-        self.sharp_total += other.sharp_total
-        for i, c in enumerate(other.pit_counts):
-            self.pit_counts[i] += c
-        self._cover_win.extend(other._cover_win)
-        self._crps_win.extend(other._crps_win)
-        self._z_win.extend(other._z_win)
-        return self
-
 
 class CalibrationScorer:
     """Keyed calibration scores per model and per forecast-quality cohort."""
@@ -416,23 +389,3 @@ class CalibrationScorer:
             "models": {k: sc.to_dict() for k, sc in sorted(self.by_model.items())},
             "cohorts": {k: sc.to_dict() for k, sc in sorted(self.by_cohort.items())},
         }
-
-    @classmethod
-    def merged(cls, scorers) -> "CalibrationScorer":
-        """One scorer holding the union of several workers' scores."""
-        scorers = [s for s in scorers if s is not None]
-        if not scorers:
-            raise ValueError("merged() needs at least one scorer")
-        out = cls(nominal=scorers[0].nominal, window=scorers[0].window)
-        for s in scorers:
-            for registry, target in (
-                (s.by_model, out.by_model),
-                (s.by_cohort, out.by_cohort),
-            ):
-                for key, sc in registry.items():
-                    if key in target:
-                        target[key].merge(sc)
-                    else:
-                        fresh = ModelScore(key, nominal=sc.nominal, window=sc.window)
-                        target[key] = fresh.merge(sc)
-        return out

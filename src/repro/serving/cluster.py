@@ -59,11 +59,20 @@ batch-wise.  The workers are the in-flight registry, and a ``failover``
 column rides from the request rows to the answers, so the healthy path
 keeps no per-request state.  ``submit``/``step`` are one-row views.
 
+**Calibration.**  With ``worker.calibration`` set, the cluster builds
+one :class:`~repro.calib.loop.CalibrationLoop` and hands it to every
+worker it creates, as it shares the NWS, the refresh ledger and the
+tracer.  A model's scale, scores and deferred queue therefore belong to
+the deployment, not to whichever worker served it: a standby, a
+rebalanced owner or a newcomer serves at the learned scale, and a
+retired worker's answers stay scored.
+
 **Observability.**  The cluster keeps its own metrics registry
-(cluster-wide latency/queue-depth exact-quantile histograms, failover /
-shard-migration / crash counters) and ``snapshot()`` merges per-worker
-histograms into exact cluster-wide views
-(:meth:`~repro.serving.metrics.Histogram.merged`), all JSON-ready.
+(latency and queue-depth exact-quantile histograms over every delivery,
+failover / shard-migration / crash counters, the calibration loop's
+``calib_*`` metrics), and ``snapshot()`` merges the workers' batch-size
+and draw histograms, retired workers' included, into exact cluster-wide
+views (:meth:`~repro.serving.metrics.Histogram.merged`), all JSON-ready.
 """
 
 from __future__ import annotations
@@ -72,6 +81,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from repro.calib.loop import CalibrationLoop
 from repro.faults.plan import FaultPlan
 from repro.nws.service import QUALITIES, NetworkWeatherService
 from repro.obs.tracer import STAGE_CLUSTER, STAGE_ELASTIC, as_tracer
@@ -90,7 +100,6 @@ from repro.serving.protocol import (
 )
 from repro.serving.router import ClusterRouter, bindings_fingerprint
 from repro.serving.server import (
-    _BATCH_BUCKETS,
     _QUALITY_NAMES,
     _STATUS_NAMES,
     ModelSpec,
@@ -212,6 +221,14 @@ class ServingCluster:
         # child stream, so the first n_workers draws above — and with
         # them every seeded golden — are untouched by elasticity.
         self._gen = gen
+        # One calibration loop for the deployment, on the child stream
+        # after the workers'; its metrics are the cluster's.
+        calibration = self.config.worker.calibration
+        self.calib = (
+            CalibrationLoop(calibration, gen, tracer=self.tracer, metrics=self.metrics)
+            if calibration is not None
+            else None
+        )
         self.workers: dict[str, PredictionServer] = {}
         for i in range(self.config.n_workers):
             self.workers[f"worker-{i}"] = PredictionServer(
@@ -220,6 +237,7 @@ class ServingCluster:
                 rng=children[i],
                 forecast_ledger=self.ledger,
                 tracer=self.tracer,
+                calib=self.calib,
             )
         self.router = ClusterRouter(
             self.workers, replication=self.config.replication, vnodes=self.config.vnodes
@@ -236,10 +254,12 @@ class ServingCluster:
 
         # Elastic state.  All empty/inert when elasticity is off.
         self.elastic = elastic
-        self._specs: list[tuple[ModelSpec, ModelSpec | None]] = []
+        self._specs: list[ModelSpec] = []
         self._next_worker_idx = self.config.n_workers
         self._provisioning: list[tuple[str, PredictionServer, float]] = []
         self._draining: dict[str, float] = {}  # name -> force deadline
+        # Retired workers' histograms that snapshot() merges.
+        self._retired: dict[str, list[Histogram]] = {"batch_size": [], "draws_used": []}
         self.shard_arrivals: dict[str, int] = {}
         self.autoscaler = Autoscaler(self, elastic) if elastic is not None else None
 
@@ -271,16 +291,18 @@ class ServingCluster:
         Every worker registers the model (any of them may have to stand
         in as a replica), but routing sends its traffic to the shard's
         owners, so only they keep its working set hot.  ``truth`` is
-        forwarded to each worker's calibration loop (see
+        registered once, on the cluster's calibration loop (see
         :meth:`PredictionServer.register_model`).
         """
         if spec.name in self._shards:
             raise ValueError(f"model {spec.name!r} already registered")
         for worker in self.workers.values():
-            worker.register_model(spec, truth=truth)
+            worker.register_model(spec)
         for _, server, _ in self._provisioning:
-            server.register_model(spec, truth=truth)
-        self._specs.append((spec, truth))
+            server.register_model(spec)
+        if self.calib is not None:
+            self.calib.register(spec, truth)
+        self._specs.append(spec)
         shard = f"{spec.name}|{bindings_fingerprint(spec.bindings)}"
         self._shards[spec.name] = shard
         self.router.owners(shard)  # place eagerly, in registration order
@@ -643,7 +665,8 @@ class ServingCluster:
         The newcomer draws the *next* child generator from the cluster's
         seed stream — the original ``n_workers`` draws are untouched, so
         enabling elasticity never perturbs the seeded behaviour of the
-        starting fleet.  Returns the new worker's name.
+        starting fleet — and serves on the cluster's calibration loop.
+        Returns the new worker's name.
         """
         if self.elastic is None:
             raise RuntimeError("order_worker needs an ElasticConfig installed")
@@ -657,9 +680,10 @@ class ServingCluster:
             forecast_ledger=self.ledger,
             tracer=self.tracer,
             clock=ready,
+            calib=self.calib,
         )
-        for spec, truth in self._specs:
-            server.register_model(spec, truth=truth)
+        for spec in self._specs:
+            server.register_model(spec)
         self._provisioning.append((name, server, ready))
         self.metrics.counter("scale_ups_total").inc()
         if self.tracer.enabled:
@@ -780,8 +804,12 @@ class ServingCluster:
                 self._retire(name, t, reason="drain_deadline")
 
     def _retire(self, name: str, t: float, *, reason: str) -> None:
-        """Remove a drained (or crashed-while-draining) worker for good."""
-        self.workers.pop(name)
+        """Remove a drained (or crashed-while-draining) worker for good;
+        its histograms stay in the cluster-wide views."""
+        metrics = self.workers.pop(name).metrics
+        for hist, kept in self._retired.items():
+            if (h := metrics.peek_histogram(hist)) is not None:
+                kept.append(h)
         self._up.pop(name, None)
         self._draining.pop(name, None)
         self.metrics.counter("workers_retired_total").inc()
@@ -856,81 +884,29 @@ class ServingCluster:
     # Introspection
     # ------------------------------------------------------------------
     def calibration_summary(self) -> dict | None:
-        """Cluster-wide calibration scores, merged across workers.
-
-        Per-model scores fold exactly (counts add; rolling windows
-        concatenate in worker-name order); recalibration scales are
-        reported per worker — each worker controls its own shard
-        traffic — alongside the worst (widest) scale per model, and
-        events carry their originating ``worker``.  Any answers still
-        queued for deferred scoring are flushed first, so end-of-run
-        reports cover everything that was served.  Returns ``None``
-        when calibration is off.
-        """
-        from repro.calib.scorer import CalibrationScorer
-
-        loops = {
-            name: w.calib for name, w in sorted(self.workers.items()) if w.calib is not None
-        }
-        if not loops:
-            return None
-        for lp in loops.values():
-            lp.flush()
-        doc: dict = {
-            "scores": CalibrationScorer.merged(lp.scorer for lp in loops.values()).summary(),
-            "truth_spread_scale": next(iter(loops.values())).config.truth_spread_scale,
-        }
-        scales: dict[str, float] = {}
-        flagged: set[str] = set()
-        events: list[dict] = []
-        for name, lp in loops.items():
-            if lp.recalibrator is None:
-                continue
-            summary = lp.recalibrator.summary()
-            events.extend({**e, "worker": name} for e in summary["events"])
-            flagged.update(summary["flagged"])
-            for model, scale in summary["scales"].items():
-                scales[model] = max(scales.get(model, 1.0), scale)
-        doc["recalibration"] = {
-            "scales": dict(sorted(scales.items())),
-            "flagged": sorted(flagged),
-            "events": events,
-            "per_worker": {
-                name: lp.recalibrator.summary()["scales"]
-                for name, lp in loops.items()
-                if lp.recalibrator is not None
-            },
-        }
-        return doc
+        """The deployment's calibration scores and recalibration state
+        (:meth:`~repro.calib.loop.CalibrationLoop.summary`, which scores
+        every queued answer first), or ``None`` when calibration is off."""
+        return None if self.calib is None else self.calib.summary()
 
     def snapshot(self) -> dict:
         """Cluster-wide operational state, JSON-serialisable.
 
         Includes per-worker snapshots, the cluster's own metrics, shard
         placement, the shared-refresh ledger, and *exact* cluster-wide
-        latency / batch-size quantiles merged from worker histograms.
+        quantiles: latency from the cluster's own store of every
+        delivery, batch size and draws merged from every worker's
+        histograms, retired workers' included.
         """
-        merged_latency = Histogram.merged(
-            "latency_s", (w.metrics.histogram("latency_s") for w in self.workers.values())
-        )
-        merged_batch = Histogram.merged(
-            "batch_size",
-            (w.metrics.histogram("batch_size", _BATCH_BUCKETS) for w in self.workers.values()),
-        )
-        aggregated = {
-            "latency_s": merged_latency.stats(),
-            "batch_size": merged_batch.stats(),
-        }
+        aggregated = {"latency_s": self.metrics.histogram("latency_s").stats()}
         # Adaptive-sampling metrics exist only on workers that actually
         # served an adaptive batch; peek so the merge neither creates
         # empty histograms nor adds snapshot keys to fixed-budget runs.
-        draws_hists = [
-            h
-            for w in self.workers.values()
-            if (h := w.metrics.peek_histogram("draws_used")) is not None
-        ]
-        if draws_hists:
-            aggregated["draws_used"] = Histogram.merged("draws_used", draws_hists).stats()
+        for name, retired in self._retired.items():
+            live = (w.metrics.peek_histogram(name) for w in self.workers.values())
+            hists = [h for h in live if h is not None] + retired
+            if hists:
+                aggregated[name] = Histogram.merged(name, hists).stats()
         calibration = self.calibration_summary()
         if calibration is not None:
             aggregated["calibration"] = calibration

@@ -84,6 +84,11 @@ _STALENESS_BUCKETS = (1.0, 5.0, 15.0, 60.0, 300.0, 1800.0)
 #: Draws-per-request histogram bucket bounds (adaptive sampling).
 _DRAWS_BUCKETS = (16.0, 32.0, 64.0, 128.0, 256.0, 512.0, 1024.0, 2048.0, 4096.0)
 
+#: Floor on per-request relative tolerances: a client asking for a
+#: tighter ``rel_tol`` is served at this one instead (and reads the
+#: clamped contract back from the response's ``precision.requested``).
+MIN_REL_TOL = 0.001
+
 #: Columnar status / reason codes (indexes into the protocol tables).
 _ST_OVERLOADED = STATUSES.index("overloaded")
 _ST_ERROR = STATUSES.index("error")
@@ -180,13 +185,8 @@ class ServerConfig:
         :class:`~repro.structural.repeaters.PrecisionTarget` applied to
         requests that do not carry their own; ``None`` (default) keeps
         such requests on the fixed ``n_samples`` budget, bit-identical
-        to previous releases.
-    min_rel_tol:
-        Server-side clamp on per-request relative tolerances: a client
-        asking for a tighter (smaller) ``rel_tol`` is served at this
-        floor instead (and can read the clamped contract back from the
-        response's ``precision.requested``).  Per-request ``max_samples``
-        is likewise clamped to ``n_samples``.
+        to previous releases.  Per-request ``max_samples`` is clamped to
+        ``n_samples`` and ``rel_tol`` floored at :data:`MIN_REL_TOL`.
     calibration:
         Optional :class:`~repro.calib.loop.CalibrationConfig`.  When
         set, every answer carries a full predictive distribution
@@ -206,7 +206,6 @@ class ServerConfig:
     refresh_interval: float = 5.0
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     precision: PrecisionTarget | None = None
-    min_rel_tol: float = 0.001
     calibration: CalibrationConfig | None = None
 
     def __post_init__(self) -> None:
@@ -215,7 +214,6 @@ class ServerConfig:
         check_positive(self.service_time_base, "service_time_base")
         check_positive(self.service_time_per_request, "service_time_per_request")
         check_positive(self.refresh_interval, "refresh_interval")
-        check_positive(self.min_rel_tol, "min_rel_tol")
         if self.precision is not None and not isinstance(self.precision, PrecisionTarget):
             raise TypeError(
                 f"precision must be a PrecisionTarget or None, got {self.precision!r}"
@@ -273,7 +271,12 @@ def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
 
 
 class PredictionServer:
-    """Online stochastic-prediction service over a live NWS deployment."""
+    """Online stochastic-prediction service over a live NWS deployment.
+
+    ``calib`` is a calibration loop shared with other servers (a
+    cluster's, which registers each model's truth on it once); ``None``
+    builds this server's own from ``config.calibration``.
+    """
 
     def __init__(
         self,
@@ -284,6 +287,7 @@ class PredictionServer:
         forecast_ledger: SharedRefreshLedger | None = None,
         tracer=None,
         clock: float | None = None,
+        calib: CalibrationLoop | None = None,
     ):
         self.nws = nws
         self.config = config if config is not None else ServerConfig()
@@ -327,8 +331,9 @@ class PredictionServer:
         # outcomes on an RNG child *spawned* from the serving generator,
         # so enabling it never shifts the serving draw sequence; its
         # metrics are likewise created lazily on the first scored batch.
-        self.calib: CalibrationLoop | None = None
-        if self.config.calibration is not None:
+        self.calib = calib
+        self._owns_calib = calib is None
+        if self._owns_calib and self.config.calibration is not None:
             self.calib = CalibrationLoop(
                 self.config.calibration,
                 self._rng,
@@ -361,7 +366,8 @@ class PredictionServer:
 
         ``truth`` (calibration only) is the model realised outcomes are
         simulated from — defaults to ``spec`` itself; a different spec
-        stages a model-is-wrong chaos scenario.
+        stages a model-is-wrong chaos scenario.  A shared loop's owner
+        registers truth on it, so it is ignored here.
         """
         if spec.name in self._models:
             raise ValueError(f"model {spec.name!r} already registered")
@@ -372,7 +378,7 @@ class PredictionServer:
                 f"model {spec.name!r} maps unregistered NWS resources {sorted(missing)}"
             )
         self._models[spec.name] = spec
-        if self.calib is not None:
+        if self.calib is not None and self._owns_calib:
             self.calib.register(spec, truth)
         self.metrics.gauge("models_registered").set(len(self._models))
 
@@ -1071,8 +1077,8 @@ class PredictionServer:
         max_samples = changes.get("max_samples", target.max_samples)
         if target.min_samples > max_samples:
             changes["min_samples"] = max_samples
-        if target.rel_tol is not None and target.rel_tol < cfg.min_rel_tol:
-            changes["rel_tol"] = cfg.min_rel_tol
+        if target.rel_tol is not None and target.rel_tol < MIN_REL_TOL:
+            changes["rel_tol"] = MIN_REL_TOL
         return replace(target, **changes) if changes else target
 
     # ------------------------------------------------------------------

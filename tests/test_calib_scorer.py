@@ -5,7 +5,7 @@ Covers the three layers of :mod:`repro.calib.scorer`:
 * :func:`score_pairs` / :class:`CalibrationReport` — the batch API the
   NWS evaluation layer re-exports;
 * :class:`ModelScore` — streaming CRPS/PIT/coverage state, the
-  vectorised ``ingest_many`` path, and worker merge;
+  vectorised ``ingest_many`` path;
 * :class:`CalibrationScorer` — the keyed model/cohort registry;
 
 plus the conformal control law in :mod:`repro.calib.recalibrate`:
@@ -207,38 +207,6 @@ class TestIngestMany:
         assert list(batch._z_win) == list(seq._z_win)
 
 
-class TestMerge:
-    def _filled(self, key, seed, n, window=5):
-        sc = ModelScore(key, window=window)
-        d = _dist(seed=seed)
-        rng = np.random.default_rng(seed)
-        for _ in range(n):
-            sc.observe(d, d.mean + float(rng.normal(0.0, 1.5)) * d.std)
-        return sc
-
-    def test_totals_add_and_windows_keep_newest(self):
-        a = self._filled("m", seed=1, n=4)
-        b = self._filled("m", seed=2, n=7)
-        a_n, a_cov, a_crps = a.n, a.covered_n, a.crps_total
-        b_windows = (list(b._cover_win), list(b._crps_win), list(b._z_win))
-        merged = a.merge(b)
-        assert merged is a
-        assert a.n == a_n + b.n
-        assert a.covered_n == a_cov + b.covered_n
-        assert a.crps_total == pytest.approx(a_crps + b.crps_total)
-        # b contributed >= window entries, so the merged windows are
-        # exactly b's newest `window` entries.
-        assert list(a._cover_win) == b_windows[0][-5:]
-        assert list(a._crps_win) == b_windows[1][-5:]
-        assert list(a._z_win) == b_windows[2][-5:]
-
-    def test_merge_rejects_mismatched_key_or_nominal(self):
-        with pytest.raises(ValueError):
-            ModelScore("a").merge(ModelScore("b"))
-        with pytest.raises(ValueError):
-            ModelScore("a", nominal=0.95).merge(ModelScore("a", nominal=0.9))
-
-
 class TestCalibrationScorer:
     def test_observe_updates_model_and_cohort_identically(self):
         scorer = CalibrationScorer()
@@ -263,25 +231,6 @@ class TestCalibrationScorer:
         assert set(doc["cohorts"]) == {"fresh"}
         assert doc["models"]["m"]["n"] == 1
         assert len(doc["models"]["m"]["pit"]) == PIT_BINS
-
-    def test_merged_unions_workers(self):
-        d = _dist()
-        w1, w2 = CalibrationScorer(), CalibrationScorer()
-        w1.observe("shared", "fresh", d, d.mean)
-        w1.observe("only1", "fresh", d, d.mean + 9 * d.std)
-        w2.observe("shared", "stale", d, d.mean + 0.5 * d.std)
-        merged = CalibrationScorer.merged([w1, None, w2])
-        assert merged.n == 3
-        assert merged.score("shared").n == 2
-        assert merged.score("only1").n == 1
-        assert merged.cohort("fresh").n == 2
-        assert merged.cohort("stale").n == 1
-        # Merging must not mutate the source workers.
-        assert w1.score("shared").n == 1 and w2.score("shared").n == 1
-
-    def test_merged_requires_a_scorer(self):
-        with pytest.raises(ValueError):
-            CalibrationScorer.merged([None])
 
 
 class TestRecalibrator:

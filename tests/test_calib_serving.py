@@ -13,7 +13,9 @@ The contract under test (see ``docs/calibration.md``):
 * deferred scoring queues answers per model and flushes at
   ``flush_every`` (and at ``summary()``), emitting ``calib.score``
   spans;
-* the cluster merges worker scorers and tags events with their worker.
+* a cluster keeps one loop for the deployment: every worker serves on
+  it, so a standby, a newcomer and a retired worker's answers share the
+  model's scale and scores.
 """
 
 import json
@@ -29,17 +31,22 @@ from repro.calib import (
     grid_levels,
 )
 from repro.core.stochastic import StochasticValue
+from repro.faults import FaultPlan
 from repro.nws.service import DegradationPolicy, NetworkWeatherService
 from repro.obs import Tracer
 from repro.obs.tracer import STAGE_CALIB
 from repro.serving import (
     ClosedLoop,
     ClusterConfig,
+    ElasticConfig,
+    LoadAdaptivePolicy,
     LoadDriver,
     ModelSpec,
     PredictRequest,
     PredictionServer,
+    RequestBatch,
     ServerConfig,
+    StaticPolicy,
     demo_cluster,
 )
 from repro.structural.expr import Param
@@ -347,23 +354,22 @@ class TestClusterCalibration:
         )
         return cluster, driver.run()
 
-    def test_merged_summary_covers_every_answer(self, driven):
+    def test_one_loop_scores_every_answer(self, driven):
         cluster, report = driven
         assert report.errors == 0
+        assert all(w.calib is cluster.calib for w in cluster.workers.values())
         doc = cluster.calibration_summary()
         assert doc is not None
         assert doc["truth_spread_scale"] == 1.5
-        assert doc["scores"]["n"] == report.ok
-        per_worker = sum(
-            w.calib.scorer.n for w in cluster.workers.values() if w.calib is not None
-        )
-        assert per_worker == report.ok
+        assert doc["scores"]["n"] == cluster.calib.scorer.n == report.ok
 
-    def test_events_are_worker_tagged(self, driven):
+    def test_summary_is_the_loops_own(self, driven):
         cluster, _ = driven
         doc = cluster.calibration_summary()
+        assert doc == cluster.calib.summary()
+        assert set(doc["recalibration"]) == {"scales", "flagged", "events"}
         for event in doc["recalibration"]["events"]:
-            assert event["worker"] in cluster.workers
+            assert "worker" not in event
         json.dumps(doc)
 
     def test_cluster_responses_carry_distributions(self, driven):
@@ -375,3 +381,126 @@ class TestClusterCalibration:
             duration=300.0, config=ClusterConfig(n_workers=2), rng=5
         )
         assert cluster.calibration_summary() is None
+        assert cluster.calib is None
+        assert all(w.calib is None for w in cluster.workers.values())
+
+
+#: A miscalibrated world the loop must widen for; flushes of 64 answers,
+#: so a burst of fewer answers is served at one unchanged scale.
+_LEARNING = ServerConfig(
+    n_samples=64, calibration=CalibrationConfig(truth_spread_scale=2.0, flush_every=64)
+)
+
+
+def _learn(cluster, per_model=128):
+    """Drive every model until the loop has widened it; returns the next
+    request id.  Every queued answer is scored before returning."""
+    t = cluster.now
+    rows = [
+        PredictRequest(request_id=i, client_id=f"c{i % 16}", model=m, submitted=t + 0.002 * i)
+        for i, m in enumerate(cluster.models * per_model)
+    ]
+    cluster.submit_batch(RequestBatch.from_requests(rows))
+    cluster.step_batch(t + 5.0)
+    cluster.calib.flush()
+    return len(rows)
+
+
+def _burst(cluster, model, first_id, n=8):
+    """``n`` simultaneous requests for ``model``, stepped to completion."""
+    t = cluster.now
+    rows = [
+        PredictRequest(request_id=first_id + i, client_id=f"b{i}", model=model, submitted=t)
+        for i in range(n)
+    ]
+    cluster.submit_batch(RequestBatch.from_requests(rows))
+    out = cluster.step_batch(t + 1.0).to_responses()
+    assert len(out) == n and all(r.ok for r in out)
+    return out
+
+
+class TestOneLoopPerDeployment:
+    """The scale belongs to the model, not to the worker that served it."""
+
+    def test_standby_failover_answers_carry_the_learned_scale(self):
+        t0 = 60.0  # demo warm-up
+        cluster, _, _ = demo_cluster(
+            duration=600.0,
+            sizes=(600, 1000),
+            config=ClusterConfig(n_workers=3, worker=_LEARNING),
+            faults=FaultPlan.crashes({"worker-0": [(t0 + 5.5, t0 + 100.0)]}),
+            rng=11,
+        )
+        model = next(m for m in cluster.models if cluster.owners(m)[0] == "worker-0")
+        next_id = _learn(cluster)
+        learned = cluster.calib.scale(model)
+        assert learned > 1.0
+        cluster.step_batch(t0 + 6.0)  # the primary is down from here on
+        for r in _burst(cluster, model, next_id):
+            assert r.failover and r.worker == cluster.owners(model)[1]
+            assert r.distribution.scale == learned
+
+    def test_order_worker_newcomer_serves_at_the_learned_scale(self):
+        cluster, _, _ = demo_cluster(
+            duration=600.0,
+            sizes=(400, 600, 800, 1000, 1200, 1400),
+            config=ClusterConfig(n_workers=2, worker=_LEARNING),
+            rng=11,
+            elastic=ElasticConfig(
+                policy=StaticPolicy(), min_workers=1, max_workers=4, provision_time=0.5
+            ),
+        )
+        next_id = _learn(cluster)
+        name = cluster.order_worker(cluster.now)
+        cluster.step_batch(cluster.now + 1.0)
+        assert cluster.workers[name].calib is cluster.calib
+        model = next(m for m in cluster.models if cluster.owners(m)[0] == name)
+        learned = cluster.calib.scale(model)
+        assert learned > 1.0
+        for r in _burst(cluster, model, next_id):
+            assert r.worker == name and not r.failover
+            assert r.distribution.scale == learned
+
+    def test_elastic_drive_with_clean_drains_scores_every_answer(self):
+        cluster, _, _ = demo_cluster(
+            duration=600.0,
+            sizes=(400, 600, 800, 1000, 1200, 1400),
+            config=ClusterConfig(
+                n_workers=1,
+                worker=ServerConfig(
+                    n_samples=16,
+                    service_time_base=0.002,
+                    service_time_per_request=0.0005,
+                    calibration=CalibrationConfig(truth_spread_scale=2.0),
+                ),
+            ),
+            rng=11,
+            elastic=ElasticConfig(
+                policy=LoadAdaptivePolicy(),
+                min_workers=1,
+                max_workers=6,
+                control_interval=0.5,
+                provision_time=0.5,
+                drain_grace=5.0,
+                cooldown=1.0,
+            ),
+        )
+        ok = 0
+        t0, models = cluster.now, cluster.models
+        for w in range(120):  # 3,000 req/s for 3 s, then 20 req/s
+            n, to = (300 if w < 30 else 2), t0 + 0.1 * (w + 1)
+            rows = [
+                PredictRequest(
+                    request_id=w * 1000 + i,
+                    client_id=f"c{i % 32}",
+                    model=models[i % len(models)],
+                    submitted=to - 0.1 + 0.1 * i / n,
+                )
+                for i in range(n)
+            ]
+            ok += int(cluster.submit_batch(RequestBatch.from_requests(rows)).ok_mask.sum())
+            ok += int(cluster.step_batch(to).ok_mask.sum())
+        counters = cluster.snapshot()["cluster"]["counters"]
+        assert counters["workers_retired_total"] >= 2
+        assert counters["requeued_total"] == 0  # every drain finished clean
+        assert cluster.calibration_summary()["scores"]["n"] == ok

@@ -3,7 +3,8 @@
 Covers the pieces the chaos soak exercises only implicitly: consistent
 hashing and balanced primary election, health-aware routing, cluster
 admission (global token bucket, no-healthy-owner shedding), the worker
-drain/restart hooks, exact histogram merging, and the JSON snapshot.
+drain/restart hooks, exact histogram merging, cluster-wide views that
+keep retired workers, and the JSON snapshot.
 """
 
 import json
@@ -16,7 +17,9 @@ from repro.serving import (
     AdmissionPolicy,
     ClosedLoop,
     ClusterConfig,
+    ElasticConfig,
     Histogram,
+    LoadAdaptivePolicy,
     LoadDriver,
     PredictRequest,
     RequestBatch,
@@ -27,6 +30,7 @@ from repro.serving import (
 from repro.serving.protocol import SHED_QUEUE_FULL, SHED_THROTTLED, SHED_UNAVAILABLE
 from repro.serving.router import ClusterRouter, HashRing, bindings_fingerprint, stable_hash
 from repro.structural.parameters import Bindings
+from repro.structural.repeaters import PrecisionTarget
 
 WORKERS = [f"worker-{i}" for i in range(4)]
 
@@ -313,6 +317,58 @@ class TestDrivenCluster:
             for r in report.responses
         ]
         assert [r.value for r in replay.responses] == [r.value for r in report.responses]
+
+
+class TestRetiredWorkerViews:
+    """Cluster-wide views cover every delivery, retired workers' too."""
+
+    def test_scale_down_keeps_every_answer_in_the_aggregates(self):
+        cluster, _, _ = demo_cluster(
+            duration=600.0,
+            sizes=(400, 600, 800, 1000, 1200, 1400),
+            config=ClusterConfig(
+                n_workers=1,
+                worker=ServerConfig(
+                    n_samples=16,
+                    service_time_base=0.002,
+                    service_time_per_request=0.0005,
+                    precision=PrecisionTarget.parse("p95:5%", min_samples=8),
+                ),
+            ),
+            rng=11,
+            elastic=ElasticConfig(
+                policy=LoadAdaptivePolicy(),
+                min_workers=1,
+                max_workers=6,
+                control_interval=0.5,
+                provision_time=0.5,
+                drain_grace=5.0,
+                cooldown=1.0,
+            ),
+        )
+        seen = dict(cluster.workers)
+        ok = 0
+        t0, models = cluster.now, cluster.models
+        for w in range(120):  # 3,000 req/s for 3 s, then 20 req/s
+            n, to = (300 if w < 30 else 2), t0 + 0.1 * (w + 1)
+            rows = [
+                request(models[i % len(models)], w * 1000 + i, to - 0.1 + 0.1 * i / n)
+                for i in range(n)
+            ]
+            ok += int(cluster.submit_batch(RequestBatch.from_requests(rows)).ok_mask.sum())
+            ok += int(cluster.step_batch(to).ok_mask.sum())
+            seen.update(cluster.workers)
+        snap = cluster.snapshot()
+        assert snap["cluster"]["counters"]["workers_retired_total"] >= 2
+        assert len(seen) > len(cluster.workers)
+        agg = snap["aggregated"]
+        assert agg["latency_s"]["count"] == ok
+        assert agg["batch_size"]["count"] == sum(
+            w.metrics.counter("batches_total").value for w in seen.values()
+        )
+        assert agg["draws_used"]["count"] == sum(
+            w.metrics.peek_histogram("draws_used").count for w in seen.values()
+        )
 
 
 class TestRequeueOrder:
