@@ -67,7 +67,7 @@ def main() -> None:
           f"quality {qualities}, served by {workers}")
     snap = cluster.snapshot()
     print(f"cluster-wide p99 latency: "
-          f"{snap['aggregated']['latency_s']['p99'] * 1e3:.1f} ms (exact, over every delivery)")
+          f"{snap['aggregated']['latency_s']['p99'] * 1e3:.1f} ms (within 1%, over every delivery)")
     print(f"shared forecast refreshes saved: "
           f"{snap['forecast_ledger']['shared_hits']}")
 

@@ -241,8 +241,11 @@ class QuantileSketch:
             raise ValueError(f"quantile levels must be in [0, 1], got {levels}")
         if self._count == 0:
             raise ValueError("cannot query quantiles of an empty sketch")
+        return self.at_ranks(np.floor(qs * (self._count - 1)).astype(np.int64))
+
+    def at_ranks(self, ranks) -> np.ndarray:
+        """The samples at 0-based ascending ``ranks``, within ``alpha``."""
         vals, cum = self._ordered()
-        ranks = np.floor(qs * (self._count - 1)).astype(np.int64)
         idx = np.searchsorted(cum, ranks, side="right")
         return np.clip(vals[idx], self._min, self._max)
 

@@ -386,10 +386,11 @@ def _print_served_distribution(report) -> None:
         print(f"  mixture: {mix}")
 
 
-def _print_shutdown_summary(source, report) -> None:
+def _print_shutdown_summary(source, report, draws: dict) -> None:
     """End-of-run operational recap of a ``serve`` run.
 
-    ``source`` is the server or cluster that was driven.  Prints the
+    ``source`` is the server or cluster that was driven, ``draws`` its
+    (for a cluster, all workers') ``draws_*_total`` counters.  Prints the
     plan-cache hit rate, the draw budget actually spent, and — when the
     calibration loop ran — an example served distribution, per-model
     and per-cohort coverage/CRPS, and every recalibration event.
@@ -405,9 +406,8 @@ def _print_shutdown_summary(source, report) -> None:
             f"({cache['hits']} hits / {cache['misses']} misses, "
             f"{cache['size']} cached plans)"
         )
-    counters = source.metrics.snapshot()["counters"]
-    used = counters.get("draws_used_total", 0)
-    budget = counters.get("draws_budget_total", 0)
+    used = draws.get("draws_used_total", 0)
+    budget = draws.get("draws_budget_total", 0)
     if budget:
         print(
             f"draw budget: {int(used)}/{int(budget)} draws used "
@@ -537,13 +537,14 @@ def _cmd_serve(args) -> int:
     print(f"delivery: lost={report.lost} duplicates={report.duplicates}")
     answers = report.responses
     counters = target.metrics.snapshot()["counters"]
+    draws = target.snapshot()["aggregated"] if args.workers > 1 else counters
     if args.workers > 1:
         failover = answers.failover
         n = 0 if failover is None else int(np.count_nonzero(failover & answers.ok_mask))
         print(f"failover answers: {n}")
     if args.precision is not None:
-        used = counters.get("draws_used_total", 0)
-        budget = counters.get("draws_budget_total", 0)
+        used = draws.get("draws_used_total", 0)
+        budget = draws.get("draws_budget_total", 0)
         saved = 1.0 - used / budget if budget else 0.0
         degraded = sum(
             1 for r in answers if r.ok and r.precision is not None and r.precision.degraded
@@ -576,7 +577,7 @@ def _cmd_serve(args) -> int:
                     title="shard placement (primary first)",
                 )
             )
-        _print_shutdown_summary(target, report)
+        _print_shutdown_summary(target, report, draws)
     clean = report.errors == 0 and report.lost == 0 and report.duplicates == 0
     return 0 if clean else 1
 

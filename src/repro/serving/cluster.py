@@ -68,11 +68,10 @@ rebalanced owner or a newcomer serves at the learned scale, and a
 retired worker's answers stay scored.
 
 **Observability.**  The cluster keeps its own metrics registry
-(latency and queue-depth exact-quantile histograms over every delivery,
-failover / shard-migration / crash counters, the calibration loop's
-``calib_*`` metrics), and ``snapshot()`` merges the workers' batch-size
-and draw histograms, retired workers' included, into exact cluster-wide
-views (:meth:`~repro.serving.metrics.Histogram.merged`), all JSON-ready.
+(latency and queue-depth histograms, failover / migration / crash
+counters, the calibration loop's ``calib_*`` metrics), and
+``snapshot()`` sums the workers' batch-size and draw histograms and draw
+counters, retired workers' included, into cluster-wide views.
 """
 
 from __future__ import annotations
@@ -258,8 +257,8 @@ class ServingCluster:
         self._next_worker_idx = self.config.n_workers
         self._provisioning: list[tuple[str, PredictionServer, float]] = []
         self._draining: dict[str, float] = {}  # name -> force deadline
-        # Retired workers' histograms that snapshot() merges.
-        self._retired: dict[str, list[Histogram]] = {"batch_size": [], "draws_used": []}
+        # Retired workers' summed metrics (see _summed).
+        self._retired: dict = {}
         self.shard_arrivals: dict[str, int] = {}
         self.autoscaler = Autoscaler(self, elastic) if elastic is not None else None
 
@@ -806,10 +805,7 @@ class ServingCluster:
     def _retire(self, name: str, t: float, *, reason: str) -> None:
         """Remove a drained (or crashed-while-draining) worker for good;
         its histograms stay in the cluster-wide views."""
-        metrics = self.workers.pop(name).metrics
-        for hist, kept in self._retired.items():
-            if (h := metrics.peek_histogram(hist)) is not None:
-                kept.append(h)
+        self._retired = self._summed([self.workers.pop(name).metrics])
         self._up.pop(name, None)
         self._draining.pop(name, None)
         self.metrics.counter("workers_retired_total").inc()
@@ -889,24 +885,31 @@ class ServingCluster:
         every queued answer first), or ``None`` when calibration is off."""
         return None if self.calib is None else self.calib.summary()
 
+    def _summed(self, registries) -> dict:
+        """The workers' batch-size and draw histograms merged and draw
+        counters added over ``registries`` and every retired worker; a
+        metric none has (adaptive ones, on fixed-budget runs) is absent."""
+        out = dict(self._retired)
+        for reg in registries:
+            for name in ("batch_size", "draws_used"):
+                if (h := reg.peek_histogram(name)) is not None:
+                    out[name] = Histogram.merged(name, [h, out[name]]) if name in out else h
+            for name in ("draws_used_total", "draws_budget_total"):
+                if (c := reg.peek_counter(name)) is not None:
+                    out[name] = out.get(name, 0.0) + c.value
+        return out
+
     def snapshot(self) -> dict:
         """Cluster-wide operational state, JSON-serialisable.
 
         Includes per-worker snapshots, the cluster's own metrics, shard
-        placement, the shared-refresh ledger, and *exact* cluster-wide
-        quantiles: latency from the cluster's own store of every
-        delivery, batch size and draws merged from every worker's
-        histograms, retired workers' included.
+        placement, the shared-refresh ledger, and cluster-wide views:
+        latency from the cluster's own histogram of every delivery, and
+        the workers' metrics of :meth:`_summed`.
         """
         aggregated = {"latency_s": self.metrics.histogram("latency_s").stats()}
-        # Adaptive-sampling metrics exist only on workers that actually
-        # served an adaptive batch; peek so the merge neither creates
-        # empty histograms nor adds snapshot keys to fixed-budget runs.
-        for name, retired in self._retired.items():
-            live = (w.metrics.peek_histogram(name) for w in self.workers.values())
-            hists = [h for h in live if h is not None] + retired
-            if hists:
-                aggregated[name] = Histogram.merged(name, hists).stats()
+        for name, metric in self._summed(w.metrics for w in self.workers.values()).items():
+            aggregated[name] = metric.stats() if isinstance(metric, Histogram) else metric
         calibration = self.calibration_summary()
         if calibration is not None:
             aggregated["calibration"] = calibration

@@ -7,12 +7,11 @@ Python (no wall clocks, no background threads): metrics advance only
 when the server observes something, so a seeded run produces a
 bit-identical snapshot.
 
-``snapshot()`` returns a JSON-serialisable dict; :class:`Histogram`
-keeps every observation so the snapshot's p50/p90/p99 are exact order
-statistics, and additionally buckets observations for an at-a-glance
-distribution shape.  The store grows with every request served (a
-million-request soak holds millions of float64 values, 8 bytes each);
-bounding it is ROADMAP item 5.
+``snapshot()`` returns a JSON-serialisable dict.  A :class:`Histogram`
+keeps exact counts, min, max, mean and bucket counts for an
+at-a-glance distribution shape, and serves p50/p90/p99 from a
+:class:`~repro.calib.sketch.QuantileSketch` (1% relative error), so its
+memory does not grow with the number of requests served.
 """
 
 from __future__ import annotations
@@ -21,6 +20,8 @@ import json
 import math
 
 import numpy as np
+
+from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, QuantileSketch
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
 
@@ -57,135 +58,132 @@ class Gauge:
 
 
 class Histogram:
-    """Exact-quantile histogram with fixed overview buckets.
+    """Bounded-memory histogram: exact counts and shape, α-relative quantiles.
 
-    Observations are retained in full (quantiles in the snapshot are
-    exact) as float64 array chunks, in arrival order; single
-    observations collect in a short list that becomes a chunk when it
-    fills or the values are read.  ``bounds`` define cumulative-style
-    bucket upper edges for a compact shape overview, with an implicit
-    +inf overflow bucket.
+    ``bounds`` are bucket upper edges, plus an implicit +inf overflow
+    bucket.  The state is exact bucket counts, min and max, the sum of
+    finite observations, a count of ``-inf`` ones and one
+    :class:`~repro.calib.sketch.QuantileSketch` of the finite ones, which
+    serves quantiles within ``DEFAULT_SKETCH_ALPHA`` (1%) relative error.
+    ``observe``/``observe_many`` append to a short buffer, folded in once
+    it holds ``_FOLD_AT`` values or the histogram is read.
+
+    NaN is rejected outright: it would poison ``min``/``max``/quantiles
+    and fall outside every bucket.  ``+inf`` is a valid observation — an
+    unbounded latency, e.g. a ``retry_after`` hint with zero drain — and
+    lands in the overflow bucket.
     """
 
-    __slots__ = ("name", "bounds", "_chunks", "_pending", "_count")
+    __slots__ = (
+        "name", "bounds", "_pending", "_buffered",
+        "_buckets", "_sketch", "_sum", "_min", "_max", "_neg_inf",
+    )  # fmt: skip
 
-    #: Single observations buffered before they become one chunk.
-    _PENDING_MAX = 1024
+    #: Buffered observations that trigger a fold.
+    _FOLD_AT = 4096
 
     def __init__(self, name: str, bounds: tuple = DEFAULT_LATENCY_BUCKETS):
         if list(bounds) != sorted(bounds):
             raise ValueError(f"histogram bounds must be sorted, got {bounds}")
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
-        self._chunks: list[np.ndarray] = []
-        self._pending: list[float] = []
-        self._count = 0
+        self._pending: list = []  # floats and arrays, in arrival order
+        self._buffered = 0
+        self._buckets = np.zeros(len(self.bounds) + 1, dtype=np.int64)
+        self._sketch = QuantileSketch(DEFAULT_SKETCH_ALPHA)
+        self._sum, self._min, self._max, self._neg_inf = 0.0, math.inf, -math.inf, 0
 
     def observe(self, value: float) -> None:
-        """Record one observation.
-
-        NaN is rejected outright: a single NaN observation would poison
-        ``min``/``max``/quantiles and silently fall outside every bucket
-        (counts would no longer sum to ``count``).  ``+inf`` is a valid
-        observation — an unbounded latency, e.g. a ``retry_after`` hint
-        with zero drain — and lands in the overflow bucket.
-        """
+        """Record one observation."""
         value = float(value)
         if math.isnan(value):
             raise ValueError(f"histogram {self.name!r} cannot observe NaN")
-        self._pending.append(value)
-        self._count += 1
-        if len(self._pending) >= self._PENDING_MAX:
-            self._flush()
+        self._buffer(value, 1)
 
     def observe_many(self, values) -> None:
-        """Record a batch of observations in order (one NaN check)."""
+        """Record a batch of observations (one NaN check)."""
         arr = np.array(values, dtype=float).ravel()
         if np.isnan(arr).any():
             raise ValueError(f"histogram {self.name!r} cannot observe NaN")
         if arr.size:
-            self._flush()
-            self._chunks.append(arr)
-            self._count += arr.size
+            self._buffer(arr, arr.size)
 
-    def _flush(self) -> None:
-        if self._pending:
-            self._chunks.append(np.array(self._pending, dtype=float))
-            self._pending = []
+    def _buffer(self, item, n: int) -> None:
+        self._pending.append(item)
+        self._buffered += n
+        if self._buffered >= self._FOLD_AT:
+            self._fold()
 
-    def _array(self) -> np.ndarray:
-        """Every observation as one array (chunks are joined in place)."""
-        self._flush()
-        if len(self._chunks) > 1:
-            self._chunks = [np.concatenate(self._chunks)]
-        return self._chunks[0] if self._chunks else np.empty(0)
+    def _fold(self) -> None:
+        """Fold the buffered observations into the counts and the sketch."""
+        if not self._buffered:
+            return
+        arr = np.sort(np.hstack(self._pending))
+        self._pending, self._buffered = [], 0
+        # Cuts after the -inf run, at each bound (bucket j holds [bounds[j-1],
+        # bounds[j]), as np.histogram bins it) and before the +inf run.
+        cuts = np.searchsorted(arr, (-np.finfo(float).max, *self.bounds, math.inf))
+        self._buckets += np.diff(cuts[1:-1], prepend=0, append=arr.size)
+        self._min, self._max = min(self._min, float(arr[0])), max(self._max, float(arr[-1]))
+        self._neg_inf += int(cuts[0])
+        finite = arr[cuts[0] : cuts[-1]]
+        self._sum += float(finite.sum())
+        self._sketch.extend(finite)
 
     @property
     def count(self) -> int:
-        return self._count
-
-    @property
-    def values(self) -> tuple:
-        """Every observation, in arrival order (read-only view)."""
-        return tuple(self._array().tolist())
+        return int(self._buckets.sum()) + self._buffered
 
     @classmethod
     def merged(cls, name: str, histograms) -> "Histogram":
-        """One histogram holding every observation of ``histograms``.
-
-        The cluster-wide view of a per-worker metric: because
-        observations are retained in full, quantiles of the merged
-        histogram are *exact* over the union — not an approximation
-        stitched from per-worker quantiles.  All inputs must share
-        bucket bounds (they come from the same metric name).
-        """
+        """One histogram over the union of ``histograms``' observations,
+        which must share bucket bounds (a per-worker metric's cluster-wide
+        view).  Counts add and sketches merge by bucket-count addition, so
+        the result equals one histogram built over the union, whatever
+        the split (its sum, and so its mean, up to summation order)."""
         histograms = list(histograms)
-        if not histograms:
-            return cls(name)
-        bounds = histograms[0].bounds
-        for h in histograms[1:]:
-            if h.bounds != bounds:
-                raise ValueError(
-                    f"cannot merge histograms with differing bounds: "
-                    f"{bounds} vs {h.bounds}"
-                )
-        out = cls(name, bounds)
-        joined = np.concatenate([h._array() for h in histograms])
-        out._chunks, out._count = [joined], joined.size
+        out = cls(name, histograms[0].bounds if histograms else DEFAULT_LATENCY_BUCKETS)
+        if any(h.bounds != out.bounds for h in histograms):
+            raise ValueError(
+                f"cannot merge histograms with differing bounds: "
+                f"{sorted({h.bounds for h in histograms})}"
+            )
+        for h in histograms:
+            h._fold()
+            out._buckets += h._buckets
+            out._sketch.merge(h._sketch)
+            out._min, out._max = min(out._min, h._min), max(out._max, h._max)
+            out._sum, out._neg_inf = out._sum + h._sum, out._neg_inf + h._neg_inf
         return out
 
     def quantile(self, q: float) -> float:
-        """Exact order-statistic quantile; NaN with no observations.
-
-        ``method="nearest"`` returns an actual observation rather than
-        interpolating, so a histogram containing ``+inf`` still yields a
-        meaningful quantile instead of ``inf - inf`` artefacts.
-        """
-        if not self._count:
+        """The observation of rank ``floor(q * (count - 1))`` within α
+        relative error (an infinite one exactly); NaN with none."""
+        if not 0.0 <= q <= 1.0:
+            raise ValueError(f"quantile level must be in [0, 1], got {q}")
+        if not self.count:
             return float("nan")
-        return float(np.quantile(self._array(), q, method="nearest"))
+        self._fold()
+        rank = math.floor(q * (self.count - 1)) - self._neg_inf
+        if 0 <= rank < self._sketch.count:
+            return float(self._sketch.at_ranks([rank])[0])
+        return -math.inf if rank < 0 else math.inf
 
     def stats(self) -> dict:
-        """Summary: count/mean/min/max, exact p50/p90/p99, bucket counts."""
-        if not self._count:
+        """Summary: exact count/mean/min/max and bucket counts,
+        α-relative p50/p90/p99."""
+        if not self.count:
             return {"count": 0}
-        arr = self._array()
-        finite = arr[np.isfinite(arr)]
-        edges = np.concatenate([self.bounds, [np.inf]])
-        counts = np.histogram(arr, bins=np.concatenate([[-np.inf], edges]))[0]
-        # method="nearest" returns actual observations (no interpolation
-        # arithmetic), which keeps quantiles exact and inf-safe.
+        self._fold()
         return {
-            "count": int(arr.size),
-            "mean": float(np.mean(finite)) if finite.size else float("inf"),
-            "min": float(np.min(arr)),
-            "max": float(np.max(arr)),
-            "p50": float(np.quantile(arr, 0.50, method="nearest")),
-            "p90": float(np.quantile(arr, 0.90, method="nearest")),
-            "p99": float(np.quantile(arr, 0.99, method="nearest")),
+            "count": self.count,
+            "mean": self._sum / self._sketch.count if self._sketch.count else math.inf,
+            "min": self._min,
+            "max": self._max,
+            **{f"p{p}": self.quantile(p / 100) for p in (50, 90, 99)},
             "buckets": {
                 (f"le_{edge:g}" if np.isfinite(edge) else "overflow"): int(c)
-                for edge, c in zip(edges, counts)
+                for edge, c in zip((*self.bounds, np.inf), self._buckets)
             },
         }
 
@@ -233,12 +231,15 @@ class MetricsRegistry:
     def peek_histogram(self, name: str) -> Histogram | None:
         """The histogram under ``name`` if it exists, else ``None``.
 
-        Unlike :meth:`histogram`, peeking never creates the metric — the
-        accessor for aggregation code (e.g. a cluster merging per-worker
-        views) that must not conjure empty metrics on instances that
-        never observed the phenomenon.
+        Peeking, unlike :meth:`histogram`, never creates the metric:
+        aggregation code (a cluster summing per-worker views) must not
+        conjure empty metrics on instances that never observed them.
         """
         return self._histograms.get(name)
+
+    def peek_counter(self, name: str) -> Counter | None:
+        """The counter under ``name`` if it exists, else ``None``."""
+        return self._counters.get(name)
 
     def _check_fresh(self, name: str) -> None:
         if name in self._counters or name in self._gauges or name in self._histograms:
@@ -253,15 +254,8 @@ class MetricsRegistry:
         }
 
     def to_json(self, **kwargs) -> str:
-        """The snapshot rendered as a JSON document."""
-
-        def _default(o):
-            if isinstance(o, float) and not np.isfinite(o):  # pragma: no cover
-                return str(o)
-            raise TypeError(f"not JSON-serialisable: {o!r}")
-
-        payload = _sanitise(self.snapshot())
-        return json.dumps(payload, default=_default, **kwargs)
+        """The snapshot rendered as a strict JSON document."""
+        return json.dumps(_sanitise(self.snapshot()), allow_nan=False, **kwargs)
 
 
 def _sanitise(obj):

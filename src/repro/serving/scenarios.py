@@ -423,10 +423,8 @@ def run_scenario(
             for r in drive.responses
             if r.ok and r.precision is not None and r.precision.degraded
         )
-        used = budget = 0
-        for w in snap["workers"].values():
-            used += int(w["metrics"]["counters"].get("draws_used_total", 0))
-            budget += int(w["metrics"]["counters"].get("draws_budget_total", 0))
+        used = snap["aggregated"].get("draws_used_total", 0)
+        budget = snap["aggregated"].get("draws_budget_total", 0)
         report.draws_saved_fraction = 1.0 - used / budget if budget else 0.0
     if snap["elastic"] is not None:
         report.scale_ups = int(counters.get("scale_ups_total", 0))

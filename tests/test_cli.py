@@ -362,3 +362,16 @@ class TestServe:
         out = capsys.readouterr().out
         assert "submitted=5000 ok=5000 shed=0 errors=0" in out
         assert "delivery: lost=0 duplicates=0" in out
+
+    def test_cluster_draw_budget_sums_every_worker(self, capsys):
+        # A cluster's draw counters live on its workers: both budget lines
+        # read their sum, so the budget is every answer's full draw count.
+        argv = ["serve", "--workers", "3", "--precision", "p95:2%", "--requests", "300"]
+        assert main(argv) == 0
+        out = capsys.readouterr().out
+        sampling = out.split("adaptive sampling [")[1].split("]: ")[1].split(" draws")[0]
+        budget = out.split("draw budget: ")[1].split(" draws")[0]
+        assert sampling == budget
+        used, total = map(int, budget.split("/"))
+        assert total == 300 * 400  # requests x default draws per answer
+        assert 0 < used < total
