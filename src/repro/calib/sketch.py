@@ -117,11 +117,14 @@ class QuantileSketch:
         arr = np.asarray(values, dtype=float).ravel()
         if arr.size == 0:
             return self
-        if not np.all(np.isfinite(arr)):
+        lo, hi = float(arr.min()), float(arr.max())  # NaN if any value is NaN
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise ValueError("sketch values must be finite")
         self._count += int(arr.size)
-        self._min = min(self._min, float(arr.min()))
-        self._max = max(self._max, float(arr.max()))
+        self._min, self._max = min(self._min, lo), max(self._max, hi)
+        if lo >= _MIN_MAG:  # all positive (latencies, times): no sign split
+            self._pos = _combined(self._pos, self._store(arr))
+            return self
         mags = np.abs(arr)
         self._zero += int(np.count_nonzero(mags < _MIN_MAG))
         self._pos = _combined(self._pos, self._store(mags[arr >= _MIN_MAG]))

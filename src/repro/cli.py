@@ -386,11 +386,11 @@ def _print_served_distribution(report) -> None:
         print(f"  mixture: {mix}")
 
 
-def _print_shutdown_summary(source, report, draws: dict) -> None:
+def _print_shutdown_summary(source, report, used: int, budget: int) -> None:
     """End-of-run operational recap of a ``serve`` run.
 
-    ``source`` is the server or cluster that was driven, ``draws`` its
-    (for a cluster, all workers') ``draws_*_total`` counters.  Prints the
+    ``source`` is the server or cluster that was driven, ``used`` and
+    ``budget`` its (for a cluster, all workers') draws.  Prints the
     plan-cache hit rate, the draw budget actually spent, and — when the
     calibration loop ran — an example served distribution, per-model
     and per-cohort coverage/CRPS, and every recalibration event.
@@ -406,13 +406,8 @@ def _print_shutdown_summary(source, report, draws: dict) -> None:
             f"({cache['hits']} hits / {cache['misses']} misses, "
             f"{cache['size']} cached plans)"
         )
-    used = draws.get("draws_used_total", 0)
-    budget = draws.get("draws_budget_total", 0)
     if budget:
-        print(
-            f"draw budget: {int(used)}/{int(budget)} draws used "
-            f"(saved {1.0 - used / budget:.0%})"
-        )
+        print(f"draw budget: {used}/{budget} draws used (saved {1.0 - used / budget:.0%})")
     calib = source.calibration_summary()
     if calib is None:
         return
@@ -537,27 +532,29 @@ def _cmd_serve(args) -> int:
     print(f"delivery: lost={report.lost} duplicates={report.duplicates}")
     answers = report.responses
     counters = target.metrics.snapshot()["counters"]
-    draws = target.snapshot()["aggregated"] if args.workers > 1 else counters
+    # Draw counters exist only on the adaptive path; a cluster's live on
+    # its workers, and its snapshot sums them.
+    snapshot = target.snapshot() if args.json or args.precision is not None else None
+    draws = snapshot["aggregated"] if args.workers > 1 and snapshot else counters
+    used, budget = (int(draws.get(f"draws_{k}_total", 0)) for k in ("used", "budget"))
     if args.workers > 1:
         failover = answers.failover
         n = 0 if failover is None else int(np.count_nonzero(failover & answers.ok_mask))
         print(f"failover answers: {n}")
     if args.precision is not None:
-        used = draws.get("draws_used_total", 0)
-        budget = draws.get("draws_budget_total", 0)
         saved = 1.0 - used / budget if budget else 0.0
         degraded = sum(
             1 for r in answers if r.ok and r.precision is not None and r.precision.degraded
         )
         print(
             f"adaptive sampling [{args.precision.describe()}]: "
-            f"{int(used)}/{int(budget)} draws (saved {saved:.0%}), "
+            f"{used}/{budget} draws (saved {saved:.0%}), "
             f"{degraded} precision-degraded answers"
         )
     if args.json:
         import json
 
-        print(json.dumps(target.snapshot(), indent=2))
+        print(json.dumps(snapshot, indent=2))
     else:
         title = "server counters"
         if args.workers > 1:
@@ -577,7 +574,7 @@ def _cmd_serve(args) -> int:
                     title="shard placement (primary first)",
                 )
             )
-        _print_shutdown_summary(target, report, draws)
+        _print_shutdown_summary(target, report, used, budget)
     clean = report.errors == 0 and report.lost == 0 and report.duplicates == 0
     return 0 if clean else 1
 

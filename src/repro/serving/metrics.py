@@ -64,9 +64,9 @@ class Histogram:
     bucket.  The state is exact bucket counts, min and max, the sum of
     finite observations, a count of ``-inf`` ones and one
     :class:`~repro.calib.sketch.QuantileSketch` of the finite ones, which
-    serves quantiles within ``DEFAULT_SKETCH_ALPHA`` (1%) relative error.
-    ``observe``/``observe_many`` append to a short buffer, folded in once
-    it holds ``_FOLD_AT`` values or the histogram is read.
+    serves nearest-rank quantiles within ``DEFAULT_SKETCH_ALPHA`` (1%)
+    relative error.  ``observe``/``observe_many`` append to short buffers,
+    folded in once they hold ``_FOLD_AT`` values or the histogram is read.
 
     NaN is rejected outright: it would poison ``min``/``max``/quantiles
     and fall outside every bucket.  ``+inf`` is a valid observation — an
@@ -75,7 +75,7 @@ class Histogram:
     """
 
     __slots__ = (
-        "name", "bounds", "_pending", "_buffered",
+        "name", "bounds", "_singles", "_chunks", "_buffered",
         "_buckets", "_sketch", "_sum", "_min", "_max", "_neg_inf",
     )  # fmt: skip
 
@@ -87,7 +87,8 @@ class Histogram:
             raise ValueError(f"histogram bounds must be sorted, got {bounds}")
         self.name = name
         self.bounds = tuple(float(b) for b in bounds)
-        self._pending: list = []  # floats and arrays, in arrival order
+        self._singles: list[float] = []  # buffered ``observe`` values
+        self._chunks: list[np.ndarray] = []  # buffered ``observe_many`` batches
         self._buffered = 0
         self._buckets = np.zeros(len(self.bounds) + 1, dtype=np.int64)
         self._sketch = QuantileSketch(DEFAULT_SKETCH_ALPHA)
@@ -98,7 +99,10 @@ class Histogram:
         value = float(value)
         if math.isnan(value):
             raise ValueError(f"histogram {self.name!r} cannot observe NaN")
-        self._buffer(value, 1)
+        self._singles.append(value)
+        self._buffered += 1
+        if self._buffered >= self._FOLD_AT:
+            self._fold()
 
     def observe_many(self, values) -> None:
         """Record a batch of observations (one NaN check)."""
@@ -106,20 +110,17 @@ class Histogram:
         if np.isnan(arr).any():
             raise ValueError(f"histogram {self.name!r} cannot observe NaN")
         if arr.size:
-            self._buffer(arr, arr.size)
-
-    def _buffer(self, item, n: int) -> None:
-        self._pending.append(item)
-        self._buffered += n
-        if self._buffered >= self._FOLD_AT:
-            self._fold()
+            self._chunks.append(arr)
+            self._buffered += arr.size
+            if self._buffered >= self._FOLD_AT:
+                self._fold()
 
     def _fold(self) -> None:
         """Fold the buffered observations into the counts and the sketch."""
         if not self._buffered:
             return
-        arr = np.sort(np.hstack(self._pending))
-        self._pending, self._buffered = [], 0
+        arr = np.sort(np.concatenate([np.array(self._singles, dtype=float), *self._chunks]))
+        self._singles, self._chunks, self._buffered = [], [], 0
         # Cuts after the -inf run, at each bound (bucket j holds [bounds[j-1],
         # bounds[j]), as np.histogram bins it) and before the +inf run.
         cuts = np.searchsorted(arr, (-np.finfo(float).max, *self.bounds, math.inf))
@@ -143,11 +144,8 @@ class Histogram:
         the split (its sum, and so its mean, up to summation order)."""
         histograms = list(histograms)
         out = cls(name, histograms[0].bounds if histograms else DEFAULT_LATENCY_BUCKETS)
-        if any(h.bounds != out.bounds for h in histograms):
-            raise ValueError(
-                f"cannot merge histograms with differing bounds: "
-                f"{sorted({h.bounds for h in histograms})}"
-            )
+        if len(bounds := sorted({h.bounds for h in histograms})) > 1:
+            raise ValueError(f"cannot merge histograms with differing bounds: {bounds}")
         for h in histograms:
             h._fold()
             out._buckets += h._buckets
@@ -157,30 +155,34 @@ class Histogram:
         return out
 
     def quantile(self, q: float) -> float:
-        """The observation of rank ``floor(q * (count - 1))`` within α
-        relative error (an infinite one exactly); NaN with none."""
+        """The nearest-rank quantile within α relative error (an infinite
+        one exactly); NaN with no observations."""
         if not 0.0 <= q <= 1.0:
             raise ValueError(f"quantile level must be in [0, 1], got {q}")
-        if not self.count:
-            return float("nan")
+        return self._quantiles([q])[0] if self.count else float("nan")
+
+    def _quantiles(self, qs) -> list[float]:
+        """The observations of rank ``round(q * (count - 1))`` (half to
+        even, as ``np.quantile``'s ``"nearest"``) for each level in
+        ``qs``, finite ones within α, with one sketch walk."""
         self._fold()
-        rank = math.floor(q * (self.count - 1)) - self._neg_inf
-        if 0 <= rank < self._sketch.count:
-            return float(self._sketch.at_ranks([rank])[0])
-        return -math.inf if rank < 0 else math.inf
+        n = self._sketch.count
+        ranks = np.array([round(q * (self.count - 1)) for q in qs]) - self._neg_inf
+        found = self._sketch.at_ranks(ranks.clip(0, n - 1)) if n else math.inf
+        return np.where(ranks < 0, -math.inf, np.where(ranks < n, found, math.inf)).tolist()
 
     def stats(self) -> dict:
         """Summary: exact count/mean/min/max and bucket counts,
         α-relative p50/p90/p99."""
         if not self.count:
             return {"count": 0}
-        self._fold()
+        quantiles = dict(zip(("p50", "p90", "p99"), self._quantiles([0.50, 0.90, 0.99])))
         return {
             "count": self.count,
             "mean": self._sum / self._sketch.count if self._sketch.count else math.inf,
             "min": self._min,
             "max": self._max,
-            **{f"p{p}": self.quantile(p / 100) for p in (50, 90, 99)},
+            **quantiles,
             "buckets": {
                 (f"le_{edge:g}" if np.isfinite(edge) else "overflow"): int(c)
                 for edge, c in zip((*self.bounds, np.inf), self._buckets)
@@ -216,17 +218,15 @@ class MetricsRegistry:
         sites disagree about the bucket layout while sharing one metric.
         """
         existing = self._histograms.get(name)
-        if existing is not None:
-            requested = tuple(float(b) for b in bounds)
-            if requested != existing.bounds:
-                raise ValueError(
-                    f"histogram {name!r} already registered with bounds "
-                    f"{existing.bounds}, not {requested}"
-                )
-            return existing
-        self._check_fresh(name)
-        self._histograms[name] = Histogram(name, bounds)
-        return self._histograms[name]
+        if existing is None:
+            self._check_fresh(name)
+            existing = self._histograms[name] = Histogram(name, bounds)
+        elif tuple(bounds) != existing.bounds:  # no copy of a tuple ``bounds``
+            raise ValueError(
+                f"histogram {name!r} already registered with bounds "
+                f"{existing.bounds}, not {tuple(map(float, bounds))}"
+            )
+        return existing
 
     def peek_histogram(self, name: str) -> Histogram | None:
         """The histogram under ``name`` if it exists, else ``None``.

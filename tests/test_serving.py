@@ -41,9 +41,13 @@ from repro.structural.parameters import Bindings
 from repro.workload.traces import Trace
 
 
-def _within_alpha(got: float, exact: float) -> bool:
-    """A histogram quantile's contract: within the sketch's relative
-    error of the observation at its rank."""
+def _nearest_rank(got: float, values, q: float) -> bool:
+    """A histogram quantile's contract: the nearest-rank order statistic
+    of ``values`` (``np.quantile``'s ``"nearest"``), an infinite one
+    exactly and a finite one within the sketch's relative error."""
+    exact = float(np.quantile(values, q, method="nearest"))
+    if math.isinf(exact):
+        return got == exact
     return abs(got - exact) <= DEFAULT_SKETCH_ALPHA * abs(exact) + 1e-12
 
 
@@ -164,8 +168,8 @@ class TestMetrics:
         assert s["buckets"]["overflow"] == 1
         assert s["min"] == 0.5 and s["max"] == float("inf")
         assert math.isfinite(s["mean"])  # mean over finite observations
-        # The rank-1 observation within alpha; +inf is returned at its rank.
-        assert _within_alpha(s["p50"], 2.0)
+        # The nearest-rank observation within alpha, inf-safe.
+        assert _nearest_rank(s["p50"], [0.5, 2.0, float("inf")], 0.5)
         assert h.quantile(0.5) == s["p50"]
         assert h.quantile(1.0) == float("inf")
 
@@ -179,8 +183,8 @@ class TestMetrics:
         s = merged.stats()
         assert s["count"] == 3
         assert sum(s["buckets"].values()) == 3
-        assert _within_alpha(s["p50"], 3.0)
-        assert merged.quantile(1.0) == float("inf")
+        assert _nearest_rank(s["p50"], [0.5, 3.0, float("inf")], 0.5)
+        assert merged.quantile(0.9) == float("inf")
         with pytest.raises(ValueError, match="NaN"):
             merged.observe(float("nan"))
 
@@ -206,9 +210,8 @@ class TestMetrics:
         s = h.stats()
         assert s["mean"] == pytest.approx(float(np.mean(arr)), rel=1e-12)
         assert (s["min"], s["max"]) == (float(arr.min()), float(arr.max()))
-        ordered = np.sort(arr)
         for q in (0.5, 0.9, 0.99):
-            assert _within_alpha(h.quantile(q), ordered[int(q * (arr.size - 1))])
+            assert _nearest_rank(h.quantile(q), arr, q)
         half = Histogram("lat", (0.1, 1.0))
         half.observe_many(arr[:1000])
         rest = Histogram("lat", (0.1, 1.0))
@@ -242,14 +245,9 @@ class TestMetrics:
         assert got == want  # count, min, max, buckets, p50/p90/p99
         edges = [-math.inf, *bounds, math.inf]
         assert list(got["buckets"].values()) == np.histogram(values, edges)[0].tolist()
-        ordered = sorted(values)
         for q in (0.0, 0.01, 0.25, 0.5, 0.9, 0.99, 1.0):
-            exact = ordered[int(q * (len(values) - 1))]
             assert merged.quantile(q) == union.quantile(q)
-            if math.isinf(exact):
-                assert merged.quantile(q) == exact
-            else:
-                assert _within_alpha(merged.quantile(q), exact)
+            assert _nearest_rank(merged.quantile(q), values, q)
 
 
 class TestAdmission:

@@ -75,6 +75,19 @@ class TestMergeAlgebra:
                 chunked.extend(chunk)
         assert chunked == _sketch(xs)
 
+    @given(positive_lists)
+    def test_positive_batch_lands_as_in_a_signed_batch(self, xs):
+        # An all-positive batch skips the sign split; its buckets must
+        # equal those the split gives the same values.
+        assert _sketch(xs).extend([-1.0, 0.0]) == _sketch([*xs, -1.0, 0.0])
+
+    def test_extend_rejects_non_finite_and_keeps_its_state(self):
+        for batch in ([1.0, math.nan], [2.0, math.inf], [-math.inf, 1.0], [math.nan]):
+            sk = _sketch([0.5])
+            with pytest.raises(ValueError, match="finite"):
+                sk.extend(batch)
+            assert sk == _sketch([0.5])
+
     @given(value_lists, value_lists)
     def test_merge_conserves_count_min_max(self, xs, ys):
         merged = _sketch(xs).merge(_sketch(ys))
