@@ -6,8 +6,8 @@ online serving loop both use it):
 
 * :class:`CalibrationReport` + :func:`score_pairs` — the batch scorer
   the NWS evaluation layer has always exposed (coverage vs nominal,
-  sharpness, MAE over ``(forecast, outcome)`` pairs), relocated here
-  verbatim and re-exported from :mod:`repro.nws.evaluation`;
+  sharpness, MAE over ``(forecast, outcome)`` pairs), which
+  :mod:`repro.nws.evaluation` scores its window studies with;
 * :func:`score_rows` — the one scoring function for served
   distributions: coverage, CRPS, PIT, z, MAE and sharpness of a block
   of ``(distribution, outcome)`` rows as arrays.  The serving loop
@@ -261,11 +261,6 @@ class ModelScore:
         if not self._crps_win:
             return 0.0
         return sum(self._crps_win) / len(self._crps_win)
-
-    @property
-    def last_crps(self) -> float:
-        """CRPS of the most recent observation (0 before any)."""
-        return self._crps_win[-1] if self._crps_win else 0.0
 
     @property
     def mae(self) -> float:

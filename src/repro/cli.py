@@ -711,11 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("table1", help="Table 1 + scheduling splits")
-    p.add_argument("--units", type=int, default=120)
+    p.add_argument("--units", type=_at_least(0), default=120)
     p.set_defaults(func=_cmd_table1)
 
     p = sub.add_parser("table2", help="Table 2 rules vs Monte Carlo")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--samples", type=_at_least(2), default=200_000)
     p.set_defaults(func=_cmd_table2)
 
@@ -725,19 +725,20 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_dedicated)
 
     p = sub.add_parser("platform1", help="Platform 1 experiment (Figures 8/9)")
-    p.add_argument("--sizes", type=int, nargs="+", default=[1000, 1200, 1400, 1600, 1800, 2000])
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--sizes", type=_SOR_SIZE, nargs="+",
+                   default=[1000, 1200, 1400, 1600, 1800, 2000])
+    p.add_argument("--seed", type=_at_least(0), default=11)
     p.set_defaults(func=_cmd_platform1)
 
     p = sub.add_parser("platform2", help="Platform 2 experiment (Figures 12-17)")
     p.add_argument("--size", type=_SOR_SIZE, default=1600)
     p.add_argument("--runs", type=_at_least(1), default=25)
-    p.add_argument("--seed", type=int, default=42)
+    p.add_argument("--seed", type=_at_least(0), default=42)
     p.set_defaults(func=_cmd_platform2)
 
     p = sub.add_parser("figures", help="methodology figures 1-5")
     p.add_argument("--which", type=int, nargs="+", choices=range(1, 6), default=[1, 2, 3, 4, 5])
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_at_least(0), default=0)
     p.add_argument("--plot", action="store_true", help="render ASCII histograms")
     p.set_defaults(func=_cmd_figures)
 
@@ -751,7 +752,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--machine", type=int, choices=range(4), default=0)
     p.add_argument("--duration", type=_at_least(0.0, float, strict=True, finite=True),
                    default=1800.0)
-    p.add_argument("--seed", type=int, default=7)
+    p.add_argument("--seed", type=_at_least(0), default=7)
     p.add_argument(
         "--pipeline",
         action="store_true",
@@ -773,13 +774,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("calibration", help="NWS query-window calibration study")
     p.add_argument("--windows", type=_at_least(0.0, float, strict=True), nargs="+",
                    default=[15.0, 45.0, 90.0, 180.0, 360.0])
-    p.add_argument("--seed", type=int, default=3)
+    p.add_argument("--seed", type=_at_least(0), default=3)
     p.set_defaults(func=_cmd_calibration)
 
     p = sub.add_parser("chaos", help="Platform 1 prediction cycle under injected faults")
     p.add_argument("--size", type=_SOR_SIZE, default=600)
     p.add_argument("--iterations", type=_at_least(1), default=10)
-    p.add_argument("--seed", type=int, default=23)
+    p.add_argument("--seed", type=_at_least(0), default=23)
     p.add_argument("--dropout-rate", type=_RATE, default=1 / 120.0)
     p.add_argument("--crash-rate", type=_RATE, default=1 / 900.0)
     p.add_argument("--outage-rate", type=_RATE, default=1 / 600.0)
@@ -799,7 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--precision", default=None, metavar="METRIC:TOL[:RULE]",
                    help="stop sampling once METRIC converges to TOL, e.g. "
                    "'p95:2%%', 'mean:0.05', 'p99:1%%:composite'")
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_at_least(0), default=11)
     p.set_defaults(func=_cmd_predict, check=functools.partial(_parse_precision, p))
 
     p = sub.add_parser(
@@ -851,7 +852,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--mixture", type=_at_least(0), default=None,
                    help="with --calibrate: also fit a Gaussian mixture with "
                    "this many (>= 2) components onto every served distribution")
-    p.add_argument("--seed", type=int, default=11)
+    p.add_argument("--seed", type=_at_least(0), default=11)
     p.add_argument("--json", action="store_true",
                    help="dump the full server or cluster snapshot")
     p.set_defaults(func=_cmd_serve, check=functools.partial(_check_serve, p))
@@ -872,8 +873,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--size", type=_SOR_SIZE, default=1600)
     p.add_argument("--iterations", type=_at_least(1), default=20)
     p.add_argument("--at", type=_INSTANT, default=600.0, help="decision time in the trace")
-    p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--seed", type=int, default=17)
+    p.add_argument("--lam", type=_at_least(0.0, float, finite=True), default=1.0)
+    p.add_argument("--seed", type=_at_least(0), default=17)
     p.set_defaults(func=_cmd_advise)
 
     return parser

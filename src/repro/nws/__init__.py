@@ -12,13 +12,12 @@ from repro.nws.forecasters import (
     ExponentialSmoothing,
     Forecaster,
     LastValue,
-    PriorForecaster,
     RunningMean,
     SlidingWindowMean,
     SlidingWindowMedian,
     default_forecasters,
 )
-from repro.nws.evaluation import CalibrationReport, calibrate_one_step, calibrate_query
+from repro.nws.evaluation import calibrate_one_step, calibrate_query
 from repro.nws.feedback import FeedBank, LoadFeed
 from repro.nws.modal import ModalCombination, ModalLoadCharacterizer, select_n_modes_bic
 from repro.nws.predictor import AdaptivePredictor, ForecasterScore
@@ -27,7 +26,6 @@ from repro.nws.series import MeasurementSeries
 from repro.nws.service import DegradationPolicy, NetworkWeatherService, QualifiedForecast
 
 __all__ = [
-    "CalibrationReport",
     "FeedBank",
     "LoadFeed",
     "calibrate_one_step",
@@ -43,7 +41,6 @@ __all__ = [
     "SlidingWindowMedian",
     "AdaptiveMedian",
     "AutoRegressive",
-    "PriorForecaster",
     "default_forecasters",
     "AdaptivePredictor",
     "ForecasterScore",

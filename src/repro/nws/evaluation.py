@@ -9,8 +9,7 @@ numbers behind choosing a query horizon in the Platform 2 experiments.
 
 The scoring itself lives in :mod:`repro.calib.scorer` (one shared
 implementation for this offline window study and the online serving
-loop); :class:`CalibrationReport` and the pair scorer are re-exported
-here for compatibility.
+loop), which returns a :class:`~repro.calib.scorer.CalibrationReport`.
 """
 
 from __future__ import annotations
@@ -24,7 +23,7 @@ from repro.core.stochastic import StochasticValue
 from repro.nws.predictor import AdaptivePredictor
 from repro.util.validation import check_array_1d
 
-__all__ = ["CalibrationReport", "score_pairs", "calibrate_one_step", "calibrate_query"]
+__all__ = ["calibrate_one_step", "calibrate_query"]
 
 
 def calibrate_one_step(

@@ -28,7 +28,6 @@ __all__ = [
     "SlidingWindowMedian",
     "AdaptiveMedian",
     "AutoRegressive",
-    "PriorForecaster",
     "default_forecasters",
 ]
 
@@ -216,28 +215,6 @@ class AutoRegressive(Forecaster):
 
     def observe(self, value: float) -> None:
         self._buf.append(float(value))
-
-
-class PriorForecaster(Forecaster):
-    """Predicts a fixed prior value regardless of history.
-
-    A degradation anchor: in a tournament it only wins while the other
-    entries are still warming up (or after a history flush), and the
-    service's fallback path can use one to keep answering when a
-    resource has gone silent past the trust horizon.
-    """
-
-    def __init__(self, prior: float):
-        if not np.isfinite(prior):
-            raise ValueError(f"prior must be finite, got {prior!r}")
-        self.prior = float(prior)
-        self.name = f"prior_{self.prior:g}"
-
-    def predict(self) -> float | None:
-        return self.prior
-
-    def observe(self, value: float) -> None:  # noqa: ARG002 - prior never updates
-        pass
 
 
 def default_forecasters() -> list[Forecaster]:

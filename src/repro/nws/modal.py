@@ -97,10 +97,6 @@ class ModalLoadCharacterizer:
             return combine_modes_linear(modes)
         return combine_modes_mixture(modes)
 
-    def modes_of(self, measurements) -> GaussianMixture1D:
-        """The BIC-selected mixture itself (for reporting)."""
-        return select_n_modes_bic(check_array_1d(measurements, "measurements"), self.max_modes)
-
     def from_sensor(self, sensor, window_seconds: float) -> StochasticValue:
         """Characterise a sensor's trailing measurement window."""
         if window_seconds <= 0:

@@ -14,35 +14,24 @@ Two formats, both deterministic for a seeded run:
   span attributes travel in ``args``.
 
 Non-finite floats (an ``inf`` staleness on a never-reporting resource)
-are stringified exactly like the metrics snapshots, so the documents
-stay strict JSON.
+are stringified by :func:`repro.util.jsonsafe.sanitise`, as in the
+metrics snapshots, so the documents stay strict JSON.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from pathlib import Path
 
 from repro.obs.tracer import STAGES, Tracer
+from repro.util.jsonsafe import sanitise
 
 __all__ = ["trace_to_dict", "trace_to_chrome", "write_json", "write_chrome"]
 
 
-def _sanitise(obj):
-    """Replace non-finite floats with strings so ``json`` stays strict."""
-    if isinstance(obj, dict):
-        return {k: _sanitise(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_sanitise(v) for v in obj]
-    if isinstance(obj, float) and not math.isfinite(obj):
-        return str(obj)
-    return obj
-
-
 def trace_to_dict(tracer: Tracer) -> dict:
     """The whole trace as one JSON-serialisable document."""
-    return _sanitise(
+    return sanitise(
         {
             "format": "repro.obs/v1",
             "summary": {
@@ -103,7 +92,7 @@ def trace_to_chrome(tracer: Tracer) -> dict:
                 "ts": sp.start * 1e6,
                 "dur": (end - sp.start) * 1e6,
                 "id": sp.span_id,
-                "args": _sanitise(
+                "args": sanitise(
                     {"trace_id": sp.trace_id, "parent_id": sp.parent_id, **sp.attrs}
                 ),
             }
@@ -118,7 +107,7 @@ def trace_to_chrome(tracer: Tracer) -> dict:
                 "pid": 1,
                 "tid": 0,
                 "ts": ev.t * 1e6,
-                "args": _sanitise({"seq": ev.seq, "span_id": ev.span_id, **ev.attrs}),
+                "args": sanitise({"seq": ev.seq, "span_id": ev.span_id, **ev.attrs}),
             }
         )
     return {"traceEvents": events, "displayTimeUnit": "ms"}

@@ -26,6 +26,7 @@ from repro.core.stochastic import StochasticValue, as_stochastic
 from repro.sor.decomposition import StripDecomposition, equal_strips, weighted_strips
 from repro.structural.expr import EvalPolicy
 from repro.structural.sor_model import SORModel, bindings_for_platform
+from repro.util.validation import check_nonnegative
 
 __all__ = ["DecompositionCandidate", "AdvisorChoice", "advise_decomposition"]
 
@@ -144,8 +145,7 @@ def advise_decomposition(
     machines = list(machines)
     if not machines:
         raise ValueError("at least one machine is required")
-    if lam < 0:
-        raise ValueError(f"lam must be >= 0, got {lam}")
+    check_nonnegative(lam, "lam")
     if policy is None:
         policy = EvalPolicy(max_strategy=MaxStrategy.CLARK)
     loads = {i: as_stochastic(v) for i, v in loads.items()}

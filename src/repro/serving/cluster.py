@@ -76,7 +76,7 @@ counters, retired workers' included, into cluster-wide views.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,13 +88,12 @@ from repro.serving.admission import TokenBucket
 from repro.serving.columnar import REASONS, STATUSES, RequestBatch, ResponseBatch
 from repro.serving.elastic import Autoscaler, ElasticConfig
 from repro.serving.forecasts import SharedRefreshLedger
-from repro.serving.metrics import Histogram, MetricsRegistry, _sanitise
+from repro.serving.metrics import Histogram, MetricsRegistry
 from repro.serving.protocol import (
     SHED_DEADLINE,
     SHED_THROTTLED,
     SHED_UNAVAILABLE,
     PredictRequest,
-    PredictResponse,
     Response,
 )
 from repro.serving.router import ClusterRouter, bindings_fingerprint
@@ -107,6 +106,7 @@ from repro.serving.server import (
     _answers,
 )
 from repro.structural.engine import plan_cache_stats
+from repro.util.jsonsafe import sanitise
 from repro.util.rng import as_generator
 
 __all__ = ["ClusterConfig", "ServingCluster"]
@@ -836,14 +836,6 @@ class ServingCluster:
             hit = flags & rb.ok_mask
             if hit.any():
                 rb.quality = np.where(hit, np.maximum(rb.quality, _STALE), rb.quality)
-                if rb.messages is not None:
-                    # Rich answers ride whole; stamp them like the columns.
-                    rb.messages = tuple(
-                        replace(m, failover=True, quality=QUALITIES[q])
-                        if h and isinstance(m, PredictResponse)
-                        else m
-                        for m, h, q in zip(rb.messages, hit.tolist(), rb.quality.tolist())
-                    )
                 self.metrics.counter("failovers_total").inc(int(np.count_nonzero(hit)))
         if self.tracer.enabled and len(rb):
             ok = np.flatnonzero(rb.status == _ST_OK)
@@ -913,7 +905,7 @@ class ServingCluster:
         calibration = self.calibration_summary()
         if calibration is not None:
             aggregated["calibration"] = calibration
-        return _sanitise(
+        return sanitise(
             {
                 "now": self._clock,
                 "workers": {

@@ -28,7 +28,8 @@ Ragged per-request payloads (override dicts, precision targets) do not
 vectorise; they ride as optional tuple sidecars through the server's
 one queue, and the evaluation reads them row by row where it must (see
 ``docs/serving.md``, "One path").  Rich answer blocks ride back the
-same way, in the ``messages`` sidecar, and are built on read.
+same way, in the ``messages`` sidecar, and are built on read: this
+module is the one place that builds and reads that sidecar.
 
 Deadlines are stored as ``float64`` with ``+inf`` standing in for
 "wait forever", so deadline checks are a single array comparison.  The
@@ -41,7 +42,7 @@ would begin *strictly after* its deadline — ``deadline < t``, never
 from __future__ import annotations
 
 from copy import copy
-from dataclasses import replace
+from itertools import repeat
 
 import numpy as np
 
@@ -70,6 +71,7 @@ __all__ = [
     "RequestBatch",
     "ResponseBatch",
     "admit_batch",
+    "rich_messages",
     "REASONS",
     "STATUSES",
 ]
@@ -187,10 +189,10 @@ class ResponseBatch(Columns):
     ``ok`` rows; ``retry_after`` only on ``overloaded`` rows.  A column
     left out of the constructor is zeros (``ok``, no shed reason).  The
     ``messages`` sidecar carries what does not columnise: an ``error``
-    row's message, an ``ok`` row's rich blocks as ``(precision block,
+    row's message, or an ``ok`` row's rich blocks as ``(precision block,
     distributions, j)`` shared by its batch (the view builds ``block[j]``
-    and reads ``distributions[j]``; either may be ``None``), or a whole
-    response kept as it came.  ``quality`` indexes
+    and reads ``distributions[j]``; either may be ``None``; see
+    :func:`rich_messages`).  ``quality`` indexes
     :data:`~repro.nws.service.QUALITIES`; ``status`` indexes
     :data:`STATUSES`; ``reason`` indexes :data:`REASONS`.  The optional
     ``failover`` column (``None``: no row failed over) marks answers a
@@ -255,10 +257,8 @@ class ResponseBatch(Columns):
                 out.latency[i] = r.latency
                 out.batch_size[i] = r.batch_size
                 failover[i] = r.failover
-                if r.precision is not None or r.distribution is not None or r.failover:
-                    # Rich per-answer blocks do not columnise; keep the
-                    # original object so the view stays byte-identical.
-                    messages[i] = r
+                if r.precision is not None or r.distribution is not None:
+                    messages[i] = ((r.precision,), (r.distribution,), 0)
             elif isinstance(r, OverloadedResponse):
                 out.reason[i] = REASONS.index(r.reason)
                 out.retry_after[i] = r.retry_after
@@ -273,8 +273,6 @@ class ResponseBatch(Columns):
     def response(self, i: int) -> Response:
         """Materialise row ``i`` as its scalar-protocol dataclass."""
         sidecar = self.messages[i] if self.messages is not None else None
-        if isinstance(sidecar, Response):
-            return sidecar
         status = int(self.status[i])
         common = dict(
             request_id=int(self.request_id[i]),
@@ -346,14 +344,7 @@ class ResponseBatch(Columns):
     def with_worker(self, name: str) -> "ResponseBatch":
         """Stamp one worker's attribution on every row (cluster
         delivery): a shallow copy sharing every other column."""
-        messages = self.messages
-        if messages is not None:
-            # Rows carried as whole Response objects (rich per-answer
-            # blocks) must be stamped individually, like the columns.
-            messages = tuple(
-                replace(m, worker=name) if isinstance(m, Response) else m for m in messages
-            )
-        return self._with(workers=(name,), worker=np.zeros(len(self), np.int16), messages=messages)
+        return self._with(workers=(name,), worker=np.zeros(len(self), np.int16))
 
     def sorted_by_completion(self) -> "ResponseBatch":
         """Rows in completion order (stable, so ties keep arrival order)."""
@@ -361,6 +352,13 @@ class ResponseBatch(Columns):
         if np.array_equal(order, np.arange(len(self))):
             return self
         return self.select(order)
+
+
+def rich_messages(block, distributions, codes: np.ndarray) -> tuple:
+    """The ``messages`` sidecar of ``ok`` rows that share one batch's
+    rich blocks: row ``i`` reads ``block[codes[i]]`` and
+    ``distributions[codes[i]]`` (either block may be ``None``)."""
+    return tuple(zip(repeat(block), repeat(distributions), codes.tolist()))
 
 
 # ----------------------------------------------------------------------

@@ -22,6 +22,7 @@ import math
 import numpy as np
 
 from repro.calib.sketch import DEFAULT_SKETCH_ALPHA, QuantileSketch
+from repro.util.jsonsafe import sanitise
 
 __all__ = ["Counter", "Gauge", "Histogram", "MetricsRegistry", "DEFAULT_LATENCY_BUCKETS"]
 
@@ -255,15 +256,4 @@ class MetricsRegistry:
 
     def to_json(self, **kwargs) -> str:
         """The snapshot rendered as a strict JSON document."""
-        return json.dumps(_sanitise(self.snapshot()), allow_nan=False, **kwargs)
-
-
-def _sanitise(obj):
-    """Replace non-finite floats with strings so ``json`` stays strict."""
-    if isinstance(obj, dict):
-        return {k: _sanitise(v) for k, v in obj.items()}
-    if isinstance(obj, list):
-        return [_sanitise(v) for v in obj]
-    if isinstance(obj, float) and not np.isfinite(obj):
-        return str(obj)
-    return obj
+        return json.dumps(sanitise(self.snapshot()), allow_nan=False, **kwargs)

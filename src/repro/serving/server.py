@@ -34,7 +34,6 @@ quality tags every answer carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from itertools import repeat
 
 import numpy as np
 
@@ -49,6 +48,7 @@ from repro.serving.columnar import (
     RequestBatch,
     ResponseBatch,
     admit_batch,
+    rich_messages,
 )
 from repro.serving.forecasts import ForecastCache, SharedRefreshLedger
 from repro.serving.metrics import MetricsRegistry
@@ -69,6 +69,7 @@ from repro.structural.expr import EvalPolicy, Expr
 from repro.structural.parameters import Bindings
 from repro.structural.montecarlo import _row_values, propagate
 from repro.structural.repeaters import PrecisionTarget, distinct_targets
+from repro.util.jsonsafe import sanitise
 from repro.util.rng import as_generator
 from repro.util.stats import ragged_summary
 from repro.util.validation import check_count, check_positive
@@ -1009,14 +1010,13 @@ class PredictionServer:
     def _blocks(
         self, spec, batch, t_done, groups, quality, targets, outcomes, factor, dists, values
     ) -> tuple:
-        """The answers' precision and distribution blocks, which do not
-        columnise: row ``i``'s sidecar entry is ``(precision block,
-        distributions, codes[i])``, one of each per batch over its
-        evaluation groups (``groups``: their first rows and each row's
-        code; ``None`` where the batch has none), and its response view
-        builds its group's blocks on read.  Every row's distribution is
-        queued for calibration scoring in one call, with the parameter
-        values its group stood on (``values``, one dict per group)."""
+        """The answers' precision and distribution blocks, one of each
+        per batch over its evaluation groups (``groups``: their first
+        rows and each row's code; ``None`` where the batch has none), as
+        the ``messages`` sidecar :func:`~repro.serving.columnar.rich_messages`
+        builds.  Every row's distribution is queued for calibration
+        scoring in one call, with the parameter values its group stood
+        on (``values``, one dict per group)."""
         first, codes = groups
         k = len(batch)
         block = None
@@ -1038,7 +1038,7 @@ class PredictionServer:
             # Singleton groups (every adaptive batch) are the rows already.
             rows = dists if len(first) == k else dists.take(codes)
             self.calib.enqueue(spec.name, quality[codes], rows, values, codes, t_done)
-        return tuple(zip(repeat(block, k), repeat(dists), codes.tolist()))
+        return rich_messages(block, dists, codes)
 
     # ------------------------------------------------------------------
     # Precision targets
@@ -1109,8 +1109,6 @@ class PredictionServer:
 
     def snapshot(self) -> dict:
         """Operational state: metrics + caches, JSON-serialisable."""
-        from repro.serving.metrics import _sanitise
-
         doc = {
             "now": self._clock,
             "queue_depth": self.queue_depth,
@@ -1121,4 +1119,4 @@ class PredictionServer:
         }
         if self.calib is not None:
             doc["calibration"] = self.calib.summary()
-        return _sanitise(doc)
+        return sanitise(doc)

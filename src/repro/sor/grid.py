@@ -128,10 +128,6 @@ class SORGrid:
         u[1:-1, 1:-1] = 0.0
         return u
 
-    def initial_interior(self) -> np.ndarray:
-        """Alias for :meth:`initial_field` (kernels update the interior view)."""
-        return self.initial_field()
-
     def exact_laplace_solution(self) -> np.ndarray:
         """Exact solution for :meth:`laplace_problem` grids (``u = x + y``)."""
         xs = np.linspace(0.0, 1.0, self.n)

@@ -18,8 +18,8 @@ reduction per metric over the whole block.  ``bootstrap``, ``hdi`` and
 results stay columns: each call keeps one :class:`ChunkChecks` block
 and :meth:`SequentialProbe.outcomes` returns :class:`AdaptiveOutcomes`
 columns; :class:`ChunkRecord`, :class:`RuleVote` and
-:class:`AdaptiveOutcome` objects are built only when one is read.  A
-one-row probe fed 1-D samples is a view of the same block.  Five rules:
+:class:`AdaptiveOutcome` objects are built only when one is read.  Five
+rules:
 
 ``ci``
     Closed-form confidence interval: normal-theory for mean/std,
@@ -595,31 +595,27 @@ class SequentialProbe:
     """Chunk-boundary convergence assessor for a block of rows.
 
     ``targets`` holds one :class:`PrecisionTarget` per row (``None`` for
-    a row that is never assessed); a single target makes a one-row
-    probe.  Per-target settings (metric, critical ``z``, tolerances,
-    rule) are worked out once per distinct target object (``distinct``,
-    with each row's index into it in ``codes``).  Feed
-    :meth:`assess` the *accumulated* samples of the rows due for a check
-    after each chunk; it returns the check's :class:`ChunkChecks`
-    columns.  The closed-form ``ci`` statistics come from one sort and
-    one reduction per metric over the whole block; ``bootstrap``,
-    ``hdi`` and ``ks`` votes are computed row by row inside the same
-    call.  Rule checks that need randomness (bootstrap/hdi) run on a
-    child stream per row, spawned from ``rng`` at that row's first such
-    check (rows in order), so they are deterministic under a fixed seed
-    and never touch the caller's draw stream.
+    a row that is never assessed).  Per-target settings (metric,
+    critical ``z``, tolerances, rule) are worked out once per distinct
+    target object (``distinct``, with each row's index into it in
+    ``codes``).  Feed :meth:`assess` the *accumulated* samples of the
+    rows due for a check after each chunk; it returns the check's
+    :class:`ChunkChecks` columns.  The closed-form ``ci`` statistics
+    come from one sort and one reduction per metric over the whole
+    block; ``bootstrap``, ``hdi`` and ``ks`` votes are computed row by
+    row inside the same call.  Rule checks that need randomness
+    (bootstrap/hdi) run on a child stream per row, spawned from ``rng``
+    at that row's first such check (rows in order), so they are
+    deterministic under a fixed seed and never touch the caller's draw
+    stream.
 
     The probe keeps every check's columns and each row's last check (two
     index arrays); :class:`ChunkRecord`, :class:`RuleVote` and
-    :class:`AdaptiveOutcome` objects are built only when read.  The
-    one-row form is a view of the block: ``assess`` on a 1-D sample
-    array returns one record, and :attr:`target`, :attr:`records`,
-    :attr:`converged` and :meth:`outcome` read the single row.
+    :class:`AdaptiveOutcome` objects are built only when read:
+    ``assess(...)[j]``, ``outcomes(...)[i]`` and its ``chunks``.
     """
 
     def __init__(self, targets, rng=None):
-        if isinstance(targets, PrecisionTarget):
-            targets = (targets,)
         self.targets = tuple(targets)
         self.distinct, self.codes = distinct, codes = distinct_targets(self.targets)
         metrics = list(dict.fromkeys(t.metric for t in distinct if t is not None))
@@ -659,28 +655,6 @@ class SequentialProbe:
                 )
         return self._check_rngs[row]
 
-    @property
-    def target(self) -> PrecisionTarget:
-        """The one-row probe's target."""
-        (target,) = self.targets
-        return target
-
-    def _one_row(self) -> None:
-        if len(self.targets) != 1:
-            raise ValueError(f"a probe of {len(self.targets)} rows has no one-row view")
-
-    @property
-    def records(self) -> list[ChunkRecord]:
-        """The one-row probe's chunk records, in order."""
-        self._one_row()
-        return list(_row_records(self._checks, 0))
-
-    @property
-    def converged(self) -> bool:
-        self._one_row()
-        last = int(self._last_check[0])
-        return last >= 0 and bool(self._checks[last].converged[self._last_pos[0]])
-
     def assess(self, samples: np.ndarray, rows=None):
         """Vote on the accumulated samples of the rows due for a check.
 
@@ -688,19 +662,16 @@ class SequentialProbe:
         same ``n``, and ``rows`` names each matrix row's block row
         (default: the block's rows in order).  Keeps and returns the
         check's :class:`ChunkChecks`, whose ``[j]`` is matrix row ``j``'s
-        :class:`ChunkRecord`; a 1-D ``samples`` is the one-row form and
-        returns one record.
+        :class:`ChunkRecord`.
         """
-        one = samples.ndim == 1
-        block = samples[None, :] if one else samples
-        n = block.shape[1]
+        n = samples.shape[1]
         if n < 8:
             raise ValueError(f"need >= 8 samples to assess convergence, got {n}")
-        due = np.arange(block.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
+        due = np.arange(samples.shape[0]) if rows is None else np.asarray(rows, dtype=np.intp)
         kind = self._kind[due]
         if (kind < 0).any():
             raise ValueError("cannot assess a row without a precision target")
-        sorted_rows = np.sort(block, axis=1)
+        sorted_rows = np.sort(samples, axis=1)
         z = self._z[due]
         if kind.size and (kind == kind[0]).all():
             estimate, ci_hw = _estimate_and_half_width(sorted_rows, *self._kinds[kind[0]], z)
@@ -723,13 +694,13 @@ class SequentialProbe:
         for j in np.flatnonzero(~self._ci_only[due]).tolist():
             hw, tol = float(ci_hw[j]), float(tolerance[j])
             ci = RuleVote("ci", bool(ci_ok[j]), hw, tol)
-            votes[j] = self._row_votes(int(due[j]), block[j], tol, ci)
+            votes[j] = self._row_votes(int(due[j]), samples[j], tol, ci)
             converged[j] = all(v.converged for v in votes[j])
         checks = ChunkChecks(n, due, estimate, ci_hw, tolerance, ci_ok, converged, votes)
         self._last_check[due] = len(self._checks)
         self._last_pos[due] = np.arange(len(due))
         self._checks.append(checks)
-        return checks[0] if one else checks
+        return checks
 
     def _row_votes(
         self, row: int, samples: np.ndarray, tolerance: float, ci: RuleVote
@@ -762,12 +733,6 @@ class SequentialProbe:
                 votes.append(RuleVote("ks", d <= crit, d, crit))
         return tuple(votes)
 
-    def outcome(self, budget: int | None = None) -> AdaptiveOutcome:
-        """Summarise the one-row run (``budget`` defaults to the
-        target's cap)."""
-        self._one_row()
-        return self.outcomes(budget)[0]
-
     def outcomes(self, budget: int | None = None) -> AdaptiveOutcomes:
         """Every row's last check as :class:`AdaptiveOutcomes` columns;
         ``[i]`` is row ``i``'s :class:`AdaptiveOutcome` (``None`` for a
@@ -776,7 +741,7 @@ class SequentialProbe:
         n = len(self.targets)
         live, last, pos = self._live, self._last_check, self._last_pos
         if (last[live] < 0).any():
-            raise ValueError("outcome() before any assess()")
+            raise ValueError("outcomes() before any assess()")
         draws = np.zeros(n, dtype=np.int64)
         estimate, half_width, tolerance = np.full((3, n), math.nan)
         converged = np.zeros(n, dtype=bool)

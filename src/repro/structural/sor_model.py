@@ -100,12 +100,6 @@ class SORModel:
         """Evaluate ``ExTime`` under the bindings (a stochastic value)."""
         return self.expression().evaluate(bindings, policy)
 
-    def predict_iteration(
-        self, bindings: Bindings, policy: EvalPolicy | None = None
-    ) -> StochasticValue:
-        """Per-iteration prediction (useful for skew analysis)."""
-        return self.iteration_expression().evaluate(bindings, policy)
-
     def component_breakdown(
         self, bindings: Bindings, policy: EvalPolicy | None = None
     ) -> dict[str, StochasticValue]:

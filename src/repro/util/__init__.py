@@ -1,9 +1,11 @@
-"""Shared utilities: RNG plumbing, scratch statistics, validation, tables.
+"""Shared utilities: RNG plumbing, scratch statistics, validation, tables,
+strict JSON.
 
 These helpers are deliberately dependency-light (NumPy only) so every other
 subpackage can import them without cycles.
 """
 
+from repro.util.jsonsafe import sanitise
 from repro.util.rng import as_generator, spawn
 from repro.util.stats import (
     erf,
@@ -35,6 +37,7 @@ __all__ = [
     "sample_skewness",
     "weighted_mean_and_std",
     "format_table",
+    "sanitise",
     "check_finite",
     "check_in_range",
     "check_nonnegative",

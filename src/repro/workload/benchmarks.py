@@ -83,7 +83,7 @@ def measure_sor_element_time(n: int = 400, iterations: int = 5) -> float:
     from repro.sor.kernel import sor_iteration
 
     grid = SORGrid.laplace_problem(n)
-    u = grid.initial_interior()
+    u = grid.initial_field()
     # Warm-up pass so allocation effects do not pollute the measurement.
     sor_iteration(u, grid.omega)
     t0 = time.perf_counter()

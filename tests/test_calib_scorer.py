@@ -141,7 +141,6 @@ class TestModelScore:
         assert sc.coverage == 0.0
         assert sc.rolling_coverage == 0.0
         assert sc.mean_crps == 0.0
-        assert sc.last_crps == 0.0
         assert sc.pit_histogram() == [0.0] * PIT_BINS
         with pytest.raises(ValueError):
             sc.z_quantile(0.5)

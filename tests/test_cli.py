@@ -299,6 +299,18 @@ class TestUsageErrors:
                 ["serve", "--precision", "p95:inf%"],
                 "argument --precision: rel_tol must be finite, got inf",
             ),
+            *(
+                ([command, "--seed", "-1"], "argument --seed: must be >= 0, got -1")
+                for command in (
+                    "table2", "platform1", "platform2", "figures", "trace",
+                    "calibration", "chaos", "predict", "serve", "advise",
+                )
+            ),
+            (["platform1", "--sizes", "3"], "argument --sizes: must be >= 6, got 3"),
+            (["table1", "--units", "-5"], "argument --units: must be >= 0, got -5"),
+            (["advise", "--lam", "-1"], "argument --lam: must be >= 0.0, got -1"),
+            (["advise", "--lam", "nan"], "argument --lam: must be >= 0.0, got nan"),
+            (["advise", "--lam", "inf"], "argument --lam: must be finite, got inf"),
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, argv, message):

@@ -21,10 +21,13 @@ contract:
   served in row order whatever sidecars its rows carry.
 """
 
+from dataclasses import replace
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.calib.distribution import DistributionInfo
 from repro.core.stochastic import StochasticValue
 from repro.nws.service import QUALITIES
 from repro.serving.admission import (
@@ -48,6 +51,7 @@ from repro.serving.protocol import (
     SHED_QUEUE_FULL,
     ErrorResponse,
     OverloadedResponse,
+    PrecisionInfo,
     PredictRequest,
     PredictResponse,
 )
@@ -57,6 +61,35 @@ from repro.structural.repeaters import PrecisionTarget
 CLIENTS = ("ann", "bob", "cyd", "dee")
 MODELS = ("sor-600", "sor-1000", "sor-1600")
 _PRECISION = PrecisionTarget.parse("p95:2%")
+#: Rich answer blocks a response may carry (``None``: none).
+_PRECISION_INFOS = (
+    None,
+    PrecisionInfo(
+        requested="p95±2%@0.95/ci",
+        effective="p95±2%@0.95/ci",
+        draws=512,
+        budget=2000,
+        half_width=0.01,
+        tolerance=0.02,
+        converged=True,
+    ),
+    PrecisionInfo(
+        metric="mean",
+        requested="mean±1%@0.95/ci",
+        effective="mean±4%@0.95/ci",
+        draws=2000,
+        budget=2000,
+        half_width=0.5,
+        tolerance=0.04,
+        degraded=True,
+        shed_factor=4.0,
+        reason="queue_pressure",
+    ),
+)
+_DISTRIBUTIONS = (
+    None,
+    DistributionInfo.from_samples(np.random.default_rng(0).normal(3.0, 0.5, 256)),
+)
 
 
 # ----------------------------------------------------------------------
@@ -121,6 +154,9 @@ def response_lists(draw, max_n=30):
                     latency=draw(st.floats(min_value=0.0, max_value=5.0)),
                     batch_size=draw(st.integers(min_value=1, max_value=64)),
                     model=draw(st.sampled_from(MODELS)),
+                    failover=draw(st.booleans()),
+                    precision=draw(st.sampled_from(_PRECISION_INFOS)),
+                    distribution=draw(st.sampled_from(_DISTRIBUTIONS)),
                 )
             )
         elif kind == 1:
@@ -180,6 +216,21 @@ class TestRoundTrip:
         )
         assert counts["error"] == sum(1 for r in resps if r.status == "error")
 
+    @settings(max_examples=60, deadline=None)
+    @given(resps=response_lists(), data=st.data())
+    def test_responses_survive_stamping_take_and_concat(self, resps, data):
+        """Cluster delivery's path: each worker stamps its batch, rows
+        are picked out of it and joined with another worker's."""
+        cut = data.draw(st.integers(0, len(resps)))
+        halves = (resps[:cut], resps[cut:])
+        parts, want = [], []
+        for name, half in zip(("worker-1", "worker-2"), halves):
+            order = data.draw(st.permutations(range(len(half))))
+            stamped = ResponseBatch.from_responses(half).with_worker(name)
+            parts.append(stamped.select(np.array(order, np.intp)))
+            want += [replace(half[i], worker=name) for i in order]
+        assert ResponseBatch.concat(parts).to_responses() == want
+
     def test_no_deadline_encodes_as_inf(self):
         req = PredictRequest(request_id=1, client_id="ann", model="m", submitted=3.0)
         batch = RequestBatch.from_requests([req])
@@ -187,8 +238,8 @@ class TestRoundTrip:
         assert batch.request(0).deadline is None
 
     def test_rich_response_blocks_ride_verbatim(self):
-        # precision / distribution / failover blocks don't columnise;
-        # the view must hand back the original object untouched.
+        # failover rides in its own column; the view rebuilds an equal
+        # object, and stamping a worker keeps the flag.
         rich = PredictResponse(
             request_id=9,
             client_id="ann",
@@ -200,7 +251,7 @@ class TestRoundTrip:
             model="sor-600",
         )
         batch = ResponseBatch.from_responses([rich])
-        assert batch.response(0) is rich
+        assert batch.response(0) == rich
         stamped = batch.with_worker("worker-7")
         assert stamped.response(0).worker == "worker-7"
         assert stamped.response(0).failover is True

@@ -149,26 +149,25 @@ class TestSequentialProbe:
     def test_records_accumulate_and_converged_flips(self):
         rng = np.random.default_rng(0)
         target = PrecisionTarget(metric="mean", abs_tol=0.05, rel_tol=None, min_samples=64)
-        probe = SequentialProbe(target, rng)
-        assert not probe.converged
+        probe = SequentialProbe([target], rng)
         for total in chunk_schedule(64, 4096):
-            record = probe.assess(rng.normal(10.0, 1.0, size=total))
+            record = probe.assess(rng.normal(10.0, 1.0, size=(1, total)))[0]
             if record.converged:
                 break
-        assert probe.converged
-        assert len(probe.records) >= 1
-        outcome = probe.outcome(budget=4096)
+        outcome = probe.outcomes(budget=4096)[0]
         assert outcome.converged and outcome.draws <= 4096
+        flags = [c.converged for c in outcome.chunks]
+        assert flags == [False] * (len(flags) - 1) + [True]
 
     def test_outcome_before_assess_raises(self):
-        probe = SequentialProbe(PrecisionTarget())
+        probe = SequentialProbe([PrecisionTarget()])
         with pytest.raises(ValueError):
-            probe.outcome()
+            probe.outcomes()
 
     def test_assess_requires_enough_samples(self):
-        probe = SequentialProbe(PrecisionTarget())
+        probe = SequentialProbe([PrecisionTarget()])
         with pytest.raises(ValueError):
-            probe.assess(np.arange(4.0))
+            probe.assess(np.arange(4.0)[None, :])
 
     def test_rule_checks_do_not_touch_caller_stream(self):
         # Bootstrap resampling runs on a spawned child stream: the
@@ -177,15 +176,15 @@ class TestSequentialProbe:
         target = PrecisionTarget(metric="p95", rel_tol=0.02, rule="bootstrap")
         samples = np.random.default_rng(1).normal(10.0, 1.0, size=512)
         rng_a = np.random.default_rng(7)
-        SequentialProbe(target, rng_a).assess(samples)
+        SequentialProbe([target], rng_a).assess(samples[None, :])
         rng_b = np.random.default_rng(7)
         assert rng_a.random() == rng_b.random()
 
     def test_deterministic_votes_under_fixed_seed(self):
         target = PrecisionTarget(metric="p95", rel_tol=0.05, rule="composite")
         samples = np.random.default_rng(3).normal(20.0, 2.0, size=1024)
-        rec_a = SequentialProbe(target, np.random.default_rng(9)).assess(samples)
-        rec_b = SequentialProbe(target, np.random.default_rng(9)).assess(samples)
+        rec_a = SequentialProbe([target], np.random.default_rng(9)).assess(samples[None, :])[0]
+        rec_b = SequentialProbe([target], np.random.default_rng(9)).assess(samples[None, :])[0]
         assert rec_a == rec_b
         assert {v.rule for v in rec_a.votes} == {"ci", "bootstrap", "hdi", "ks"}
 
@@ -244,16 +243,16 @@ def _scalar_ci(target, samples):
 
 def _assert_block_equals_one_row_probes(targets, samples, fills, seed):
     """Assess the block at each fill in turn, and each row alone on a
-    one-row probe; the records must match bit for bit (``repr`` of a
-    float round-trips), and the caller's stream must not move."""
+    probe of that one row; the records must match bit for bit (``repr``
+    of a float round-trips), and the caller's stream must not move."""
     due = [i for i, t in enumerate(targets) if t is not None]
     rng = np.random.default_rng(seed)
     block = SequentialProbe(targets, rng)
     ref_rng = np.random.default_rng(seed)
-    singles = {i: SequentialProbe(targets[i], ref_rng) for i in due}
+    singles = {i: SequentialProbe([targets[i]], ref_rng) for i in due}
     for n in fills:
         got = block.assess(np.ascontiguousarray(samples[due, :n]), due)
-        want = [singles[i].assess(samples[i, :n]) for i in due]
+        want = [singles[i].assess(samples[i : i + 1, :n])[0] for i in due]
         assert repr(list(got)) == repr(want)
         for i, record in zip(due, got):
             oracle = _scalar_ci(targets[i], samples[i, :n])
@@ -262,13 +261,13 @@ def _assert_block_equals_one_row_probes(targets, samples, fills, seed):
     outcomes = block.outcomes(budget=fills[-1])
     for i, outcome in enumerate(outcomes):
         if i in singles:
-            assert repr(outcome) == repr(singles[i].outcome(budget=fills[-1]))
+            assert repr(outcome) == repr(singles[i].outcomes(budget=fills[-1])[0])
         else:
             assert outcome is None
 
 
 class TestBlockProbe:
-    """One block assessment equals one-row probes on each row."""
+    """One block assessment equals a probe of each row alone."""
 
     @pytest.mark.parametrize("rule", STOPPING_RULES)
     @pytest.mark.parametrize("metric", _METRICS)
@@ -299,20 +298,11 @@ class TestBlockProbe:
         samples = _block_samples(seed, len(targets), fills[-1])
         _assert_block_equals_one_row_probes(targets, samples, fills, seed)
 
-    def test_one_row_accessors_refuse_a_block(self):
-        probe = SequentialProbe([PrecisionTarget(), PrecisionTarget()])
-        with pytest.raises(ValueError):
-            probe.records
-        with pytest.raises(ValueError):
-            probe.converged
-        with pytest.raises(ValueError):
-            probe.outcome()
-
     @pytest.mark.parametrize("rule", STOPPING_RULES)
     @pytest.mark.parametrize("metric", _METRICS)
     def test_outcome_columns_equal_one_row_outcomes(self, rule, metric):
         """``outcomes(budget)[i]`` (built from the columns) equals the
-        one-row probe's ``outcome(budget)``, and the columns hold the
+        outcome of a probe of row ``i`` alone, and the columns hold the
         same numbers; rows without a target read ``None``."""
         targets = [
             None if i % 4 == 3 else PrecisionTarget(
@@ -325,12 +315,12 @@ class TestBlockProbe:
         rng = np.random.default_rng(5)
         block = SequentialProbe(targets, rng)
         ref_rng = np.random.default_rng(5)  # children spawn in row order, as in the block
-        singles = {i: SequentialProbe(t, ref_rng) for i, t in enumerate(targets) if t}
+        singles = {i: SequentialProbe([t], ref_rng) for i, t in enumerate(targets) if t}
         active = [i for i in singles]
         for n in (64, 300, 900):
             checks = block.assess(np.ascontiguousarray(samples[active, :n]), active)
             for i in active:
-                singles[i].assess(samples[i, :n])
+                singles[i].assess(samples[i : i + 1, :n])
             # Converged rows leave, as in propagate.
             active = [i for i, done in zip(active, checks.converged.tolist()) if not done]
             if not active:
@@ -343,7 +333,7 @@ class TestBlockProbe:
             if target is None:
                 assert got is None
                 continue
-            want = singles[i].outcome(budget)
+            want = singles[i].outcomes(budget)[0]
             assert got.to_dict() == want.to_dict()
             assert repr(got) == repr(want)
             assert outcomes.draws[i] == want.draws and outcomes.budget[i] == budget
@@ -424,14 +414,14 @@ class TestStoppingRuleContract:
         target = PrecisionTarget(
             metric=metric, rel_tol=0.05, rule=rule, max_samples=65_536, min_samples=256
         )
-        probe = SequentialProbe(target, rng)
+        probe = SequentialProbe([target], rng)
         draws = np.empty(0)
         for total in chunk_schedule(256, 65_536):
             draws = np.concatenate([draws, rng.normal(50.0, 5.0, size=total - draws.size)])
-            record = probe.assess(draws)
+            record = probe.assess(draws[None, :])[0]
             if record.converged:
                 break
-        assert probe.converged, f"{rule}/{metric} never converged within 65536 draws"
+        assert record.converged, f"{rule}/{metric} never converged within 65536 draws"
         if rule == "ks":
             # KS judges whole-distribution stability, not interval
             # width: its contract is the statistic against the critical
@@ -457,14 +447,14 @@ class TestStoppingRuleContract:
         target = PrecisionTarget(
             metric="mean", rel_tol=rel_tol, rule=rule, max_samples=16_384, min_samples=64
         )
-        probe = SequentialProbe(target, rng)
+        probe = SequentialProbe([target], rng)
         draws = np.empty(0)
         for total in chunk_schedule(64, target.max_samples, target.growth):
             assert total <= target.max_samples
             draws = np.concatenate([draws, rng.normal(10.0, 1.0, size=total - draws.size)])
-            if probe.assess(draws).converged:
+            if probe.assess(draws[None, :])[0].converged:
                 break
-        outcome = probe.outcome()
+        outcome = probe.outcomes()[0]
         assert outcome.draws <= target.max_samples
         if outcome.converged and rule == "ci":
             # For the closed-form rule, the decision statistic IS the
@@ -478,8 +468,8 @@ class TestStoppingRuleContract:
         target = PrecisionTarget(
             metric="mean", rel_tol=0.5, rule="ks", max_samples=8192, min_samples=512
         )
-        probe = SequentialProbe(target, rng)
-        record = probe.assess(rng.normal(5.0, 0.5, size=4096))
+        probe = SequentialProbe([target], rng)
+        record = probe.assess(rng.normal(5.0, 0.5, size=(1, 4096)))[0]
         # One stationary stream split in halves: KS should accept at the
         # 95% level for the vast majority of seeds; assert the statistic
         # is at least computed against the right threshold.

@@ -1,5 +1,7 @@
 """Tests for repro.scheduling.sor_advisor — decomposition selection."""
 
+import math
+
 import pytest
 
 from repro.cluster.machine import Machine
@@ -123,6 +125,11 @@ class TestDecisions:
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
             advise_decomposition(heterogeneous_machines(), Network(), 600, 10, DEDICATED, lam=-1)
+
+    @pytest.mark.parametrize("lam", [math.nan, math.inf])
+    def test_non_finite_lam_rejected(self, lam):
+        with pytest.raises(ValueError, match="lam must be finite"):
+            advise_decomposition(heterogeneous_machines(), Network(), 600, 10, DEDICATED, lam=lam)
 
     def test_empty_machines_rejected(self):
         with pytest.raises(ValueError):
