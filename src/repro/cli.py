@@ -636,8 +636,9 @@ def _check_serve(parser: argparse.ArgumentParser, args) -> None:
 
     Cluster flags need ``--workers`` >= 2, calibration flags need
     ``--calibrate`` and ``--precision-shedding`` needs ``--precision``; a
-    ``--crash`` must name a worker of the cluster and an outage window
-    that ends after it starts; a ``--mixture`` fits 0 or >= 2 components.
+    ``--crash`` must name a worker of the cluster and a finite outage
+    window that ends after it starts; a ``--mixture`` fits 0 or >= 2
+    components.
     Exits with status 2 and a usage message otherwise.
     """
     needs = (
@@ -668,6 +669,8 @@ def _check_serve(parser: argparse.ArgumentParser, args) -> None:
             a, b = float(start), float(end)
         except ValueError:
             parser.error(f"argument --crash: START and END must be numbers, got {start!r} {end!r}")
+        if abs(a) == float("inf") or abs(b) == float("inf"):
+            parser.error(f"argument --crash: START and END must be finite, got {start} {end}")
         if not a < b:
             parser.error(f"argument --crash: START must be before END, got {start} {end}")
     _parse_precision(parser, args)
@@ -772,7 +775,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_memory)
 
     p = sub.add_parser("calibration", help="NWS query-window calibration study")
-    p.add_argument("--windows", type=_at_least(0.0, float, strict=True), nargs="+",
+    p.add_argument("--windows", type=_at_least(0.0, float, strict=True, finite=True), nargs="+",
                    default=[15.0, 45.0, 90.0, 180.0, 360.0])
     p.add_argument("--seed", type=_at_least(0), default=3)
     p.set_defaults(func=_cmd_calibration)
@@ -812,14 +815,14 @@ def build_parser() -> argparse.ArgumentParser:
                    help="1 serves from one server; more run a sharded cluster")
     p.add_argument("--requests", type=_at_least(1), default=500)
     p.add_argument("--clients", type=_at_least(1), default=8)
-    p.add_argument("--rate", type=_at_least(0.0, float, strict=True), default=None,
+    p.add_argument("--rate", type=_at_least(0.0, float, strict=True, finite=True), default=None,
                    help="open-loop arrival rate in req/s (default: closed loop)")
-    p.add_argument("--think-time", type=_at_least(0.0, float), default=0.0)
+    p.add_argument("--think-time", type=_at_least(0.0, float, finite=True), default=0.0)
     p.add_argument("--duration", type=_at_least(0.0, float, strict=True), default=None,
                    help="simulated drive window in seconds")
-    p.add_argument("--deadline", type=_at_least(0.0, float, strict=True), default=None,
+    p.add_argument("--deadline", type=_at_least(0.0, float, strict=True, finite=True), default=None,
                    help="relative per-request deadline in simulated seconds")
-    p.add_argument("--tick", type=_at_least(0.0, float, strict=True), default=0.05,
+    p.add_argument("--tick", type=_at_least(0.0, float, strict=True, finite=True), default=0.05,
                    help="simulated seconds per drive step (one batch per step)")
     p.add_argument("--batch-max", type=_at_least(1), default=64)
     p.add_argument("--samples", type=_at_least(2), default=400)
@@ -832,7 +835,7 @@ def build_parser() -> argparse.ArgumentParser:
                    "pressure (tagged on responses) before shedding requests")
     p.add_argument("--replication", type=_at_least(1), default=None,
                    help="with --workers > 1: owners per shard (default 2)")
-    p.add_argument("--cluster-rate", type=_at_least(0.0, float), default=None,
+    p.add_argument("--cluster-rate", type=_at_least(0.0, float, finite=True), default=None,
                    help="with --workers > 1: global admission rate in req/s "
                    "(default 0: off)")
     p.add_argument("--crash", nargs=3, action="append", default=[],

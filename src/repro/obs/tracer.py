@@ -40,7 +40,6 @@ back exactly as the same spans started one at a time would.
 
 from __future__ import annotations
 
-from contextlib import contextmanager
 from dataclasses import dataclass, field
 from operator import attrgetter
 
@@ -368,7 +367,7 @@ class Tracer:
             name=name,
             stage=stage,
             start=float(t),
-            attrs=dict(attrs),
+            attrs=attrs,  # a fresh dict: it was collected from keywords
         )
         self._next_span += 1
         self._spans.append(span)
@@ -426,7 +425,6 @@ class Tracer:
         self._built = None
         return block
 
-    @contextmanager
     def span(
         self,
         name: str,
@@ -435,19 +433,14 @@ class Tracer:
         stage: str,
         new_trace: bool = False,
         **attrs,
-    ):
+    ) -> "_Active":
         """Context manager: the span is active (parents children) inside.
 
-        The body may close the span itself with ``sp.finish(t_done)``;
-        otherwise it is finished as an instant span on exit.
+        The span opens on entry.  The body may close it itself with
+        ``sp.finish(t_done)``; otherwise it is finished as an instant span
+        on exit.
         """
-        sp = self.start_span(name, t, stage=stage, new_trace=new_trace, **attrs)
-        self._stack.append(sp)
-        try:
-            yield sp
-        finally:
-            self._stack.pop()
-            sp.finish()
+        return _Active(self, name, t, stage, new_trace, attrs)
 
     def event(self, name: str, t: float | None = None, **attrs) -> SpanEvent:
         """Record a structured event, attached to the active span if any.
@@ -506,6 +499,27 @@ class Tracer:
         return len(self._spans) + self._n_rows
 
 
+class _Active:
+    """What :meth:`Tracer.span` returns: opens the span on entry, makes
+    it the active span inside, and finishes it on exit."""
+
+    __slots__ = ("_tracer", "_args", "_span")
+
+    def __init__(self, tracer, name, t, stage, new_trace, attrs):
+        self._tracer = tracer
+        self._args = (name, t, stage, new_trace, attrs)
+
+    def __enter__(self) -> Span:
+        name, t, stage, new_trace, attrs = self._args
+        self._span = self._tracer.start_span(name, t, stage=stage, new_trace=new_trace, **attrs)
+        self._tracer._stack.append(self._span)
+        return self._span
+
+    def __exit__(self, *exc) -> None:
+        self._tracer._stack.pop()
+        self._span.finish()
+
+
 class NullTracer:
     """The inert tracer: same surface as :class:`Tracer`, records nothing.
 
@@ -539,6 +553,12 @@ class NullTracer:
         def to_dict(self) -> dict:
             return {}
 
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc) -> None:
+            return None
+
     _SPAN = _NullSpan()
 
     #: Shared inert row block handed out by every :meth:`start_rows`.
@@ -568,9 +588,8 @@ class NullTracer:
     def start_rows(self, name, t=None, *, stage, parent=None, new_trace=False, **columns):
         return self._ROWS
 
-    @contextmanager
     def span(self, name, t=None, *, stage, new_trace=False, **attrs):
-        yield self._SPAN
+        return self._SPAN
 
     def event(self, name, t=None, **attrs):
         return None

@@ -71,7 +71,7 @@ from repro.structural.montecarlo import _row_values, propagate
 from repro.structural.repeaters import PrecisionTarget, distinct_targets
 from repro.util.jsonsafe import sanitise
 from repro.util.rng import as_generator
-from repro.util.stats import ragged_summary
+from repro.util.stats import ragged_summary, row_quantile
 from repro.util.validation import check_count, check_positive
 
 __all__ = ["ModelSpec", "ServerConfig", "PredictionServer"]
@@ -342,9 +342,12 @@ class PredictionServer:
                 metrics=self.metrics,
             )
         # Tracing only: the submissions' span blocks that still hold open
-        # request rows, in id order, and each pending answer's request
-        # span id (-1: its span is already closed).
+        # request rows, in id order, with their first span ids and open
+        # row counts; and each pending answer's request span id (-1: its
+        # span is already closed) beside its ``serving.batch`` span id.
         self._span_blocks: list = []
+        self._span_first = np.empty(0, np.int64)
+        self._span_open: list[int] = []
         self._pending_spans: list[np.ndarray] = []
         # Touch the headline metrics so an idle snapshot shows them at 0.
         for name in (
@@ -544,16 +547,20 @@ class PredictionServer:
         per rejected one.  Returns the admitted rows' span ids."""
         now = np.maximum(batch.submitted, self._clock)
         admitted = verdict == ADMIT
+        rejected = np.flatnonzero(~admitted)
+        # A value every row shares is passed once, not once per row.
+        models = batch.models
         rows = self.tracer.start_rows(
-            np.where(admitted, "request", "serving.reject").astype(object),
+            np.where(admitted, "request", "serving.reject").astype(object)
+            if rejected.size
+            else "request",
             now,
             stage=STAGE_SERVING,
             new_trace=True,
             request_id=batch.request_id,
             client_id=np.array(batch.clients, dtype=object)[batch.client],
-            model=np.array(batch.models, dtype=object)[batch.model],
+            model=models[0] if len(models) == 1 else np.array(models, dtype=object)[batch.model],
         )
-        rejected = np.flatnonzero(~admitted)
         if rejected.size:
             outcome = _SHED_OUTCOMES[np.maximum(verdict[rejected], 0)]
             if errors:
@@ -562,33 +569,51 @@ class PredictionServer:
             rows.set(rejected, outcome=outcome).finish(rejected, now[rejected])
         if rejected.size < len(batch):
             self._span_blocks.append(rows)
+            self._span_first = np.append(self._span_first, rows.first_id)
+            self._span_open.append(len(batch) - rejected.size)
         return rows.first_id + np.flatnonzero(admitted)
 
     def _trace_rows(self, ids: np.ndarray, t=None, **columns) -> None:
         """Set ``columns`` on the open request span rows ``ids`` and, with
-        ``t``, finish them there; array values hold one value per id."""
+        ``t``, finish them there; array values hold one value per id.
+
+        Each run of consecutive ids in one block is one ``set`` call on
+        that block; a block leaves the open list when its open count
+        reaches zero."""
         if not ids.size:
             return
-        blocks = self._span_blocks
-        first = np.array([b.first_id for b in blocks])
-        which = np.searchsorted(first, ids, side="right") - 1
-        for j in np.unique(which).tolist():
-            sel = which == j
-            local = ids[sel] - first[j]
-            blocks[j].set(
-                local, **{k: v[sel] if isinstance(v, np.ndarray) else v for k, v in columns.items()}
+        which = np.searchsorted(self._span_first, ids, side="right") - 1
+        cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
+        blocks, open_ = self._span_blocks, self._span_open
+        for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
+            j = int(which[lo])
+            block = blocks[j]
+            local = ids[lo:hi] - block.first_id
+            block.set(
+                local, **{k: v[lo:hi] if isinstance(v, np.ndarray) else v for k, v in columns.items()}
             )
             if t is not None:
-                blocks[j].finish(local, t[sel] if isinstance(t, np.ndarray) else t)
-        if t is not None:
-            self._span_blocks = [b for b in blocks if b.open_rows().size]
+                block.finish(local, t[lo:hi] if isinstance(t, np.ndarray) else t)
+                open_[j] -= hi - lo
+        if t is not None and 0 in open_:
+            keep = [j for j, n in enumerate(open_) if n]
+            self._span_blocks = [blocks[j] for j in keep]
+            self._span_first = self._span_first[keep]
+            self._span_open = [open_[j] for j in keep]
 
     def _close_request_spans(self, t: float, outcome: str) -> None:
-        """Finish every open request span at ``t`` with ``outcome``."""
+        """Finish every open request span at ``t`` with ``outcome``; rows
+        already served carry their ``batch_span`` first."""
+        if self._pending_spans:
+            spans = np.concatenate(self._pending_spans)
+            spans = spans[spans[:, 0] >= 0]
+            self._trace_rows(spans[:, 0], batch_span=spans[:, 1])
         for block in self._span_blocks:
             rows = block.open_rows()
             block.set(rows, outcome=outcome).finish(rows, t)
         self._span_blocks = []
+        self._span_first = self._span_first[:0]
+        self._span_open = []
         self._pending_spans = []
 
     # ------------------------------------------------------------------
@@ -661,7 +686,7 @@ class PredictionServer:
         )
         if self.tracer.enabled:
             self._trace_rows(self._qseq[0][expired, 1], t, outcome=f"shed:{SHED_DEADLINE}")
-            self._pending_spans.append(np.full(n, -1))
+            self._pending_spans.append(np.full((n, 2), -1))
         rest = queue.select(~expired)
         self._queue = [rest] if len(rest) else []
         self._qseq = [self._qseq[0][~expired]] if len(rest) else []
@@ -720,12 +745,14 @@ class PredictionServer:
         ``ready`` rows of the pending answers, in pending order)."""
         spans = np.concatenate(self._pending_spans)
         self._pending_spans = [] if ready.all() else [spans[~ready]]
-        ids = spans[ready]
+        spans = spans[ready]
+        ids, batch_span = spans[:, 0], spans[:, 1]
         ok = out.ok_mask
         hit = ok & (ids >= 0)
         self._trace_rows(
             ids[hit],
             out.completed[hit],
+            batch_span=batch_span[hit],
             outcome="ok",
             quality=_QUALITY_NAMES[out.quality[hit]],
             staleness=out.staleness[hit],
@@ -733,7 +760,13 @@ class PredictionServer:
             batch_size=out.batch_size[hit],
         )
         hit = ~ok & (ids >= 0)
-        self._trace_rows(ids[hit], out.completed[hit], outcome=_STATUS_NAMES[out.status[hit]])
+        if hit.any():
+            self._trace_rows(
+                ids[hit],
+                out.completed[hit],
+                batch_span=batch_span[hit],
+                outcome=_STATUS_NAMES[out.status[hit]],
+            )
 
     # ------------------------------------------------------------------
     # Cluster lifecycle hooks
@@ -795,7 +828,8 @@ class PredictionServer:
 
         With a live tracer the batch gets a ``serving.batch`` span of its
         own trace (it serves several request traces at once); request
-        spans link to it through their ``batch_span`` attribute.
+        spans link to it through their ``batch_span`` attribute, stamped
+        with the columns set at delivery (or at a drain).
         """
         targets = self._precision_targets(batch)
         if not self.tracer.enabled:
@@ -816,8 +850,9 @@ class PredictionServer:
                 if targets is not None:
                     sp.set(draws=draws)
                 sp.finish(t_done)
-            self._trace_rows(seq[:, 1], batch_span=sp.span_id)
-            self._pending_spans.append(seq[:, 1])
+            spans = np.full((len(seq), 2), sp.span_id)
+            spans[:, 0] = seq[:, 1]
+            self._pending_spans.append(spans)
         self._busy_until = t_done
         return rb
 
@@ -837,8 +872,10 @@ class PredictionServer:
 
         Rows are evaluated once per evaluation key (:meth:`_groups`): one
         propagated row and one summary per group, broadcast to its rows
-        through the group codes.  The charge stays per answered row: each
-        row counts its group's draws.
+        through the group codes.  The charge stays per answered row, for
+        adaptive rows too: each row counts its group's draws, so the
+        batch occupies the server for ``adaptive_service_time`` of that
+        sum and ``draws_used`` sees every row at its group's count.
         """
         cfg = self.config
         spec = self._models[batch.models[batch.model[0]]]
@@ -896,7 +933,7 @@ class PredictionServer:
         if isinstance(samples, np.ndarray):
             mean = samples.mean(axis=1)
             std = samples.std(axis=1, ddof=1)
-            p95 = np.quantile(samples, 0.95, axis=1)
+            p95 = row_quantile(samples, 0.95)
             draws = k * samples.shape[1]
         else:
             mean, std, p95 = ragged_summary(samples, 0.95)
@@ -970,37 +1007,30 @@ class PredictionServer:
     def _groups(self, batch: RequestBatch, targets: tuple | None) -> tuple[np.ndarray, np.ndarray]:
         """``(first row of each evaluation group, each row's group code)``.
 
-        A row's evaluation key is its override values plus its clamped
-        precision target; rows with equal keys stand on the same
-        distribution and share one evaluation.  Groups are numbered in
+        A row's evaluation key is its clamped-target code (``targets[1]``,
+        whose codes number the distinct targets in order of first
+        appearance; a fixed rider's target is ``None``) plus its override
+        values; rows with equal keys stand on the same distribution and
+        share one evaluation, adaptive or not.  Groups are numbered in
         order of first appearance, so a batch whose keys all differ
-        evaluates exactly as one group per row.  An adaptive row is a
-        group of its own: its drawn count sets the batch's charge.  An
-        override-free, fixed-budget batch is one group without a look at
-        its rows.
+        evaluates exactly as one group per row.  Without overrides the
+        groups are the target codes, found without a per-row look.
         """
         k = len(batch)
         overrides = batch.overrides
-        live = None
-        if targets is not None:
-            live = np.array([t is not None for t in targets[0]])[targets[1]]
-            if live.all():
-                every = np.arange(k)
-                return every, every
-        if overrides is None and live is None:
-            return np.zeros(1, np.intp), np.zeros(k, np.intp)
+        tcodes = None if targets is None else targets[1]
+        if overrides is None:
+            if tcodes is None or len(targets[0]) == 1:
+                return np.zeros(1, np.intp), np.zeros(k, np.intp)
+            return np.unique(tcodes, return_index=True)[1], tcodes
         keys: dict = {}
         first = []
         codes = np.empty(k, np.intp)
-        for i in range(k):
-            if live is not None and live[i]:
-                key = i
-            elif overrides is None or not overrides[i]:
-                key = ()
-            else:
-                # repr keeps values that compare equal but evaluate
-                # differently (0.0 and -0.0) apart.
-                key = tuple(sorted((p, repr(v)) for p, v in overrides[i].items()))
+        tcode = [None] * k if tcodes is None else tcodes.tolist()
+        for i, o in enumerate(overrides):
+            # repr keeps values that compare equal but evaluate
+            # differently (0.0 and -0.0) apart.
+            key = (tcode[i], tuple(sorted((p, repr(v)) for p, v in o.items())) if o else ())
             code = keys.setdefault(key, len(keys))
             if code == len(first):
                 first.append(i)
@@ -1011,12 +1041,14 @@ class PredictionServer:
         self, spec, batch, t_done, groups, quality, targets, outcomes, factor, dists, values
     ) -> tuple:
         """The answers' precision and distribution blocks, one of each
-        per batch over its evaluation groups (``groups``: their first
-        rows and each row's code; ``None`` where the batch has none), as
-        the ``messages`` sidecar :func:`~repro.serving.columnar.rich_messages`
-        builds.  Every row's distribution is queued for calibration
-        scoring in one call, with the parameter values its group stood
-        on (``values``, one dict per group)."""
+        per batch with one row per evaluation group (``groups``: their
+        first rows and each row's code; ``None`` where the batch has
+        none), as the ``messages`` sidecar
+        :func:`~repro.serving.columnar.rich_messages` builds; each answer
+        reads its group's row.  The ``draws_used`` histogram counts every
+        adaptive row at its group's draws, and every row's distribution
+        is queued for calibration scoring in one call, with the parameter
+        values its group stood on (``values``, one dict per group)."""
         first, codes = groups
         k = len(batch)
         block = None
@@ -1035,7 +1067,7 @@ class PredictionServer:
                 reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
             )
         if dists is not None:
-            # Singleton groups (every adaptive batch) are the rows already.
+            # Singleton groups are the rows already.
             rows = dists if len(first) == k else dists.take(codes)
             self.calib.enqueue(spec.name, quality[codes], rows, values, codes, t_done)
         return rich_messages(block, dists, codes)

@@ -133,11 +133,12 @@ def _is_zero(s) -> bool:
 
 
 def _check_nonzero_mean(m, what: str) -> None:
-    """Reject zero denominators exactly as the scalar rules do."""
-    if np.ndim(m) == 0:
-        if float(m) == 0.0:
+    """Reject zero denominators (0.0 and -0.0; NaN is not zero) exactly
+    as the scalar rules do."""
+    if isinstance(m, np.ndarray) and m.ndim:
+        if not m.all():
             raise ZeroDivisionError(what)
-    elif np.any(np.asarray(m) == 0.0):
+    elif float(m) == 0.0:
         raise ZeroDivisionError(what)
 
 

@@ -63,7 +63,7 @@ import numpy as np
 
 from repro.structural.expr import DEFAULT_MC_SAMPLES
 from repro.util.rng import as_generator
-from repro.util.stats import normal_quantile
+from repro.util.stats import normal_quantile, sorted_quantile
 from repro.util.validation import check_count, check_positive
 
 __all__ = [
@@ -385,33 +385,6 @@ def chunk_schedule(
     return totals
 
 
-def _sorted_quantile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
-    """Each row's linear-method quantile, read off rows sorted along
-    ``axis=1``.
-
-    The arithmetic of ``np.quantile(rows, q, axis=1)`` (numpy's
-    ``_lerp``), so the result is bit-equal to it: virtual index
-    ``(n-1)*q``, interpolation from the upper neighbour when the weight
-    is ``>= 0.5``, and NaN for a row whose last sorted value is NaN.
-    """
-    n = sorted_rows.shape[1]
-    virtual = (n - 1) * q
-    if virtual >= n - 1:
-        below = above = -1
-    else:
-        below = math.floor(virtual)
-        above = below + 1
-    gamma = virtual - below
-    a, b = sorted_rows[:, below], sorted_rows[:, above]
-    diff = b - a
-    out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
-    last = sorted_rows[:, -1]
-    nan = np.isnan(last)
-    if nan.any():
-        out[nan] = last[nan]
-    return out
-
-
 def _estimate_and_half_width(
     sorted_rows: np.ndarray, kind: str, q: float, z: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -433,7 +406,7 @@ def _estimate_and_half_width(
         hi = np.minimum(n - 1, np.ceil(n * q + spread)).astype(np.intp)
         at = np.arange(sorted_rows.shape[0])
         half_width = (sorted_rows[at, hi] - sorted_rows[at, lo]) / 2.0
-        return _sorted_quantile(sorted_rows, q), half_width
+        return sorted_quantile(sorted_rows, q), half_width
     sd = np.std(sorted_rows, axis=1, ddof=1)
     if kind == "mean":
         return np.mean(sorted_rows, axis=1), z * sd / math.sqrt(n)

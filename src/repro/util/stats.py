@@ -18,6 +18,8 @@ __all__ = [
     "normal_cdf",
     "normal_quantile",
     "mean_and_std",
+    "sorted_quantile",
+    "row_quantile",
     "ragged_summary",
     "weighted_mean_and_std",
     "sample_skewness",
@@ -139,6 +141,50 @@ def mean_and_std(data, ddof: int = 1) -> tuple[float, float]:
     return float(arr.mean()), float(arr.std(ddof=ddof))
 
 
+def _linear_neighbours(n: int, q: float) -> tuple[int, int, float]:
+    """``(below, above, gamma)`` of ``np.quantile``'s linear method over
+    ``n`` values: virtual index ``(n-1)*q``, both neighbours the last
+    value (``-1``) at or past it."""
+    virtual = (n - 1) * q
+    if virtual >= n - 1:
+        return -1, -1, virtual + 1
+    below = math.floor(virtual)
+    return below, below + 1, virtual - below
+
+
+def _lerp_rows(rows: np.ndarray, below: int, above: int, gamma: float) -> np.ndarray:
+    """numpy's ``_lerp`` between columns ``below`` and ``above`` of rows
+    whose order statistics sit in place there and in the last column:
+    interpolation from the upper neighbour when ``gamma >= 0.5``, and NaN
+    for a row whose last value is NaN."""
+    a, b = rows[:, below], rows[:, above]
+    diff = b - a
+    out = b - diff * (1 - gamma) if gamma >= 0.5 else a + diff * gamma
+    last = rows[:, -1]
+    nan = np.isnan(last)
+    if nan.any():
+        out[nan] = last[nan]
+    return out
+
+
+def sorted_quantile(sorted_rows: np.ndarray, q: float) -> np.ndarray:
+    """Each row's linear-method ``q``-quantile, read off a (rows × n)
+    matrix sorted along ``axis=1``; bit-equal to
+    ``np.quantile(rows, q, axis=1)``."""
+    return _lerp_rows(sorted_rows, *_linear_neighbours(sorted_rows.shape[1], q))
+
+
+def row_quantile(rows: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(rows, q, axis=1)`` of a (rows × n) matrix through one
+    ``np.partition`` along its rows, bit-equal to it (NaN rows
+    included: NaN sorts last, and the last position is partitioned too).
+    """
+    n = rows.shape[1]
+    below, above, gamma = _linear_neighbours(n, q)
+    part = np.partition(rows, sorted({below % n, above % n, n - 1}), axis=1)
+    return _lerp_rows(part, below, above, gamma)
+
+
 def ragged_summary(arrays, q: float | None = None) -> tuple:
     """Per-row mean, ``std(ddof=1)`` and (with ``q``) ``q``-quantile of
     1-D arrays of differing lengths: ``(mean, std, quantile or None)``.
@@ -160,7 +206,7 @@ def ragged_summary(arrays, q: float | None = None) -> tuple:
         if size >= 2:
             std[rows] = mat.std(axis=1, ddof=1)
         if q is not None:
-            quantile[rows] = np.quantile(mat, q, axis=1)
+            quantile[rows] = row_quantile(mat, q)
     return mean, std, quantile
 
 

@@ -311,6 +311,19 @@ class TestUsageErrors:
             (["advise", "--lam", "-1"], "argument --lam: must be >= 0.0, got -1"),
             (["advise", "--lam", "nan"], "argument --lam: must be >= 0.0, got nan"),
             (["advise", "--lam", "inf"], "argument --lam: must be finite, got inf"),
+            (["serve", "--rate", "inf"], "argument --rate: must be finite, got inf"),
+            (["serve", "--tick", "inf"], "argument --tick: must be finite, got inf"),
+            (["serve", "--deadline", "inf"], "argument --deadline: must be finite, got inf"),
+            (["serve", "--think-time", "inf"], "argument --think-time: must be finite, got inf"),
+            (
+                ["serve", "--workers", "2", "--cluster-rate", "inf"],
+                "argument --cluster-rate: must be finite, got inf",
+            ),
+            (
+                ["serve", "--workers", "2", "--crash", "worker-0", "1", "inf"],
+                "argument --crash: START and END must be finite, got 1 inf",
+            ),
+            (["calibration", "--window", "inf"], "argument --windows: must be finite, got inf"),
         ],
     )
     def test_invalid_input_is_a_usage_error(self, capsys, argv, message):

@@ -345,3 +345,23 @@ class TestBlocksAndSharing:
         load[where] = 0.0
         with pytest.raises(ZeroDivisionError):
             plan.evaluate({"load": load}, b)
+
+    @pytest.mark.parametrize("zero", [0.0, -0.0])
+    def test_signed_zero_denominators_raise_and_nan_does_not(self, zero):
+        plan = compile_expr(Param("work") / Param("load"), ["load"])
+        b = Bindings({"work": 2.0})
+        for load in (np.array([1.0, zero, 2.0]), np.array([zero])):
+            with pytest.raises(ZeroDivisionError):
+                plan.evaluate({"load": load}, b)
+        out = plan.evaluate({"load": np.array([1.0, np.nan])}, b)
+        assert out[0] == 2.0 and np.isnan(out[1])
+        # Scalar denominators: a point parameter divides in the prelude.
+        for value, raises in ((zero, True), (np.float64(zero), True), (np.nan, False)):
+            if raises:
+                with pytest.raises(ZeroDivisionError):
+                    engine._check_nonzero_mean(value, "zero")
+            else:
+                engine._check_nonzero_mean(value, "zero")
+        plan = compile_expr(Param("load") + Param("work") / Param("zero"), ["load"])
+        with pytest.raises(ZeroDivisionError):
+            plan.evaluate({"load": np.ones(2)}, Bindings({"work": 2.0, "zero": zero}))

@@ -3,13 +3,16 @@
 A served batch is split by evaluation key (override values plus clamped
 precision target) before it is evaluated: each group draws, evaluates
 and summarises once, and its rows read the group's answer through one
-code array.  Adaptive rows stay one group each, and the simulated charge
-stays per answered row.  These tests pin the contract:
+code array.  Adaptive rows share too, and the simulated charge stays per
+answered row.  These tests pin the contract:
 
 * rows whose keys all differ are evaluated exactly as before, one
   propagated row each, bit for bit;
-* rows that share a key share every summary and distribution field;
-* a mixed fixed/adaptive batch is charged the draws of every row's group;
+* rows that share a key share every summary and distribution field,
+  adaptive rows their precision block and one ``mc.converged`` row too;
+* a batch is charged the draws of every row's group, a shared adaptive
+  group once per row;
+* distinct targets, distinct overrides and fixed riders stay apart;
 * every column class (request rows, answer rows, distribution blocks,
   sketch rows) takes rows by mask, index or slice and joins parts as
   one ``take`` would have, tables and absent sidecars included.
@@ -29,6 +32,7 @@ from repro.calib import CalibrationConfig, CalibrationLoop
 from repro.calib.distribution import DistributionBatch
 from repro.calib.sketch import SketchRows, build_sketches
 from repro.core.stochastic import StochasticValue
+from repro.obs import Tracer
 from repro.nws.service import QUALITIES
 from repro.serving import PredictRequest, RequestBatch, ResponseBatch, ServerConfig, demo_server
 from repro.serving.columnar import REASONS, STATUSES
@@ -147,6 +151,80 @@ def test_mixed_batch_is_charged_the_draws_of_every_rows_group():
     counters = server.metrics.snapshot()["counters"]
     assert counters["draws_used_total"] == draws
     assert counters["draws_budget_total"] == len(rows) * 256
+
+
+def test_adaptive_rows_with_one_target_share_one_evaluation():
+    tracer = Tracer()
+    target = PrecisionTarget.parse("p95:5%", min_samples=16)
+    server, _, _ = demo_server(
+        duration=600.0,
+        config=ServerConfig(
+            n_samples=256, batch_max=16, precision=target, calibration=CalibrationConfig()
+        ),
+        rng=SEED,
+        tracer=tracer,
+    )
+    k = 6
+    out = _serve(server, _batch(server, [{}] * k))
+    answers = out.to_responses()
+    first = answers[0]
+    assert first.precision.draws < 256
+    for r in answers[1:]:
+        assert (r.value, r.p95, r.precision) == (first.value, first.p95, first.precision)
+        assert r.distribution == first.distribution
+    # One stopping rule ran: one mc.converged row, on the first request.
+    converged = tracer.find(name="mc.converged")
+    assert [sp.attrs["request_id"] for sp in converged] == [0]
+    (batch_span,) = tracer.find(name="serving.batch")
+    assert converged[0].parent_id == batch_span.span_id
+
+
+def test_a_shared_adaptive_group_is_charged_once_per_row():
+    server = _server(
+        n_samples=256, batch_max=16, precision=PrecisionTarget.parse("p95:5%", min_samples=16)
+    )
+    k = 5
+    t = server.now
+    out = _serve(server, _batch(server, [{}] * k))
+    draws = {r.precision.draws for r in out.to_responses()}
+    assert len(draws) == 1
+    (group_draws,) = draws
+    assert group_draws < 256
+    assert np.all(out.completed == t + server.config.adaptive_service_time(k * group_draws))
+    snap = server.metrics.snapshot()
+    assert snap["counters"]["draws_used_total"] == k * group_draws
+    assert snap["counters"]["draws_budget_total"] == k * 256
+    assert snap["histograms"]["draws_used"]["count"] == k
+
+
+def test_distinct_targets_overrides_and_fixed_riders_stay_apart():
+    server = _server(n_samples=256, batch_max=16)
+    a = PrecisionTarget.parse("p95:5%", min_samples=16)
+    b = PrecisionTarget.parse("p95:3%", min_samples=16)
+    rows = [
+        {"precision": a},
+        {"precision": b},
+        {"precision": a, "overrides": {"bw_avail": 0.5}},
+        {"precision": a, "overrides": {"bw_avail": 0.6}},
+        {},
+        {"precision": a},
+        {},
+        {"precision": a, "overrides": {"bw_avail": 0.5}},
+    ]
+    batch = _batch(server, rows)
+    first, codes = server._groups(batch, server._precision_targets(batch))  # noqa: SLF001
+    assert first.tolist() == [0, 1, 2, 3, 4]
+    assert codes.tolist() == [0, 1, 2, 3, 4, 0, 4, 2]
+    answers = _serve(server, batch).to_responses()
+    means = [r.value.mean for r in answers]
+    assert len(set(means)) == 5
+    assert means[5] == means[0] and means[6] == means[4] and means[7] == means[2]
+    assert answers[4].precision is None and answers[6].precision is None
+    # Without overrides, the groups are the target codes.
+    plain = _batch(server, [{"precision": t} for t in (a, b, a, None, b)])
+    first, codes = server._groups(plain, server._precision_targets(plain))  # noqa: SLF001
+    assert first.tolist() == [0, 1, 3]
+    assert codes.tolist() == [0, 1, 0, 2, 1]
 
 
 def test_override_free_fixed_batch_is_one_group():

@@ -25,10 +25,9 @@ from repro.structural.repeaters import (
     STOPPING_RULES,
     PrecisionTarget,
     SequentialProbe,
-    _sorted_quantile,
     chunk_schedule,
 )
-from repro.util.stats import normal_quantile
+from repro.util.stats import normal_quantile, ragged_summary, row_quantile, sorted_quantile
 
 
 def adaptive_bindings():
@@ -354,7 +353,8 @@ def _zero_signs_equal(got: np.ndarray, want: np.ndarray) -> bool:
 
 
 class TestSortedQuantile:
-    """The quantile read straight off sorted rows is ``np.quantile``'s
+    """The quantile read straight off sorted rows, off one partition of
+    the rows, and off ragged rows grouped by length is ``np.quantile``'s
     linear method, bit for bit: a numpy release that changes that
     arithmetic fails here rather than in a golden."""
 
@@ -382,9 +382,18 @@ class TestSortedQuantile:
             m[hit] = rng.choice(specials, size=int(hit.sum()))
         with np.errstate(invalid="ignore"):
             want = np.quantile(m, q, axis=1)
-            got = _sorted_quantile(np.sort(m, axis=1), q)
-        assert got.shape == want.shape
+            got = sorted_quantile(np.sort(m, axis=1), q)
+            partitioned = row_quantile(m, q)
+            # Ragged rows: each row cut to its own length, summarised by
+            # length group against the row's own np.quantile.
+            cut = rng.integers(max(2, n // 2), n + 1, size=rows)
+            ragged = [m[i, : cut[i]] for i in range(rows)]
+            _, _, ragged_q = ragged_summary(ragged, q)
+            ragged_want = np.array([np.quantile(a, q) for a in ragged])
+        assert got.shape == partitioned.shape == want.shape
         assert _zero_signs_equal(got, want), (got, want)
+        assert _zero_signs_equal(partitioned, want), (partitioned, want)
+        assert _zero_signs_equal(ragged_q, ragged_want), (ragged_q, ragged_want)
 
     @pytest.mark.parametrize("q", QS)
     def test_exact_special_rows(self, q):
@@ -399,8 +408,9 @@ class TestSortedQuantile:
         )
         with np.errstate(invalid="ignore"):
             want = np.quantile(m, q, axis=1)
-            got = _sorted_quantile(np.sort(m, axis=1), q)
-        assert got.tobytes() == want.tobytes()
+            got = sorted_quantile(np.sort(m, axis=1), q)
+            partitioned = row_quantile(m, q)
+        assert got.tobytes() == want.tobytes() == partitioned.tobytes()
         assert math.isnan(got[1])
 
 

@@ -7,6 +7,15 @@ row drew its own cloud, so the serving, cluster and drive matrices and
 the ``serving_seed7`` trace were re-frozen when sharing landed: every
 answer value moved, every latency, shed and status stayed.
 
+Adaptive rows came to share evaluations later.  Their charge stays per
+row, but a shared group's draw count is one stopping rule's instead of
+each row's own, so the simulated occupancy of a batch moves by noise,
+and with it which requests beat their deadline or the queue bound.  The
+two drives with adaptive batches (:data:`ADAPTIVE_CASES`) are therefore
+compared over the requests answered in both runs, and checked to answer
+or shed every request exactly once; every other drive answers the same
+requests as before.
+
 This module re-runs those frozen drives and checks that the move is Monte
 Carlo noise.  ``goldens/per_row_answers.json`` holds, per drive and
 request, what the per-row server answered (taken from the goldens just
@@ -45,6 +54,11 @@ MAX_Z = 4.0
 P95_SE_FACTOR = math.sqrt(0.95 * 0.05) / (math.exp(-0.5 * 1.6448536269514722**2) / math.sqrt(2 * math.pi))
 
 
+#: Drives whose batches hold adaptive rows that share an evaluation:
+#: their answered set may move (see the module docstring).
+ADAPTIVE_CASES = frozenset({"serving_matrix/precision_default", "serving_matrix/traced_full"})
+
+
 def _responses(case: str) -> list:
     suite, _, name = case.partition("/")
     if suite == "serving_matrix":
@@ -80,9 +94,19 @@ def _answers(responses) -> dict:
 @pytest.mark.parametrize("case", sorted(REFERENCE))
 def test_shared_answers_are_per_row_answers_up_to_noise(case):
     old = REFERENCE[case]
-    new = _answers(_responses(case))
-    # Sharing moves values only: the same requests are answered.
-    assert sorted(new) == sorted(old)
+    responses = _responses(case)
+    new = _answers(responses)
+    if case in ADAPTIVE_CASES:
+        # Every request is answered or shed exactly once; the values are
+        # compared over the requests answered in both runs.
+        keys = [f"{r['client_id']}/{r['request_id']}" for r in json.loads(json.dumps(responses))]
+        assert len(keys) == len(set(keys))
+        assert set(old) <= set(keys)
+        both = set(new) & set(old)
+        new = {key: new[key] for key in both}
+    else:
+        # Sharing moves values only: the same requests are answered.
+        assert sorted(new) == sorted(old)
     groups = defaultdict(list)
     for key, (mean, _, p95, _) in new.items():
         groups[(mean, p95)].append(key)
