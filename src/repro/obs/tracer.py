@@ -98,7 +98,7 @@ class SpanEvent:
         }
 
 
-@dataclass
+@dataclass(slots=True)
 class Span:
     """One timed operation in one pipeline stage.
 
@@ -223,31 +223,40 @@ class SpanRows:
 
     def set(self, idx, **columns) -> "SpanRows":
         """Attach attributes to rows ``idx``; later values win."""
-        rows = np.arange(self.n)[idx]
+        self._set(np.arange(self.n)[idx], columns)
+        return self
+
+    def _set(self, rows: np.ndarray, columns: dict) -> None:
         values = {}
         for key, value in columns.items():
-            if _is_rows(value):
-                if len(value) != rows.size:
-                    raise ValueError(
-                        f"column {key!r} has {len(value)} values for {rows.size} rows"
-                    )
-                value = value.copy() if isinstance(value, np.ndarray) else list(value)
+            if isinstance(value, np.ndarray):
+                value = value.copy()
+            elif isinstance(value, list):
+                value = list(value)
+            else:
+                values[key] = value
+                continue
+            if len(value) != rows.size:
+                raise ValueError(f"column {key!r} has {len(value)} values for {rows.size} rows")
             values[key] = value
         self._log.append((rows, values))
         self._tracer._built = None
-        return self
 
-    def finish(self, idx, t=None) -> "SpanRows":
+    def finish(self, idx, t=None, **columns) -> "SpanRows":
         """Close the still-open rows among ``idx`` at ``t`` (a value, or
         one per selected row; default: each row's start).  Finishing a
-        finished row is a no-op."""
+        finished row is a no-op.  ``columns`` are set on every row of
+        ``idx`` first, as :meth:`set` would."""
         rows = np.arange(self.n)[idx]
+        if columns:
+            self._set(rows, columns)
         still = np.isnan(self.end[rows])
-        rows = rows[still]
+        if not still.all():
+            rows = rows[still]
+            if _is_rows(t):
+                t = np.asarray(t, dtype=float)[still]
         if t is None:
-            t = self.start if np.ndim(self.start) == 0 else self.start[rows]
-        elif np.ndim(t):
-            t = np.asarray(t, dtype=float)[still]
+            t = self.start[rows] if isinstance(self.start, np.ndarray) else self.start
         self.end[rows] = t
         self._tracer._built = None
         return self
@@ -393,10 +402,10 @@ class Tracer:
         row when a list or an array, else one value for every row; the
         row count is the length of the first per-row one.
         """
-        per_row = [v for v in (t, name, *columns.values()) if _is_rows(v)]
-        if not per_row:
+        per_row = next((v for v in (t, name, *columns.values()) if _is_rows(v)), None)
+        if per_row is None:
             raise ValueError("start_rows needs at least one per-row value")
-        n = len(per_row[0])
+        n = len(per_row)
         if parent is None and self._stack:
             parent = self._stack[-1]
         if t is None:
@@ -421,7 +430,7 @@ class Tracer:
             self._blocks.append(block)
             self._n_rows += n
         if columns:
-            block.set(slice(None), **columns)
+            block._set(np.arange(n), columns)
         self._built = None
         return block
 
@@ -573,7 +582,7 @@ class NullTracer:
         def set(self, idx, **columns):
             return self
 
-        def finish(self, idx, t=None):
+        def finish(self, idx, t=None, **columns):
             return self
 
     _ROWS = _NullRows()

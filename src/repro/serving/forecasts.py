@@ -162,6 +162,19 @@ class ForecastCache:
         """
         if not self.tracer.enabled:
             return self._lookup(resource, now)[0]
+        forecast = self._hit(resource, now)
+        if forecast is not None:
+            # Nothing nests under a hit, so its span needs no context.
+            self.tracer.start_span(
+                "forecast.lookup",
+                now,
+                stage=STAGE_NWS,
+                resource=resource,
+                outcome="hit",
+                quality=forecast.quality,
+                staleness=forecast.staleness,
+            ).finish()
+            return forecast
         with self.tracer.span(
             "forecast.lookup", now, stage=STAGE_NWS, resource=resource
         ) as sp:
@@ -171,12 +184,9 @@ class ForecastCache:
 
     def _lookup(self, resource: str, now: float) -> tuple[QualifiedForecast, str]:
         """The refresh-vs-adopt decision: ``(forecast, outcome)``."""
-        entry = self._cached.get(resource)
-        if entry is not None:
-            cached_at, forecast = entry
-            if now - cached_at < self.refresh_interval:
-                self.hits += 1
-                return forecast, "hit"
+        forecast = self._hit(resource, now)
+        if forecast is not None:
+            return forecast, "hit"
         if self.ledger is not None:
             delivered = len(self.nws.sensor(resource).series)
             forecast = self.ledger.lookup(resource, now, self.refresh_interval, delivered)
@@ -192,6 +202,17 @@ class ForecastCache:
         self._cached[resource] = (now, forecast)
         self.refreshes += 1
         return forecast, "refresh"
+
+    def _hit(self, resource: str, now: float) -> QualifiedForecast | None:
+        """The private entry for ``resource`` while it is young, else
+        ``None``."""
+        entry = self._cached.get(resource)
+        if entry is not None:
+            cached_at, forecast = entry
+            if now - cached_at < self.refresh_interval:
+                self.hits += 1
+                return forecast
+        return None
 
     def invalidate(self, resource: str | None = None) -> None:
         """Drop one resource's cached forecast, or all of them."""

@@ -566,7 +566,7 @@ class PredictionServer:
             if errors:
                 at = np.searchsorted(rejected, list(errors))
                 outcome[at] = [f"error:{why}" for why, _ in errors.values()]
-            rows.set(rejected, outcome=outcome).finish(rejected, now[rejected])
+            rows.finish(rejected, now[rejected], outcome=outcome)
         if rejected.size < len(batch):
             self._span_blocks.append(rows)
             self._span_first = np.append(self._span_first, rows.first_id)
@@ -582,18 +582,21 @@ class PredictionServer:
         reaches zero."""
         if not ids.size:
             return
-        which = np.searchsorted(self._span_first, ids, side="right") - 1
-        cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
+        if len(self._span_blocks) == 1:
+            which, cuts = np.zeros(1, np.intp), []
+        else:
+            which = np.searchsorted(self._span_first, ids, side="right") - 1
+            cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
         blocks, open_ = self._span_blocks, self._span_open
         for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
             j = int(which[lo])
             block = blocks[j]
             local = ids[lo:hi] - block.first_id
-            block.set(
-                local, **{k: v[lo:hi] if isinstance(v, np.ndarray) else v for k, v in columns.items()}
-            )
-            if t is not None:
-                block.finish(local, t[lo:hi] if isinstance(t, np.ndarray) else t)
+            run = {k: v[lo:hi] if isinstance(v, np.ndarray) else v for k, v in columns.items()}
+            if t is None:
+                block.set(local, **run)
+            else:
+                block.finish(local, t[lo:hi] if isinstance(t, np.ndarray) else t, **run)
                 open_[j] -= hi - lo
         if t is not None and 0 in open_:
             keep = [j for j, n in enumerate(open_) if n]
@@ -609,8 +612,7 @@ class PredictionServer:
             spans = spans[spans[:, 0] >= 0]
             self._trace_rows(spans[:, 0], batch_span=spans[:, 1])
         for block in self._span_blocks:
-            rows = block.open_rows()
-            block.set(rows, outcome=outcome).finish(rows, t)
+            block.finish(block.open_rows(), t, outcome=outcome)
         self._span_blocks = []
         self._span_first = self._span_first[:0]
         self._span_open = []
@@ -744,23 +746,29 @@ class PredictionServer:
         """Close the request spans of the delivered answers ``out`` (the
         ``ready`` rows of the pending answers, in pending order)."""
         spans = np.concatenate(self._pending_spans)
-        self._pending_spans = [] if ready.all() else [spans[~ready]]
-        spans = spans[ready]
+        if len(out) < len(spans):
+            self._pending_spans = [spans[~ready]]
+            spans = spans[ready]
+        else:
+            self._pending_spans = []
         ids, batch_span = spans[:, 0], spans[:, 1]
         ok = out.ok_mask
-        hit = ok & (ids >= 0)
+        live = ids >= 0
+        hit = ok & live
+        # Every row delivered ok with an open span: no row to pick out.
+        every = bool(hit.all())
         self._trace_rows(
-            ids[hit],
-            out.completed[hit],
-            batch_span=batch_span[hit],
+            ids if every else ids[hit],
+            out.completed if every else out.completed[hit],
+            batch_span=batch_span if every else batch_span[hit],
             outcome="ok",
-            quality=_QUALITY_NAMES[out.quality[hit]],
-            staleness=out.staleness[hit],
-            latency=out.latency[hit],
-            batch_size=out.batch_size[hit],
+            quality=_QUALITY_NAMES[out.quality if every else out.quality[hit]],
+            staleness=out.staleness if every else out.staleness[hit],
+            latency=out.latency if every else out.latency[hit],
+            batch_size=out.batch_size if every else out.batch_size[hit],
         )
-        hit = ~ok & (ids >= 0)
-        if hit.any():
+        hit = ~ok & live
+        if not every and hit.any():
             self._trace_rows(
                 ids[hit],
                 out.completed[hit],
