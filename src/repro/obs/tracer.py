@@ -33,7 +33,9 @@ pipeline uses :data:`STAGE_NWS`, :data:`STAGE_STRUCTURAL`,
 
 Per-request spans (one per submitted row, one per converged row) are
 recorded as :class:`SpanRows` blocks: consecutive span ids whose times
-and attributes are columns, updated many rows per call.  They become
+and attributes are columns, updated many rows per call
+(:meth:`Tracer.update_rows` updates rows of many blocks by span id in
+one logged call).  They become
 :class:`Span` objects only when :attr:`Tracer.spans` is read, and read
 back exactly as the same spans started one at a time would.
 """
@@ -177,6 +179,19 @@ def _is_rows(value) -> bool:
     return isinstance(value, (list, np.ndarray))
 
 
+def _own(columns: dict, n: int) -> dict:
+    """``columns`` with each per-row value copied and checked to hold
+    ``n`` values."""
+    values = {}
+    for key, value in columns.items():
+        if _is_rows(value):
+            if len(value) != n:
+                raise ValueError(f"column {key!r} has {len(value)} values for {n} rows")
+            value = value.copy() if isinstance(value, np.ndarray) else list(value)
+        values[key] = value
+    return values
+
+
 class SpanRows:
     """A block of ``n`` spans with consecutive ids, kept as columns.
 
@@ -223,33 +238,25 @@ class SpanRows:
 
     def set(self, idx, **columns) -> "SpanRows":
         """Attach attributes to rows ``idx``; later values win."""
-        self._set(np.arange(self.n)[idx], columns)
+        self._tracer._sync(self)
+        rows = np.arange(self.n)[idx]
+        self._record(rows, _own(columns, rows.size))
         return self
 
-    def _set(self, rows: np.ndarray, columns: dict) -> None:
-        values = {}
-        for key, value in columns.items():
-            if isinstance(value, np.ndarray):
-                value = value.copy()
-            elif isinstance(value, list):
-                value = list(value)
-            else:
-                values[key] = value
-                continue
-            if len(value) != rows.size:
-                raise ValueError(f"column {key!r} has {len(value)} values for {rows.size} rows")
-            values[key] = value
+    def _record(self, rows: np.ndarray, values: dict) -> None:
+        """Log ``values`` (owned: never changed later) for ``rows``."""
         self._log.append((rows, values))
         self._tracer._built = None
 
-    def finish(self, idx, t=None, **columns) -> "SpanRows":
+    def finish(self, idx, t=None) -> "SpanRows":
         """Close the still-open rows among ``idx`` at ``t`` (a value, or
         one per selected row; default: each row's start).  Finishing a
-        finished row is a no-op.  ``columns`` are set on every row of
-        ``idx`` first, as :meth:`set` would."""
-        rows = np.arange(self.n)[idx]
-        if columns:
-            self._set(rows, columns)
+        finished row is a no-op."""
+        self._tracer._sync(self)
+        self._close(np.arange(self.n)[idx], t)
+        return self
+
+    def _close(self, rows: np.ndarray, t) -> None:
         still = np.isnan(self.end[rows])
         if not still.all():
             rows = rows[still]
@@ -259,14 +266,15 @@ class SpanRows:
             t = self.start[rows] if isinstance(self.start, np.ndarray) else self.start
         self.end[rows] = t
         self._tracer._built = None
-        return self
 
     def open_rows(self) -> np.ndarray:
         """Positions of the rows not yet finished."""
+        self._tracer._sync(self)
         return np.flatnonzero(np.isnan(self.end))
 
     def to_spans(self) -> list[Span]:
         """The rows as :class:`Span` objects (new objects, built now)."""
+        self._tracer._sync(self)
         n = self.n
         attrs: list[dict] = [{} for _ in range(n)]
         for rows, values in self._log:
@@ -316,6 +324,10 @@ class Tracer:
         self._spans: list[Span] = []
         self._blocks: list[SpanRows] = []
         self._n_rows = 0
+        # update_rows calls not yet applied to their blocks, and the
+        # largest span id they name.
+        self._updates: list[tuple] = []
+        self._update_max = -1
         self._built: list[Span] | None = None
         self._next_trace = 1
         self._next_span = 1
@@ -330,6 +342,7 @@ class Tracer:
         The list is rebuilt after any change to the tracer; a row span
         in it is a snapshot of its block, changed through the block.
         """
+        self._sync()
         if self._built is None:
             out = list(self._spans)
             for block in self._blocks:
@@ -430,9 +443,51 @@ class Tracer:
             self._blocks.append(block)
             self._n_rows += n
         if columns:
-            block._set(np.arange(n), columns)
+            # No logged update names a new block's rows: nothing to apply.
+            block._record(np.arange(n), _own(columns, n))
         self._built = None
         return block
+
+    def update_rows(self, ids, t=None, **columns) -> None:
+        """Set ``columns`` on the row spans ``ids`` and, with ``t``,
+        finish them there, as their blocks' :meth:`SpanRows.set` and
+        :meth:`SpanRows.finish` would.
+
+        ``ids`` are span ids of rows in any blocks, in any order; values
+        that are lists or arrays hold one value per id.  The call is
+        logged as given and applied to the blocks, in call order, before
+        any block is next read or changed, so a caller that updates rows
+        of many blocks pays for one call.
+        """
+        ids = np.array(ids, dtype=np.int64)
+        if not ids.size:
+            return
+        if _is_rows(t):
+            t = np.array(t, dtype=float)
+        self._updates.append((ids, t, _own(columns, ids.size)))
+        self._update_max = max(self._update_max, int(ids.max()))
+        self._built = None
+
+    def _sync(self, block: SpanRows | None = None) -> None:
+        """Apply the logged :meth:`update_rows` calls to their blocks,
+        one ``set`` (and ``finish``) per run of ids in one block: all of
+        them, or only if one may name a row of ``block``."""
+        if not self._updates or (block is not None and block.first_id > self._update_max):
+            return
+        updates, self._updates, self._update_max = self._updates, [], -1
+        blocks = self._blocks
+        first = np.array([b.first_id for b in blocks])
+        for ids, t, values in updates:
+            which = np.searchsorted(first, ids, side="right") - 1
+            cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
+            for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
+                block = blocks[which[lo]] if which[lo] >= 0 else None
+                if block is None or ids[lo] < block.first_id:
+                    raise IndexError(f"span {int(ids[lo])} is not a row of any block")
+                rows = np.arange(block.n)[ids[lo:hi] - block.first_id]
+                block._record(rows, {k: v[lo:hi] if _is_rows(v) else v for k, v in values.items()})
+                if t is not None:
+                    block._close(rows, t[lo:hi] if isinstance(t, np.ndarray) else t)
 
     def span(
         self,
@@ -582,7 +637,7 @@ class NullTracer:
         def set(self, idx, **columns):
             return self
 
-        def finish(self, idx, t=None, **columns):
+        def finish(self, idx, t=None):
             return self
 
     _ROWS = _NullRows()
@@ -596,6 +651,9 @@ class NullTracer:
 
     def start_rows(self, name, t=None, *, stage, parent=None, new_trace=False, **columns):
         return self._ROWS
+
+    def update_rows(self, ids, t=None, **columns) -> None:
+        return None
 
     def span(self, name, t=None, *, stage, new_trace=False, **attrs):
         return self._SPAN

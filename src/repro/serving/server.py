@@ -341,13 +341,10 @@ class PredictionServer:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-        # Tracing only: the submissions' span blocks that still hold open
-        # request rows, in id order, with their first span ids and open
-        # row counts; and each pending answer's request span id (-1: its
+        # Tracing only: each pending answer's request span id (-1: its
         # span is already closed) beside its ``serving.batch`` span id.
-        self._span_blocks: list = []
-        self._span_first = np.empty(0, np.int64)
-        self._span_open: list[int] = []
+        # The open request spans are the queued rows' (``_qseq``) and
+        # these.
         self._pending_spans: list[np.ndarray] = []
         # Touch the headline metrics so an idle snapshot shows them at 0.
         for name in (
@@ -566,56 +563,17 @@ class PredictionServer:
             if errors:
                 at = np.searchsorted(rejected, list(errors))
                 outcome[at] = [f"error:{why}" for why, _ in errors.values()]
-            rows.finish(rejected, now[rejected], outcome=outcome)
-        if rejected.size < len(batch):
-            self._span_blocks.append(rows)
-            self._span_first = np.append(self._span_first, rows.first_id)
-            self._span_open.append(len(batch) - rejected.size)
+            rows.set(rejected, outcome=outcome).finish(rejected, now[rejected])
         return rows.first_id + np.flatnonzero(admitted)
 
-    def _trace_rows(self, ids: np.ndarray, t=None, **columns) -> None:
-        """Set ``columns`` on the open request span rows ``ids`` and, with
-        ``t``, finish them there; array values hold one value per id.
-
-        Each run of consecutive ids in one block is one ``set`` call on
-        that block; a block leaves the open list when its open count
-        reaches zero."""
-        if not ids.size:
-            return
-        if len(self._span_blocks) == 1:
-            which, cuts = np.zeros(1, np.intp), []
-        else:
-            which = np.searchsorted(self._span_first, ids, side="right") - 1
-            cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
-        blocks, open_ = self._span_blocks, self._span_open
-        for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
-            j = int(which[lo])
-            block = blocks[j]
-            local = ids[lo:hi] - block.first_id
-            run = {k: v[lo:hi] if isinstance(v, np.ndarray) else v for k, v in columns.items()}
-            if t is None:
-                block.set(local, **run)
-            else:
-                block.finish(local, t[lo:hi] if isinstance(t, np.ndarray) else t, **run)
-                open_[j] -= hi - lo
-        if t is not None and 0 in open_:
-            keep = [j for j, n in enumerate(open_) if n]
-            self._span_blocks = [blocks[j] for j in keep]
-            self._span_first = self._span_first[keep]
-            self._span_open = [open_[j] for j in keep]
-
     def _close_request_spans(self, t: float, outcome: str) -> None:
-        """Finish every open request span at ``t`` with ``outcome``; rows
-        already served carry their ``batch_span`` first."""
-        if self._pending_spans:
-            spans = np.concatenate(self._pending_spans)
-            spans = spans[spans[:, 0] >= 0]
-            self._trace_rows(spans[:, 0], batch_span=spans[:, 1])
-        for block in self._span_blocks:
-            block.finish(block.open_rows(), t, outcome=outcome)
-        self._span_blocks = []
-        self._span_first = self._span_first[:0]
-        self._span_open = []
+        """Finish every open request span, queued or served, at ``t`` with
+        ``outcome``; served rows carry their ``batch_span`` first."""
+        served = np.concatenate([np.empty((0, 2), np.int64), *self._pending_spans])
+        served = served[served[:, 0] >= 0]
+        self.tracer.update_rows(served[:, 0], batch_span=served[:, 1])
+        queued = [seq[:, 1] for seq in self._qseq]
+        self.tracer.update_rows(np.concatenate([*queued, served[:, 0]]), t, outcome=outcome)
         self._pending_spans = []
 
     # ------------------------------------------------------------------
@@ -687,7 +645,9 @@ class PredictionServer:
             )
         )
         if self.tracer.enabled:
-            self._trace_rows(self._qseq[0][expired, 1], t, outcome=f"shed:{SHED_DEADLINE}")
+            self.tracer.update_rows(
+                self._qseq[0][expired, 1], t, outcome=f"shed:{SHED_DEADLINE}"
+            )
             self._pending_spans.append(np.full((n, 2), -1))
         rest = queue.select(~expired)
         self._queue = [rest] if len(rest) else []
@@ -755,21 +715,21 @@ class PredictionServer:
         ok = out.ok_mask
         live = ids >= 0
         hit = ok & live
-        # Every row delivered ok with an open span: no row to pick out.
-        every = bool(hit.all())
-        self._trace_rows(
-            ids if every else ids[hit],
-            out.completed if every else out.completed[hit],
-            batch_span=batch_span if every else batch_span[hit],
+        # Every row delivered ok with an open span: take views, not copies.
+        sel = slice(None) if hit.all() else hit
+        self.tracer.update_rows(
+            ids[sel],
+            out.completed[sel],
+            batch_span=batch_span[sel],
             outcome="ok",
-            quality=_QUALITY_NAMES[out.quality if every else out.quality[hit]],
-            staleness=out.staleness if every else out.staleness[hit],
-            latency=out.latency if every else out.latency[hit],
-            batch_size=out.batch_size if every else out.batch_size[hit],
+            quality=_QUALITY_NAMES[out.quality[sel]],
+            staleness=out.staleness[sel],
+            latency=out.latency[sel],
+            batch_size=out.batch_size[sel],
         )
         hit = ~ok & live
-        if not every and hit.any():
-            self._trace_rows(
+        if hit.any():
+            self.tracer.update_rows(
                 ids[hit],
                 out.completed[hit],
                 batch_span=batch_span[hit],
@@ -790,6 +750,8 @@ class PredictionServer:
         cannot deliver — and the in-service window is cancelled so a
         later restart does not resume a half-finished batch.
         """
+        if self.tracer.enabled:
+            self._close_request_spans(self._clock, "drained")
         parts = self._queue + [rows for rows, _, _ in self._served]
         seqs = self._qseq + [seq for _, seq, _ in self._served]
         self._queue, self._qseq, self._qlen = [], [], 0
@@ -797,8 +759,6 @@ class PredictionServer:
         self._pending.clear()
         self._busy_until = self._clock
         self.metrics.gauge("queue_depth").set(0)
-        if self.tracer.enabled:
-            self._close_request_spans(self._clock, "drained")
         if not parts:
             return RequestBatch.empty()
         seq = np.concatenate(seqs)
@@ -816,6 +776,8 @@ class PredictionServer:
         """
         if at < self._clock:
             raise ValueError(f"cannot restart at {at}, before the clock ({self._clock})")
+        if self.tracer.enabled:
+            self._close_request_spans(at, "lost_in_restart")
         self._queue, self._qseq, self._qlen = [], [], 0
         self._served.clear()
         self._pending.clear()
@@ -824,7 +786,6 @@ class PredictionServer:
         self.forecasts.invalidate()
         self.metrics.counter("restarts_total").inc()
         if self.tracer.enabled:
-            self._close_request_spans(at, "lost_in_restart")
             self.tracer.event("worker.restart", at)
 
     # ------------------------------------------------------------------

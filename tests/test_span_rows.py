@@ -1,9 +1,11 @@
 """Span row blocks read back exactly as the same spans started one at a time.
 
 A generated script of operations — open a block, set columns on some of
-its rows, finish some rows, start an individual span — is applied twice:
-once through :meth:`Tracer.start_rows` blocks and once through per-row
-:meth:`Tracer.start_span` / :meth:`Span.set` / :meth:`Span.finish`.
+its rows, finish some rows, update rows of several blocks by span id,
+start an individual span — is applied twice: once through
+:meth:`Tracer.start_rows` blocks (and :meth:`Tracer.update_rows`) and
+once through per-row :meth:`Tracer.start_span` / :meth:`Span.set` /
+:meth:`Span.finish`.
 Both tracers must export the same spans: ids, traces, parents, times,
 attribute values *and* attribute order (compared as unsorted JSON), and
 the same counts, stage tallies and ``find`` results.
@@ -69,7 +71,7 @@ def script(draw):
     """A list of operations; ``set``/``finish`` name an earlier block."""
     ops, blocks = [], []
     for _ in range(draw(st.integers(1, 8))):
-        kinds = ["open", "span", "set", "finish"] if blocks else ["open", "span"]
+        kinds = ["open", "span", "set", "finish", "update"] if blocks else ["open", "span"]
         what = draw(st.sampled_from(kinds))
         if what == "open":
             n = draw(st.integers(1, 6))
@@ -111,6 +113,19 @@ def script(draw):
             b = draw(st.integers(0, len(blocks) - 1))
             idx, k = draw(subset(blocks[b]))
             ops.append(("set", dict(block=b, idx=idx, columns=draw(columns(k)))))
+        elif what == "update":
+            # Distinct rows of any blocks, in any order.
+            rows = [(b, j) for b, n in enumerate(blocks) for j in range(n)]
+            targets = draw(st.lists(st.sampled_from(rows), min_size=1, max_size=8, unique=True))
+            k = len(targets)
+            t = draw(
+                st.one_of(
+                    st.none(),
+                    st.floats(0, 200, allow_nan=False),
+                    st.lists(st.floats(0, 200, allow_nan=False), min_size=k, max_size=k),
+                )
+            )
+            ops.append(("update", dict(targets=targets, t=t, columns=draw(columns(k)))))
         else:
             b = draw(st.integers(0, len(blocks) - 1))
             idx, k = draw(subset(blocks[b]))
@@ -158,6 +173,9 @@ def run_blocks(ops):
             tr.start_span("single", op["t"], stage="nws").finish()
         elif what == "set":
             blocks[op["block"]].set(op["idx"], **op["columns"])
+        elif what == "update":
+            ids = [blocks[b].first_id + j for b, j in op["targets"]]
+            tr.update_rows(ids, op["t"], **op["columns"])
         else:
             blocks[op["block"]].finish(op["idx"], op["t"])
     return tr
@@ -189,6 +207,11 @@ def run_spans(ops):
             spans = blocks[op["block"]]
             for j, i in enumerate(_positions(op["idx"], len(spans))):
                 spans[i].set(**{k: _row(v, j) for k, v in op["columns"].items()})
+        elif what == "update":
+            for j, (b, i) in enumerate(op["targets"]):
+                blocks[b][i].set(**{k: _row(v, j) for k, v in op["columns"].items()})
+                if op["t"] is not None:
+                    blocks[b][i].finish(_row(op["t"], j))
         else:
             spans = blocks[op["block"]]
             for j, i in enumerate(_positions(op["idx"], len(spans))):
@@ -232,6 +255,30 @@ def test_a_per_row_column_must_match_the_rows():
         assert "1 values for 2 rows" in str(exc)
     else:
         raise AssertionError("a short column was accepted")
+
+
+def test_row_updates_apply_before_a_block_is_read():
+    tr = Tracer()
+    first = tr.start_rows("request", [1.0, 2.0], stage="serving", new_trace=True)
+    tr.start_span("single", 1.5, stage="nws").finish()
+    second = tr.start_rows("request", [3.0], stage="serving", new_trace=True)
+    ids = [second.first_id, first.first_id + 1]
+    tr.update_rows(ids, [7.0, 8.0], batch_span=9, outcome=["ok", "shed:deadline"])
+    # A block an update names is brought up to date before it is read.
+    assert second.open_rows().tolist() == [] and first.open_rows().tolist() == [0]
+    first.set([1], latency=0.5)
+    assert [sp.attrs for sp in tr.find(name="request")] == [
+        {},
+        {"batch_span": 9, "outcome": "shed:deadline", "latency": 0.5},
+        {"batch_span": 9, "outcome": "ok"},
+    ]
+    tr.update_rows([second.first_id + 1], outcome="ok")
+    try:
+        tr.spans
+    except IndexError as exc:
+        assert "not a row" in str(exc) or "out of bounds" in str(exc)
+    else:
+        raise AssertionError("an id past every block was accepted")
 
 
 def test_null_tracer_rows_are_inert():
