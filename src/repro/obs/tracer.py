@@ -481,13 +481,14 @@ class Tracer:
             which = np.searchsorted(first, ids, side="right") - 1
             cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
             for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
-                block = blocks[which[lo]] if which[lo] >= 0 else None
-                if block is None or ids[lo] < block.first_id:
+                if which[lo] < 0:
                     raise IndexError(f"span {int(ids[lo])} is not a row of any block")
-                rows = np.arange(block.n)[ids[lo:hi] - block.first_id]
-                block._record(rows, {k: v[lo:hi] if _is_rows(v) else v for k, v in values.items()})
+                rows_of = blocks[which[lo]]
+                rows = np.arange(rows_of.n)[ids[lo:hi] - rows_of.first_id]
+                run = {k: v[lo:hi] if _is_rows(v) else v for k, v in values.items()}
+                rows_of._record(rows, run)
                 if t is not None:
-                    block._close(rows, t[lo:hi] if isinstance(t, np.ndarray) else t)
+                    rows_of._close(rows, t[lo:hi] if isinstance(t, np.ndarray) else t)
 
     def span(
         self,
