@@ -982,21 +982,19 @@ class PredictionServer:
         values; rows with equal keys stand on the same distribution and
         share one evaluation, adaptive or not.  Groups are numbered in
         order of first appearance, so a batch whose keys all differ
-        evaluates exactly as one group per row.  Without overrides the
-        groups are the target codes, found without a per-row look.
+        evaluates exactly as one group per row.  An override-free batch of
+        at most one target is one group, found without a per-row look.
         """
         k = len(batch)
         overrides = batch.overrides
         tcodes = None if targets is None else targets[1]
-        if overrides is None:
-            if tcodes is None or len(targets[0]) == 1:
-                return np.zeros(1, np.intp), np.zeros(k, np.intp)
-            return np.unique(tcodes, return_index=True)[1], tcodes
+        if overrides is None and (tcodes is None or len(targets[0]) == 1):
+            return np.zeros(1, np.intp), np.zeros(k, np.intp)
         keys: dict = {}
         first = []
         codes = np.empty(k, np.intp)
         tcode = [None] * k if tcodes is None else tcodes.tolist()
-        for i, o in enumerate(overrides):
+        for i, o in enumerate(overrides if overrides is not None else (None,) * k):
             # repr keeps values that compare equal but evaluate
             # differently (0.0 and -0.0) apart.
             key = (tcode[i], tuple(sorted((p, repr(v)) for p, v in o.items())) if o else ())
