@@ -13,8 +13,9 @@ each row's own, so the simulated occupancy of a batch moves by noise,
 and with it which requests beat their deadline or the queue bound.  The
 two drives with adaptive batches (:data:`ADAPTIVE_CASES`) are therefore
 compared over the requests answered in both runs, and checked to answer
-or shed every request exactly once; every other drive answers the same
-requests as before.
+or shed every request exactly once and to lose at most
+:data:`MAX_LOST_ANSWERS` of the old answers; every other drive answers
+the same requests as before.
 
 This module re-runs those frozen drives and checks that the move is Monte
 Carlo noise.  ``goldens/per_row_answers.json`` holds, per drive and
@@ -57,6 +58,10 @@ P95_SE_FACTOR = math.sqrt(0.95 * 0.05) / (math.exp(-0.5 * 1.6448536269514722**2)
 #: Drives whose batches hold adaptive rows that share an evaluation:
 #: their answered set may move (see the module docstring).
 ADAPTIVE_CASES = frozenset({"serving_matrix/precision_default", "serving_matrix/traced_full"})
+
+#: Share of an adaptive drive's old answers that may become sheds (the
+#: shared run lost 1 of 175 and 7 of 175).
+MAX_LOST_ANSWERS = 0.05
 
 
 def _responses(case: str) -> list:
@@ -102,6 +107,8 @@ def test_shared_answers_are_per_row_answers_up_to_noise(case):
         keys = [f"{r['client_id']}/{r['request_id']}" for r in json.loads(json.dumps(responses))]
         assert len(keys) == len(set(keys))
         assert set(old) <= set(keys)
+        lost = set(old) - set(new)
+        assert len(lost) <= MAX_LOST_ANSWERS * len(old), f"{case}: {len(lost)} answers lost"
         both = set(new) & set(old)
         new = {key: new[key] for key in both}
     else:
