@@ -35,9 +35,11 @@ Per-request spans (one per submitted row, one per converged row) are
 recorded as :class:`SpanRows` blocks: consecutive span ids whose times
 and attributes are columns, updated many rows per call
 (:meth:`Tracer.update_rows` updates rows of many blocks by span id in
-one logged call).  They become
-:class:`Span` objects only when :attr:`Tracer.spans` is read, and read
-back exactly as the same spans started one at a time would.
+one logged call).  Instant spans nothing changes later
+(:meth:`Tracer.instant`, :meth:`Tracer.record_rows`) are kept as field
+tuples.  Both become :class:`Span` objects only when
+:attr:`Tracer.spans` is read, and read back exactly as the same spans
+started one at a time would.
 """
 
 from __future__ import annotations
@@ -173,23 +175,24 @@ class Span:
         }
 
 
+#: A list or an array holds one value per row; anything else is one
+#: value for every row.
+_ROW_TYPES = (list, np.ndarray)
+
+
 def _is_rows(value) -> bool:
-    """A list or an array holds one value per row; anything else is one
-    value for every row."""
-    return isinstance(value, (list, np.ndarray))
+    return isinstance(value, _ROW_TYPES)
 
 
 def _own(columns: dict, n: int) -> dict:
-    """``columns`` with each per-row value copied and checked to hold
-    ``n`` values."""
-    values = {}
+    """``columns`` (a fresh keyword dict, updated in place) with each
+    per-row value copied and checked to hold ``n`` values."""
     for key, value in columns.items():
-        if _is_rows(value):
+        if isinstance(value, _ROW_TYPES):
             if len(value) != n:
                 raise ValueError(f"column {key!r} has {len(value)} values for {n} rows")
-            value = value.copy() if isinstance(value, np.ndarray) else list(value)
-        values[key] = value
-    return values
+            columns[key] = value.copy() if isinstance(value, np.ndarray) else list(value)
+    return columns
 
 
 class SpanRows:
@@ -220,7 +223,7 @@ class SpanRows:
         "_log",
     )
 
-    def __init__(self, tracer, first_id, n, name, stage, trace_id, parent_id, start):
+    def __init__(self, tracer, first_id, n, name, stage, trace_id, parent_id, start, instant=False):
         self._tracer = tracer
         self.first_id = first_id
         self.n = n
@@ -229,8 +232,11 @@ class SpanRows:
         self.trace_id = trace_id
         self.parent_id = parent_id
         self.start = start
-        #: NaN marks a row still open.
-        self.end = np.full(n, np.nan)
+        #: NaN marks a row still open; an instant row ends at its start.
+        if not instant:
+            self.end = np.full(n, np.nan)
+        else:
+            self.end = start.copy() if isinstance(start, np.ndarray) else np.full(n, start)
         self._log: list[tuple[np.ndarray, dict]] = []
 
     def __len__(self) -> int:
@@ -322,6 +328,8 @@ class Tracer:
     def __init__(self):
         self.events: list[SpanEvent] = []
         self._spans: list[Span] = []
+        # Instant spans recorded by instant(), as Span field tuples.
+        self._instants: list[tuple] = []
         self._blocks: list[SpanRows] = []
         self._n_rows = 0
         # update_rows calls not yet applied to their blocks, and the
@@ -337,7 +345,8 @@ class Tracer:
     @property
     def spans(self) -> list[Span]:
         """Every span in id order: those started one at a time (live
-        objects) and every :class:`SpanRows` block's rows, built on read.
+        objects), and the :meth:`instant` spans and every
+        :class:`SpanRows` block's rows, built on read.
 
         The list is rebuilt after any change to the tracer; a row span
         in it is a snapshot of its block, changed through the block.
@@ -345,9 +354,10 @@ class Tracer:
         self._sync()
         if self._built is None:
             out = list(self._spans)
+            out.extend(Span(*fields) for fields in self._instants)
             for block in self._blocks:
                 out.extend(block.to_spans())
-            if self._blocks:
+            if self._blocks or self._instants:
                 out.sort(key=attrgetter("span_id"))
             self._built = out
         return self._built
@@ -382,19 +392,63 @@ class Tracer:
             self._next_trace += 1
         else:
             trace_id = parent.trace_id
+        # Positional (the keyword form costs twice as much); ``attrs`` is
+        # a fresh dict: it was collected from keywords.
         span = Span(
-            trace_id=trace_id,
-            span_id=self._next_span,
-            parent_id=None if parent is None else parent.span_id,
-            name=name,
-            stage=stage,
-            start=float(t),
-            attrs=attrs,  # a fresh dict: it was collected from keywords
+            trace_id,
+            self._next_span,
+            None if parent is None else parent.span_id,
+            name,
+            stage,
+            float(t),
+            None,
+            attrs,
+            [],
         )
         self._next_span += 1
         self._spans.append(span)
         self._built = None
         return span
+
+    def instant(self, name: str, t: float | None = None, *, stage: str, **attrs) -> None:
+        """Record a finished zero-duration span, as
+        ``start_span(name, t, stage=stage, **attrs).finish()`` would,
+        without building it now: nothing can change it later, so it
+        becomes a :class:`Span` only when :attr:`spans` is read."""
+        parent = self._stack[-1] if self._stack else None
+        if parent is None:
+            trace_id, parent_id = self._next_trace, None
+            self._next_trace += 1
+            t = 0.0 if t is None else float(t)
+        else:
+            trace_id, parent_id = parent.trace_id, parent.span_id
+            t = parent.start if t is None else float(t)
+        self._instants.append((trace_id, self._next_span, parent_id, name, stage, t, t, attrs))
+        self._next_span += 1
+        self._built = None
+
+    def record_rows(self, name, t=None, *, stage: str, **columns) -> None:
+        """Record one finished zero-duration span per row, as
+        ``start_rows(name, t, stage=stage, instant=True, **columns)``
+        would, for rows nothing changes later (:meth:`update_rows`
+        cannot name them).  A lone row is kept as an :meth:`instant`
+        span, about a fifth of the cost of a one-row block."""
+        for per_row in (t, name, *columns.values()):
+            if _is_rows(per_row):
+                break
+        else:
+            raise ValueError("record_rows needs at least one per-row value")
+        if len(per_row) != 1:
+            self.start_rows(name, t, stage=stage, instant=True, **columns)
+            return
+        row = {}
+        for key, value in {"name": name, "t": t, **columns}.items():
+            if isinstance(value, _ROW_TYPES):
+                if len(value) != 1:
+                    raise ValueError(f"column {key!r} has {len(value)} values for 1 row")
+                value = value.tolist()[0] if isinstance(value, np.ndarray) else value[0]
+            row[key] = value
+        self.instant(row.pop("name"), row.pop("t"), stage=stage, **row)
 
     def start_rows(
         self,
@@ -404,6 +458,7 @@ class Tracer:
         stage: str,
         parent: Span | None = None,
         new_trace: bool = False,
+        instant: bool = False,
         **columns,
     ) -> SpanRows:
         """Open one span per row as a :class:`SpanRows` block.
@@ -414,9 +469,13 @@ class Tracer:
         parent's.  ``name``, ``t`` and every column are one value per
         row when a list or an array, else one value for every row; the
         row count is the length of the first per-row one.
+        ``instant=True`` finishes every row at its start, as
+        ``finish(slice(None))`` right after would.
         """
-        per_row = next((v for v in (t, name, *columns.values()) if _is_rows(v)), None)
-        if per_row is None:
+        for per_row in (t, name, *columns.values()):
+            if _is_rows(per_row):
+                break
+        else:
             raise ValueError("start_rows needs at least one per-row value")
         n = len(per_row)
         if parent is None and self._stack:
@@ -437,6 +496,7 @@ class Tracer:
             trace_id,
             None if parent is None else parent.span_id,
             np.array(t, dtype=float) if _is_rows(t) else float(t),
+            instant,
         )
         self._next_span += n
         if n:
@@ -457,38 +517,54 @@ class Tracer:
         that are lists or arrays hold one value per id.  The call is
         logged as given and applied to the blocks, in call order, before
         any block is next read or changed, so a caller that updates rows
-        of many blocks pays for one call.
+        of many blocks pays for one call.  An id outside every block's
+        range raises here; one of a span between blocks raises when the
+        update is applied.
         """
         ids = np.array(ids, dtype=np.int64)
         if not ids.size:
             return
+        lo, hi = int(ids.min()), int(ids.max())
+        if not self._blocks or lo < self._blocks[0].first_id or hi >= self._next_span:
+            raise IndexError(f"span ids {lo}..{hi} are not all rows of a block")
         if _is_rows(t):
             t = np.array(t, dtype=float)
         self._updates.append((ids, t, _own(columns, ids.size)))
-        self._update_max = max(self._update_max, int(ids.max()))
+        self._update_max = max(self._update_max, hi)
         self._built = None
 
     def _sync(self, block: SpanRows | None = None) -> None:
         """Apply the logged :meth:`update_rows` calls to their blocks,
         one ``set`` (and ``finish``) per run of ids in one block: all of
-        them, or only if one may name a row of ``block``."""
+        them, or only if one may name a row of ``block``.  An update
+        leaves the log only once it is applied, so one whose ids are not
+        all rows raises here, unapplied, and keeps every later one."""
         if not self._updates or (block is not None and block.first_id > self._update_max):
             return
-        updates, self._updates, self._update_max = self._updates, [], -1
-        blocks = self._blocks
+        blocks, updates = self._blocks, self._updates
         first = np.array([b.first_id for b in blocks])
-        for ids, t, values in updates:
-            which = np.searchsorted(first, ids, side="right") - 1
-            cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
-            for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
-                if which[lo] < 0:
-                    raise IndexError(f"span {int(ids[lo])} is not a row of any block")
-                rows_of = blocks[which[lo]]
-                rows = np.arange(rows_of.n)[ids[lo:hi] - rows_of.first_id]
-                run = {k: v[lo:hi] if _is_rows(v) else v for k, v in values.items()}
-                rows_of._record(rows, run)
-                if t is not None:
-                    rows_of._close(rows, t[lo:hi] if isinstance(t, np.ndarray) else t)
+        applied = 0
+        try:
+            for ids, t, values in updates:
+                which = np.searchsorted(first, ids, side="right") - 1
+                cuts = (np.flatnonzero(which[1:] != which[:-1]) + 1).tolist()
+                runs = []
+                for lo, hi in zip([0, *cuts], [*cuts, ids.size]):
+                    rows_of = blocks[which[lo]]
+                    at = ids[lo:hi] - rows_of.first_id
+                    if at.max() >= rows_of.n:
+                        bad = int(ids[lo + at.argmax()])
+                        raise IndexError(f"span {bad} is not a row of any block")
+                    runs.append((rows_of, at, lo, hi))
+                for rows_of, rows, lo, hi in runs:
+                    run = {k: v[lo:hi] if _is_rows(v) else v for k, v in values.items()}
+                    rows_of._record(rows, run)
+                    if t is not None:
+                        rows_of._close(rows, t[lo:hi] if isinstance(t, np.ndarray) else t)
+                applied += 1
+        finally:
+            del updates[:applied]
+        self._update_max = -1
 
     def span(
         self,
@@ -556,12 +632,14 @@ class Tracer:
         counts: dict = {}
         for sp in self._spans:
             counts[sp.stage] = counts.get(sp.stage, 0) + 1
+        for fields in self._instants:
+            counts[fields[4]] = counts.get(fields[4], 0) + 1
         for block in self._blocks:
             counts[block.stage] = counts.get(block.stage, 0) + block.n
         return dict(sorted(counts.items()))
 
     def __len__(self) -> int:
-        return len(self._spans) + self._n_rows
+        return len(self._spans) + len(self._instants) + self._n_rows
 
 
 class _Active:
@@ -650,8 +728,16 @@ class NullTracer:
     def start_span(self, name, t=None, *, stage, parent=None, new_trace=False, **attrs):
         return self._SPAN
 
-    def start_rows(self, name, t=None, *, stage, parent=None, new_trace=False, **columns):
+    def instant(self, name, t=None, *, stage, **attrs) -> None:
+        return None
+
+    def start_rows(
+        self, name, t=None, *, stage, parent=None, new_trace=False, instant=False, **columns
+    ):
         return self._ROWS
+
+    def record_rows(self, name, t=None, *, stage, **columns) -> None:
+        return None
 
     def update_rows(self, ids, t=None, **columns) -> None:
         return None

@@ -165,7 +165,7 @@ class ForecastCache:
         forecast = self._hit(resource, now)
         if forecast is not None:
             # Nothing nests under a hit, so its span needs no context.
-            self.tracer.start_span(
+            self.tracer.instant(
                 "forecast.lookup",
                 now,
                 stage=STAGE_NWS,
@@ -173,7 +173,7 @@ class ForecastCache:
                 outcome="hit",
                 quality=forecast.quality,
                 staleness=forecast.staleness,
-            ).finish()
+            )
             return forecast
         with self.tracer.span(
             "forecast.lookup", now, stage=STAGE_NWS, resource=resource

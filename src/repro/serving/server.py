@@ -99,6 +99,8 @@ _RE_DEADLINE = REASONS.index(SHED_DEADLINE)
 _QUALITY_NAMES = np.array(QUALITIES, dtype=object)
 _STATUS_NAMES = np.array(STATUSES, dtype=object)
 _SHED_OUTCOMES = np.array([f"shed:{r}" for r in REASONS], dtype=object)
+#: A submitted row's span name, indexed by whether it was admitted.
+_SUBMIT_SPANS = np.array(["serving.reject", "request"], dtype=object)
 
 
 @dataclass(frozen=True)
@@ -476,13 +478,14 @@ class PredictionServer:
             self._queue.append(batch if n_admitted == n else batch.select(admitted))
             seq = np.arange(self._seq, self._seq + n_admitted)
             if self.tracer.enabled:
-                seq = np.column_stack((seq, self._trace_submissions(batch, errors, verdict)))
+                ids = self._trace_submissions(batch, errors, verdict, admitted)
+                seq = np.array((seq, ids)).T
             self._qseq.append(seq)
             self._seq += n_admitted
             self._qlen += n_admitted
             self.metrics.gauge("queue_depth").set(self._qlen)
         elif self.tracer.enabled:
-            self._trace_submissions(batch, errors, verdict)
+            self._trace_submissions(batch, errors, verdict, admitted)
         if n_admitted == n:
             return ResponseBatch.empty(), admitted
 
@@ -538,32 +541,35 @@ class PredictionServer:
                     )
         return errors
 
-    def _trace_submissions(self, batch, errors, verdict) -> np.ndarray:
+    def _trace_submissions(self, batch, errors, verdict, admitted) -> np.ndarray:
         """One span block for a submission, in row order: an open
         ``request`` row per admitted row, a closed ``serving.reject`` row
         per rejected one.  Returns the admitted rows' span ids."""
-        now = np.maximum(batch.submitted, self._clock)
-        admitted = verdict == ADMIT
-        rejected = np.flatnonzero(~admitted)
+        everyone = admitted.all()
         # A value every row shares is passed once, not once per row.
-        models = batch.models
+        shared = {}
+        for column, table, codes in (
+            ("client_id", batch.clients, batch.client),
+            ("model", batch.models, batch.model),
+        ):
+            shared[column] = table[0] if len(table) == 1 else np.array(table, object)[codes]
         rows = self.tracer.start_rows(
-            np.where(admitted, "request", "serving.reject").astype(object)
-            if rejected.size
-            else "request",
-            now,
+            "request" if everyone else _SUBMIT_SPANS[admitted.astype(np.intp)],
+            np.maximum(batch.submitted, self._clock),
             stage=STAGE_SERVING,
             new_trace=True,
             request_id=batch.request_id,
-            client_id=np.array(batch.clients, dtype=object)[batch.client],
-            model=models[0] if len(models) == 1 else np.array(models, dtype=object)[batch.model],
+            **shared,
         )
-        if rejected.size:
-            outcome = _SHED_OUTCOMES[np.maximum(verdict[rejected], 0)]
-            if errors:
-                at = np.searchsorted(rejected, list(errors))
-                outcome[at] = [f"error:{why}" for why, _ in errors.values()]
-            rows.set(rejected, outcome=outcome).finish(rejected, now[rejected])
+        if everyone:
+            return np.arange(rows.first_id, rows.first_id + len(batch))
+        rejected = np.flatnonzero(~admitted)
+        outcome = _SHED_OUTCOMES[np.maximum(verdict[rejected], 0)]
+        if errors:
+            at = np.searchsorted(rejected, list(errors))
+            outcome[at] = [f"error:{why}" for why, _ in errors.values()]
+        # A rejected row ends at its start.
+        rows.set(rejected, outcome=outcome).finish(rejected)
         return rows.first_id + np.flatnonzero(admitted)
 
     def _close_request_spans(self, t: float, outcome: str) -> None:
@@ -705,7 +711,8 @@ class PredictionServer:
     def _trace_delivered(self, out: ResponseBatch, ready: np.ndarray) -> None:
         """Close the request spans of the delivered answers ``out`` (the
         ``ready`` rows of the pending answers, in pending order)."""
-        spans = np.concatenate(self._pending_spans)
+        pending = self._pending_spans
+        spans = pending[0] if len(pending) == 1 else np.concatenate(pending)
         if len(out) < len(spans):
             self._pending_spans = [spans[~ready]]
             spans = spans[ready]
@@ -713,10 +720,10 @@ class PredictionServer:
             self._pending_spans = []
         ids, batch_span = spans[:, 0], spans[:, 1]
         ok = out.ok_mask
-        live = ids >= 0
-        hit = ok & live
+        hit = ok & (ids >= 0)
         # Every row delivered ok with an open span: take views, not copies.
-        sel = slice(None) if hit.all() else hit
+        rest = None if hit.all() else ~ok & (ids >= 0)
+        sel = slice(None) if rest is None else hit
         self.tracer.update_rows(
             ids[sel],
             out.completed[sel],
@@ -727,13 +734,12 @@ class PredictionServer:
             latency=out.latency[sel],
             batch_size=out.batch_size[sel],
         )
-        hit = ~ok & live
-        if hit.any():
+        if rest is not None and rest.any():
             self.tracer.update_rows(
-                ids[hit],
-                out.completed[hit],
-                batch_span=batch_span[hit],
-                outcome=_STATUS_NAMES[out.status[hit]],
+                ids[rest],
+                out.completed[rest],
+                batch_span=batch_span[rest],
+                outcome=_STATUS_NAMES[out.status[rest]],
             )
 
     # ------------------------------------------------------------------

@@ -634,13 +634,13 @@ def _trace_compile(tracer, plan: CompiledExpr, *, cache_hit: bool) -> None:
     """Record one ``plan.compile`` span (no-op without a live tracer)."""
     if tracer is None or not tracer.enabled:
         return
-    tracer.start_span(
+    tracer.instant(
         "plan.compile",
         stage=STAGE_STRUCTURAL,
         cache_hit=cache_hit,
         sampled=len(plan.sampled),
         bound=len(plan.bound),
-    ).finish()
+    )
 
 
 def clear_plan_cache() -> None:

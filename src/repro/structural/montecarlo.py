@@ -280,8 +280,15 @@ def propagate(
         growth = min(t.growth for t in adaptive)
         totals = sorted(set(chunk_schedule(first, int(caps.max()), growth)) | set(caps.tolist()))
         if trc.enabled:
-            metric = np.array([None if t is None else t.metric for t in distinct], object)
-            rule = np.array([None if t is None else t.rule for t in distinct], object)
+            # Span columns: a value every row shares is passed once.
+            shared = len(distinct) == 1
+            metric = [None if t is None else t.metric for t in distinct]
+            rule = [None if t is None else t.rule for t in distinct]
+            if shared:
+                metric, rule = metric[0], rule[0]
+            else:
+                metric, rule = np.array(metric, object), np.array(rule, object)
+            rids = None if request_ids is None else np.asarray(request_ids)
     buf = None
     filled = np.zeros(rows, dtype=np.int64)
     active = np.arange(rows)
@@ -318,7 +325,8 @@ def propagate(
 
         # Every active row has drawn to this chunk's total, so the rows
         # due for a check form one equally-filled block.
-        due = active[mins[active] <= filled[active]]
+        checked = mins[active] <= filled[active]
+        due = active[checked]
         converged = np.zeros(rows, dtype=bool)
         if due.size:
             checks = probe.assess(buf[due, :total], due)
@@ -328,32 +336,32 @@ def propagate(
             # One block for the rows that finished at this chunk after a
             # check (a row never checked leaves without a span), read
             # straight from the check's columns.
-            ended = active[done & (mins[active] <= filled[active])]
+            ended = active[done & checked]
             if ended.size:
                 at = np.searchsorted(due, ended)
-                trc.start_rows(
+                trc.record_rows(
                     "mc.converged",
                     stage=STAGE_STRUCTURAL,
-                    request_id=None if request_ids is None else np.asarray(request_ids)[ended],
-                    metric=metric[codes[ended]],
-                    rule=rule[codes[ended]],
+                    request_id=None if rids is None else rids[ended],
+                    metric=metric if shared else metric[codes[ended]],
+                    rule=rule if shared else rule[codes[ended]],
                     draws=checks.draws,
                     budget=budget,
                     converged=checks.converged[at],
                     half_width=checks.half_width[at],
                     tolerance=checks.tolerance[at],
                     votes=checks.vote_flags(at),
-                ).finish(slice(None))
+                )
         active = active[~done]
         if trc.enabled:
-            trc.start_span(
+            trc.instant(
                 "mc.chunk",
                 stage=STAGE_STRUCTURAL,
                 draws=total,
                 chunk=m,
                 batch_size=rows,
                 active=len(active),
-            ).finish()
+            )
         if not active.size:
             break
 

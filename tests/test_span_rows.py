@@ -14,6 +14,7 @@ the same counts, stage tallies and ``find`` results.
 import json
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -71,10 +72,10 @@ def script(draw):
     """A list of operations; ``set``/``finish`` name an earlier block."""
     ops, blocks = [], []
     for _ in range(draw(st.integers(1, 8))):
-        kinds = ["open", "span", "set", "finish", "update"] if blocks else ["open", "span"]
-        what = draw(st.sampled_from(kinds))
-        if what == "open":
-            n = draw(st.integers(1, 6))
+        kinds = ["open", "span", "record", "set", "finish", "update"]
+        what = draw(st.sampled_from(kinds if blocks else kinds[:3]))
+        if what in ("open", "record"):
+            n = draw(st.integers(1, 6 if what == "open" else 3))
             name = draw(
                 st.one_of(
                     st.sampled_from(NAMES), st.lists(st.sampled_from(NAMES), min_size=n, max_size=n)
@@ -92,23 +93,15 @@ def script(draw):
                 extra = {"rid": np.arange(n)}
             else:
                 extra = {}
-            ops.append(
-                (
-                    "open",
-                    dict(
-                        n=n,
-                        name=name,
-                        t=t,
-                        stage=draw(st.sampled_from(STAGES)),
-                        new_trace=draw(st.booleans()),
-                        under_parent=draw(st.booleans()),
-                        columns={**extra, **draw(columns(n))},
-                    ),
-                )
-            )
-            blocks.append(n)
+            op = dict(n=n, name=name, t=t, stage=draw(st.sampled_from(STAGES)))
+            op["columns"] = {**extra, **draw(columns(n))}
+            if what == "open":
+                op.update(new_trace=draw(st.booleans()), under_parent=draw(st.booleans()))
+                blocks.append(n)
+            ops.append((what, op))
         elif what == "span":
-            ops.append(("span", dict(t=draw(st.floats(0, 100, allow_nan=False)))))
+            t = draw(st.floats(0, 100, allow_nan=False))
+            ops.append(("span", dict(t=t, instant=draw(st.booleans()))))
         elif what == "set":
             b = draw(st.integers(0, len(blocks) - 1))
             idx, k = draw(subset(blocks[b]))
@@ -169,8 +162,12 @@ def run_blocks(ops):
                     **op["columns"],
                 )
             )
+        elif what == "span" and op["instant"]:
+            tr.instant("single", op["t"], stage="nws")
         elif what == "span":
             tr.start_span("single", op["t"], stage="nws").finish()
+        elif what == "record":
+            tr.record_rows(op["name"], op["t"], stage=op["stage"], **op["columns"])
         elif what == "set":
             blocks[op["block"]].set(op["idx"], **op["columns"])
         elif what == "update":
@@ -203,6 +200,14 @@ def run_spans(ops):
             )
         elif what == "span":
             tr.start_span("single", op["t"], stage="nws").finish()
+        elif what == "record":
+            for j in range(op["n"]):
+                tr.start_span(
+                    _row(op["name"], j),
+                    _row(op["t"], j),
+                    stage=op["stage"],
+                    **{k: _row(v, j) for k, v in op["columns"].items()},
+                ).finish()
         elif what == "set":
             spans = blocks[op["block"]]
             for j, i in enumerate(_positions(op["idx"], len(spans))):
@@ -272,13 +277,42 @@ def test_row_updates_apply_before_a_block_is_read():
         {"batch_span": 9, "outcome": "shed:deadline", "latency": 0.5},
         {"batch_span": 9, "outcome": "ok"},
     ]
-    tr.update_rows([second.first_id + 1], outcome="ok")
-    try:
+    # An id past every block is refused at the call, and nothing is logged.
+    with pytest.raises(IndexError, match="not all rows"):
+        tr.update_rows([second.first_id + 1], outcome="ok")
+    with pytest.raises(IndexError, match="not all rows"):
+        tr.update_rows([first.first_id - 1, first.first_id], outcome="ok")
+    assert len(tr.spans) == 4
+
+
+def test_recorded_rows_are_not_rows_an_update_can_name():
+    tr = Tracer()
+    block = tr.start_rows("request", [1.0], stage="serving")
+    tr.record_rows("mc.converged", stage="structural", request_id=[7])
+    tr.record_rows("mc.converged", stage="structural", request_id=[8, 9])
+    with pytest.raises(ValueError, match="2 values for 1 row"):
+        tr.record_rows("mc.converged", [1.0], stage="structural", request_id=[8, 9])
+    # The lone row is an instant span, not a block row: an update naming
+    # it raises when applied.
+    tr.update_rows([block.first_id + 1], outcome="ok")
+    with pytest.raises(IndexError, match=f"span {block.first_id + 1} is not a row"):
         tr.spans
-    except IndexError as exc:
-        assert "not a row" in str(exc) or "out of bounds" in str(exc)
-    else:
-        raise AssertionError("an id past every block was accepted")
+
+
+def test_a_row_update_naming_a_plain_span_raises_and_keeps_the_later_updates():
+    tr = Tracer()
+    first = tr.start_rows("request", [1.0, 2.0], stage="serving", new_trace=True)
+    single = tr.start_span("single", 1.5, stage="nws").finish()
+    second = tr.start_rows("request", [3.0], stage="serving", new_trace=True)
+    tr.update_rows([first.first_id], 5.0)
+    tr.update_rows([single.span_id], outcome="ok")  # between blocks: not a row
+    tr.update_rows([second.first_id], 6.0)
+    with pytest.raises(IndexError, match=f"span {single.span_id} is not a row"):
+        tr.spans
+    # The update before the bad one was applied; it and the one after stay logged.
+    assert first.end.tolist()[0] == 5.0 and np.isnan(second.end).all()
+    with pytest.raises(IndexError, match=f"span {single.span_id} is not a row"):
+        second.open_rows()
 
 
 def test_null_tracer_rows_are_inert():
