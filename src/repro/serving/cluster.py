@@ -463,12 +463,13 @@ class ServingCluster:
                 at[r],
                 stage=STAGE_CLUSTER,
                 new_trace=not migrating,
+                instant=True,
                 request_id=batch.request_id[r],
                 client_id=np.array(batch.clients, dtype=object)[batch.client[r]],
                 shard=shards[batch.model[r]],
                 target=np.array(targets, dtype=object)[target[r]],
                 failover=failover[r],
-            ).finish(slice(None), at[r])
+            )
 
         admitted = np.zeros(n, dtype=bool)
         parts: list[ResponseBatch] = []
@@ -844,12 +845,13 @@ class ServingCluster:
                 rb.completed,
                 stage=STAGE_CLUSTER,
                 new_trace=True,
+                instant=True,
                 request_id=rb.request_id,
                 client_id=np.array(rb.clients, dtype=object)[rb.client],
                 worker=name,
                 failover=False if flags is None else flags,
                 status=_STATUS_NAMES[rb.status],
-            ).set(ok, quality=_QUALITY_NAMES[rb.quality[ok]]).finish(slice(None), rb.completed)
+            ).set(ok, quality=_QUALITY_NAMES[rb.quality[ok]])
         return self._account_batch(rb)
 
     def _account_batch(self, rb: ResponseBatch) -> ResponseBatch:

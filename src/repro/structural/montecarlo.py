@@ -15,7 +15,7 @@ is one chunk at the cap; :func:`monte_carlo_predict` is a one-row call
 and the prediction server a many-row one.  The stopping rule's results
 stay columns through the loop (one
 :class:`~repro.structural.repeaters.ChunkChecks` block per chunk, which
-the ``mc.converged`` span block reads), and the outcomes come back as
+the ``mc.converged`` spans read), and the outcomes come back as
 columns too, built into objects only when read.  Evaluation runs on one of
 two engines that consume identical draws (so seeded results agree):
 
@@ -235,7 +235,7 @@ def propagate(
 
     The stopping rule's results stay columns throughout: each chunk's
     check is one :class:`~repro.structural.repeaters.ChunkChecks` block,
-    and the ``mc.converged`` span block reads its columns.
+    and the ``mc.converged`` spans read its columns.
 
     Returns ``(samples, outcomes, total draws)``: samples as a ``(rows,
     draws)`` matrix when every row drew the same count, else one array
@@ -333,7 +333,7 @@ def propagate(
             converged[due] = checks.converged
         done = (filled[active] >= caps[active]) | converged[active]
         if trc.enabled:
-            # One block for the rows that finished at this chunk after a
+            # One call for the rows that finished at this chunk after a
             # check (a row never checked leaves without a span), read
             # straight from the check's columns.
             ended = active[done & checked]
