@@ -115,6 +115,11 @@ class RequestBatch(Columns):
         rides through the worker to the answer, which the cluster then
         tags and degrades.  ``None`` means no row failed over.  Routing
         state, not protocol: :meth:`request` does not carry it.
+    seq, span:
+        Serving state a server stamps on the rows it queues: each row's
+        admission number (:meth:`PredictionServer.drain` hands rows back
+        in that order) and, with a live tracer, its open ``request``
+        span id (``None``: untraced).  Neither is protocol.
 
     Columns are passed by keyword; every row column and table is required.
     """
@@ -127,7 +132,7 @@ class RequestBatch(Columns):
         "deadline": float,
     }
     _TABLES = {"client": "clients", "model": "models"}
-    _SIDECARS = {"overrides": {}, "precision": None, "failover": False}
+    _SIDECARS = {"overrides": {}, "precision": None, "failover": False, "seq": -1, "span": -1}
     __slots__ = (*_ROWS, *_TABLES.values(), *_SIDECARS)
     # Bound here rather than inherited: the layer profiler wraps them by
     # class (``benchmarks/perf/layers.py``).
@@ -196,7 +201,10 @@ class ResponseBatch(Columns):
     :data:`~repro.nws.service.QUALITIES`; ``status`` indexes
     :data:`STATUSES`; ``reason`` indexes :data:`REASONS`.  The optional
     ``failover`` column (``None``: no row failed over) marks answers a
-    standby served; it is carried over from the request rows.
+    standby served; it is carried over from the request rows.  Until
+    delivery a traced server's answer also carries its ``request`` span
+    id (``span``; -1: already closed) and its ``serving.batch`` span id
+    (``batch_span``); delivered answers carry neither.
     """
 
     _ROWS = {
@@ -217,7 +225,7 @@ class ResponseBatch(Columns):
         "worker": np.int16,
     }
     _TABLES = {"client": "clients", "model": "models", "worker": "workers"}
-    _SIDECARS = {"messages": None, "failover": False}
+    _SIDECARS = {"messages": None, "failover": False, "span": -1, "batch_span": -1}
     _ZERO_FILL = True
     __slots__ = (*_ROWS, *_TABLES.values(), *_SIDECARS)
     # Bound here rather than inherited, as on RequestBatch.

@@ -306,17 +306,17 @@ class PredictionServer:
         self._models: dict[str, ModelSpec] = {}
         # Admitted rows awaiting service, as RequestBatch segments in
         # arrival order (coalesced into one segment before each batch is
-        # formed) with each row's admission number alongside; served rows
-        # whose answers are not yet delivered, as (rows, numbers,
-        # completion instant); and those computed answers.  Together the
-        # first two are every unanswered row, which drain() hands back
-        # in admission order.  With a live tracer each admission number
-        # is paired with its row's ``request`` span id (a second column).
+        # formed); served rows whose answers are not yet delivered, as
+        # (rows, completion instant); and those computed answers.
+        # Together the first two are every unanswered row, which drain()
+        # hands back in admission order.  Each queued row carries its
+        # admission number (``seq``) and, with a live tracer, its open
+        # ``request`` span id (``span``); each computed answer carries
+        # its span ids on to delivery (see ResponseBatch).
         self._queue: list[RequestBatch] = []
-        self._qseq: list[np.ndarray] = []
         self._qlen = 0
         self._seq = 0
-        self._served: list[tuple[RequestBatch, np.ndarray, float]] = []
+        self._served: list[tuple[RequestBatch, float]] = []
         self._pending: list[ResponseBatch] = []
         # Per-model compiled plan (or the compile error of a plan that
         # does not lower).  The engine's own plan cache already dedupes
@@ -343,11 +343,6 @@ class PredictionServer:
                 tracer=self.tracer,
                 metrics=self.metrics,
             )
-        # Tracing only: each pending answer's request span id (-1: its
-        # span is already closed) beside its ``serving.batch`` span id.
-        # The open request spans are the queued rows' (``_qseq``) and
-        # these.
-        self._pending_spans: list[np.ndarray] = []
         # Touch the headline metrics so an idle snapshot shows them at 0.
         for name in (
             "requests_total",
@@ -404,7 +399,7 @@ class PredictionServer:
     def in_flight(self) -> int:
         """Rows admitted and not yet answered: queued, or served with the
         answer still awaiting its delivery instant."""
-        return self._qlen + sum(len(rows) for rows, _, _ in self._served)
+        return self._qlen + sum(len(rows) for rows, _ in self._served)
 
     @property
     def columnar_fast_path(self) -> bool:
@@ -475,12 +470,12 @@ class PredictionServer:
                 if name and reason_counts[code]:
                     self.metrics.counter(f"shed_{name}").inc(int(reason_counts[code]))
         if n_admitted:
-            self._queue.append(batch if n_admitted == n else batch.select(admitted))
-            seq = np.arange(self._seq, self._seq + n_admitted)
+            span = None
             if self.tracer.enabled:
-                ids = self._trace_submissions(batch, errors, verdict, admitted)
-                seq = np.array((seq, ids)).T
-            self._qseq.append(seq)
+                span = self._trace_submissions(batch, errors, verdict, admitted)
+            queued = batch if n_admitted == n else batch.select(admitted)
+            seq = np.arange(self._seq, self._seq + n_admitted)
+            self._queue.append(queued._with(seq=seq, span=span))
             self._seq += n_admitted
             self._qlen += n_admitted
             self.metrics.gauge("queue_depth").set(self._qlen)
@@ -575,12 +570,14 @@ class PredictionServer:
     def _close_request_spans(self, t: float, outcome: str) -> None:
         """Finish every open request span, queued or served, at ``t`` with
         ``outcome``; served rows carry their ``batch_span`` first."""
-        served = np.concatenate([np.empty((0, 2), np.int64), *self._pending_spans])
-        served = served[served[:, 0] >= 0]
-        self.tracer.update_rows(served[:, 0], batch_span=served[:, 1])
-        queued = [seq[:, 1] for seq in self._qseq]
-        self.tracer.update_rows(np.concatenate([*queued, served[:, 0]]), t, outcome=outcome)
-        self._pending_spans = []
+        served = batch_span = np.empty(0, np.int64)
+        pending = ResponseBatch.concat(self._pending)
+        if pending.span is not None:
+            live = pending.span >= 0
+            served, batch_span = pending.span[live], pending.batch_span[live]
+        self.tracer.update_rows(served, batch_span=batch_span)
+        queued = [rows.span for rows in self._queue]
+        self.tracer.update_rows(np.concatenate([*queued, served]), t, outcome=outcome)
 
     # ------------------------------------------------------------------
     # Event loop
@@ -606,24 +603,23 @@ class PredictionServer:
         while self._qlen:
             if len(self._queue) > 1:
                 self._queue = [RequestBatch.concat(self._queue)]
-                self._qseq = [np.concatenate(self._qseq)]
             t_start = max(self._busy_until, self._clock, float(self._queue[0].submitted[0]))
             if t_start > to:
                 break
             self._expire(t_start)
             if not self._qlen:
                 break
-            batch, seq = self._next_batch()
+            batch = self._next_batch()
             t_start = max(t_start, float(batch.submitted.max()))
-            self._pending.append(self._serve(batch, seq, t_start))
-            self._served.append((batch, seq, self._busy_until))
+            self._pending.append(self._serve(batch, t_start))
+            self._served.append((batch, self._busy_until))
             self.metrics.counter("batches_total").inc()
             self.metrics.histogram("batch_size", _BATCH_BUCKETS).observe(len(batch))
         self._clock = to
         self.forecasts.ingest_to(to)
         self.metrics.gauge("queue_depth").set(self._qlen)
         if self._served:
-            self._served = [s for s in self._served if s[2] > to]
+            self._served = [s for s in self._served if s[1] > to]
         return self._deliver(to)
 
     def _expire(self, t: float) -> None:
@@ -651,28 +647,23 @@ class PredictionServer:
             )
         )
         if self.tracer.enabled:
-            self.tracer.update_rows(
-                self._qseq[0][expired, 1], t, outcome=f"shed:{SHED_DEADLINE}"
-            )
-            self._pending_spans.append(np.full((n, 2), -1))
+            self.tracer.update_rows(sub.span, t, outcome=f"shed:{SHED_DEADLINE}")
         rest = queue.select(~expired)
         self._queue = [rest] if len(rest) else []
-        self._qseq = [self._qseq[0][~expired]] if len(rest) else []
         self._qlen = len(rest)
 
-    def _next_batch(self) -> tuple[RequestBatch, np.ndarray]:
-        """Head-of-queue model's rows, FIFO up to ``batch_max``, with
-        their admission numbers."""
-        queue, seq = self._queue[0], self._qseq[0]
+    def _next_batch(self) -> RequestBatch:
+        """Head-of-queue model's rows, FIFO up to ``batch_max``."""
+        queue = self._queue[0]
         idx = np.flatnonzero(queue.model == queue.model[0])[: self.config.batch_max]
         if idx.size == len(queue):
-            self._queue, self._qseq, self._qlen = [], [], 0
-            return queue, seq
+            self._queue, self._qlen = [], 0
+            return queue
         keep = np.ones(len(queue), dtype=bool)
         keep[idx] = False
         rest = queue.select(keep)
-        self._queue, self._qseq, self._qlen = [rest], [seq[keep]], len(rest)
-        return queue.select(idx), seq[idx]
+        self._queue, self._qlen = [rest], len(rest)
+        return queue.select(idx)
 
     def _deliver(self, to: float) -> ResponseBatch:
         """Computed answers whose completion instant has been reached,
@@ -690,8 +681,9 @@ class PredictionServer:
         else:
             self._pending = [pending.select(~ready)]
             out = pending.select(ready)
-        if self.tracer.enabled:
-            self._trace_delivered(out, ready)
+        if out.span is not None:
+            self._trace_delivered(out)
+            out.span = out.batch_span = None
         out = out.sorted_by_completion()
         # Answer metrics are observed at *delivery*, not at compute time,
         # so work computed by a worker that crashes before delivering
@@ -708,17 +700,9 @@ class PredictionServer:
             )
         return out
 
-    def _trace_delivered(self, out: ResponseBatch, ready: np.ndarray) -> None:
-        """Close the request spans of the delivered answers ``out`` (the
-        ``ready`` rows of the pending answers, in pending order)."""
-        pending = self._pending_spans
-        spans = pending[0] if len(pending) == 1 else np.concatenate(pending)
-        if len(out) < len(spans):
-            self._pending_spans = [spans[~ready]]
-            spans = spans[ready]
-        else:
-            self._pending_spans = []
-        ids, batch_span = spans[:, 0], spans[:, 1]
+    def _trace_delivered(self, out: ResponseBatch) -> None:
+        """Close the request spans the delivered answers ``out`` carry."""
+        ids, batch_span = out.span, out.batch_span
         ok = out.ok_mask
         hit = ok & (ids >= 0)
         # Every row delivered ok with an open span: take views, not copies.
@@ -758,18 +742,18 @@ class PredictionServer:
         """
         if self.tracer.enabled:
             self._close_request_spans(self._clock, "drained")
-        parts = self._queue + [rows for rows, _, _ in self._served]
-        seqs = self._qseq + [seq for _, seq, _ in self._served]
-        self._queue, self._qseq, self._qlen = [], [], 0
+        parts = self._queue + [rows for rows, _ in self._served]
+        self._queue, self._qlen = [], 0
         self._served.clear()
         self._pending.clear()
         self._busy_until = self._clock
         self.metrics.gauge("queue_depth").set(0)
         if not parts:
             return RequestBatch.empty()
-        seq = np.concatenate(seqs)
-        order = np.argsort(seq if seq.ndim == 1 else seq[:, 0], kind="stable")
-        return RequestBatch.concat(parts).select(order)
+        rows = RequestBatch.concat(parts)
+        rows = rows.select(np.argsort(rows.seq, kind="stable"))
+        rows.seq = rows.span = None
+        return rows
 
     def restart(self, at: float) -> None:
         """Recovery hook: bring a crashed worker back cold at time ``at``.
@@ -784,7 +768,7 @@ class PredictionServer:
             raise ValueError(f"cannot restart at {at}, before the clock ({self._clock})")
         if self.tracer.enabled:
             self._close_request_spans(at, "lost_in_restart")
-        self._queue, self._qseq, self._qlen = [], [], 0
+        self._queue, self._qlen = [], 0
         self._served.clear()
         self._pending.clear()
         self._clock = at
@@ -797,14 +781,14 @@ class PredictionServer:
     # ------------------------------------------------------------------
     # Evaluation
     # ------------------------------------------------------------------
-    def _serve(self, batch: RequestBatch, seq: np.ndarray, t_start: float) -> ResponseBatch:
-        """Answer one single-model batch (``seq``: its rows' admission
-        numbers); the server is busy until done.
+    def _serve(self, batch: RequestBatch, t_start: float) -> ResponseBatch:
+        """Answer one single-model batch; the server is busy until done.
 
         With a live tracer the batch gets a ``serving.batch`` span of its
-        own trace (it serves several request traces at once); request
-        spans link to it through their ``batch_span`` attribute, stamped
-        with the columns set at delivery (or at a drain).
+        own trace (it serves several request traces at once); each answer
+        carries its request span id and that batch span id to delivery,
+        where (or at a drain) the request span links to the batch through
+        its ``batch_span`` attribute.
         """
         targets = self._precision_targets(batch)
         if not self.tracer.enabled:
@@ -825,9 +809,7 @@ class PredictionServer:
                 if targets is not None:
                     sp.set(draws=draws)
                 sp.finish(t_done)
-            spans = np.full((len(seq), 2), sp.span_id)
-            spans[:, 0] = seq[:, 1]
-            self._pending_spans.append(spans)
+            rb.span, rb.batch_span = batch.span, np.full(len(batch), sp.span_id)
         self._busy_until = t_done
         return rb
 
