@@ -248,15 +248,17 @@ class DistributionBatch(Columns):
     grids and sketches as arrays, scores them as arrays, and builds a
     row's :class:`DistributionInfo` only when it is read (``batch[j]``).
     ``sketches`` holds the rows' raw-draw sketches (a :class:`SketchRows`
-    or a list) and ``modes`` their fitted mixtures (``None``: none
-    fitted).  The columns stay raw; ``scale`` is the recalibration
+    or a list), ``modes`` their fitted mixtures (``None``: none fitted)
+    and ``values`` the parameter values each row was evaluated on (one
+    dict of :class:`~repro.core.stochastic.StochasticValue` per row,
+    which calibration realises outcomes from; ``None``: not known).  The columns stay raw; ``scale`` is the recalibration
     widening every row carries (``1.0``: none), applied to a read row by
     :meth:`DistributionInfo.widened` — so ``batch[j]`` equals the block
     an eager build would have served, field for field.
     """
 
     _ROWS = {"count": np.int64, "mean": float, "std": float, "quantiles": float}
-    _SIDECARS = {"sketches": None, "modes": ()}
+    _SIDECARS = {"sketches": None, "modes": (), "values": None}
     _SHARED = {"levels": REQUIRED, "scale": 1.0}
     __slots__ = (*_ROWS, *_SIDECARS, *_SHARED)
 

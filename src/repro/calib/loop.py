@@ -17,12 +17,13 @@ turn answers into distributions and distributions into scores:
   :class:`~repro.calib.recalibrate.Recalibrator` control law, emitting
   ``calib.score`` / ``calib.recalibrate`` spans and lazy metrics.
 
-Scoring is *deferred*: answered requests queue on the loop and are
-scored in per-model flushes of ``flush_every`` answers (and at
-``summary()``), which amortises the truth-model evaluation across many
-requests — mirroring production, where realised outcomes arrive well
-after the answer was served.  Control decisions therefore take effect
-at flush boundaries.
+Scoring is *deferred*: a server queues each answer on the loop when it
+delivers it (an answer discarded undelivered is never scored), and
+queued answers are scored in per-model flushes of ``flush_every``
+answers (and at ``summary()``), which amortises the truth-model
+evaluation across many requests — mirroring production, where realised
+outcomes arrive well after the answer was served.  Control decisions
+therefore take effect at flush boundaries.
 
 A standalone server owns its loop.  A
 :class:`~repro.serving.cluster.ServingCluster` builds one loop and hands
@@ -156,8 +157,8 @@ class CalibrationLoop:
         )
         self._levels = grid_levels(DEFAULT_GRID_SIZE)
         self._levels_arr = np.asarray(self._levels, dtype=float)
-        # Deferred-scoring queue: per model, (quality codes, dists,
-        # group values, group codes) chunks of served batches awaiting
+        # Deferred-scoring queue: per model, (quality codes, group
+        # dists, group codes) chunks of delivered answers awaiting
         # outcome simulation.
         self._pending: dict[str, list[tuple]] = {}
         self._queued: dict[str, int] = {}  # rows in each model's queue
@@ -182,13 +183,15 @@ class CalibrationLoop:
     # ------------------------------------------------------------------
     # Distribution building
     # ------------------------------------------------------------------
-    def distributions(self, samples, mean, std) -> DistributionBatch:
+    def distributions(self, samples, mean, std, values=None) -> DistributionBatch:
         """Distribution blocks for a whole batch of draw clouds.
 
         ``samples`` is a ``(rows, draws)`` matrix or a list of per-row
         draw arrays, and ``mean``/``std`` their moments as the caller
         summarised them (the server's answer summary: the blocks do not
-        recompute them).  Row ``j`` of the result reads as
+        recompute them).  ``values`` (one dict per row, or ``None``) are
+        the parameter values each row was evaluated on; they ride the
+        blocks to :meth:`enqueue`.  Row ``j`` of the result reads as
         ``DistributionInfo.from_samples(samples[j], mixture_components=...)``,
         field for field, but sketches and quantile grids come from one
         fused vectorised pass (:func:`~repro.calib.sketch.build_sketches`)
@@ -207,7 +210,7 @@ class CalibrationLoop:
         modes = [fit_modes(a, k) for a in arrays] if k else None
         return DistributionBatch(
             count=counts, mean=mean, std=std, quantiles=qmat, sketches=sketches, modes=modes,
-            levels=self._levels,
+            values=values, levels=self._levels,
         )
 
     def scale(self, model: str) -> float:
@@ -293,31 +296,29 @@ class CalibrationLoop:
         model: str,
         quality: np.ndarray,
         dists: DistributionBatch,
-        values: list[dict],
         codes: np.ndarray,
         t: float,
     ) -> None:
-        """Queue one batch of served answers for deferred outcome scoring.
+        """Queue delivered answers of one served batch for deferred
+        outcome scoring.
 
-        Row ``j`` is an answer of forecast quality
-        ``QUALITIES[quality[j]]`` serving ``dists[j]``; ``values`` holds
-        the resolved per-parameter
-        :class:`~repro.core.stochastic.StochasticValue` forecasts of each
-        evaluation group (the values an answer stood on) and ``codes[j]``
-        row ``j``'s group.  Each time ``flush_every`` answers are queued
-        for ``model`` they are realised and scored in one flush — at the
-        same answer a one-at-a-time queue would flush at; ``summary()``
-        drains any remainder.
+        Answer ``j`` was served at forecast quality
+        ``QUALITIES[quality[j]]`` with ``dists[codes[j]]``, one row of
+        the batch's evaluation groups, whose ``values`` hold the resolved
+        per-parameter :class:`~repro.core.stochastic.StochasticValue`
+        forecasts each group stood on.  Each time ``flush_every`` answers
+        are queued for ``model`` they are realised and scored in one
+        flush — at the same answer a one-at-a-time queue would flush at;
+        ``summary()`` drains any remainder.
         """
         self._last_t = t
         quality = np.asarray(quality, dtype=np.int8)
         codes = np.asarray(codes, dtype=np.intp)
-        k, lo = len(dists), 0
+        k, lo = len(codes), 0
         while lo < k:
             room = self.config.flush_every - self._queued.get(model, 0)
             hi = min(k, lo + room)
-            rows = slice(lo, hi)
-            chunk = (quality[rows], dists.take(rows), values, codes[rows])
+            chunk = (quality[lo:hi], dists, codes[lo:hi])
             self._pending.setdefault(model, []).append(chunk)
             self._queued[model] = self._queued.get(model, 0) + hi - lo
             if hi - lo == room:
@@ -351,69 +352,66 @@ class CalibrationLoop:
         try:
             scale = self.scale(model)
             quality = np.concatenate([chunk[0] for chunk in queue])
-            served = [chunk[1].served() for chunk in queue]
-            if self.tracer.enabled:
-                span = self.tracer.start_span(
-                    "calib.score",
-                    t,
-                    stage=STAGE_CALIB,
-                    new_trace=True,
-                    model=model,
-                    batch_size=len(quality),
-                    scale=scale,
+            # Active while scoring, so the truth plan's compile nests in it.
+            with self.tracer.span(
+                "calib.score",
+                t,
+                stage=STAGE_CALIB,
+                new_trace=True,
+                model=model,
+                batch_size=len(quality),
+                scale=scale,
+            ) as span:
+                # Each chunk's rows read their groups' served columns.
+                values, codes, served, base = [], [], [], 0
+                for _, dists, rows in queue:
+                    values += dists.values
+                    codes.append(rows + base)
+                    base += len(dists)
+                    served.append([col[rows] for col in (dists.mean, *dists.served())])
+                y = np.asarray(self.realise(model, values, np.concatenate(codes)), dtype=float)
+                covered_a, crps_a, pit_bins, z_a, mae_a, sharp_a = score_rows(
+                    *(np.concatenate(col) for col in zip(*served)),
+                    self._levels_arr,
+                    y,
                 )
-            values, codes, base = [], [], 0
-            for chunk in queue:
-                values += chunk[2]
-                codes.append(chunk[3] + base)
-                base += len(chunk[2])
-            y = np.asarray(self.realise(model, values, np.concatenate(codes)), dtype=float)
-            covered_a, crps_a, pit_bins, z_a, mae_a, sharp_a = score_rows(
-                np.concatenate([chunk[1].mean for chunk in queue]),
-                *(np.concatenate(col) for col in zip(*served)),
-                self._levels_arr,
-                y,
-            )
-            k = len(quality)
-            sc = self.scorer.score(model)
-            # Ingest in chunks split at the control cadence: control()
-            # acts only when score.n hits a multiple of its interval, so
-            # running it once per chunk boundary is decision-for-decision
-            # identical to running it after every observation.
-            if self.recalibrator is not None:
-                interval = self.recalibrator.policy.control_interval
-                cuts = list(range(interval - sc.n % interval, k + 1, interval))
-            else:
-                cuts = []
-            if not cuts or cuts[-1] != k:
-                cuts.append(k)
-            lo = 0
-            for hi in cuts:
-                sl = slice(lo, hi)
-                sc.ingest_many(
-                    covered_a[sl], crps_a[sl], pit_bins[sl], z_a[sl], mae_a[sl], sharp_a[sl]
-                )
+                k = len(quality)
+                sc = self.scorer.score(model)
+                # Ingest in chunks split at the control cadence: control()
+                # acts only when score.n hits a multiple of its interval, so
+                # running it once per chunk boundary is decision-for-decision
+                # identical to running it after every observation.
                 if self.recalibrator is not None:
-                    event = self.recalibrator.control(model, sc)
-                    if event is not None:
-                        self._note_event(event, t)
-                lo = hi
-            for q in np.unique(quality).tolist():
-                ii = np.flatnonzero(quality == q)
-                self.scorer.cohort(QUALITIES[q]).ingest_many(
-                    covered_a[ii], crps_a[ii], pit_bins[ii], z_a[ii], mae_a[ii], sharp_a[ii]
-                )
-            covered = int(covered_a.sum())
-            m = self.metrics
-            if m is not None:
-                m.histogram("calib_crps", _CRPS_BUCKETS).observe_many(crps_a)
-                m.counter("calib_observations_total").inc(k)
-                m.counter("calib_covered_total").inc(covered)
-                m.gauge(f"calib_coverage_{model}").set(sc.rolling_coverage)
-            if span is not None:
-                span.set(covered=covered)
-                span.finish(t)
-                span = None
+                    interval = self.recalibrator.policy.control_interval
+                    cuts = list(range(interval - sc.n % interval, k + 1, interval))
+                else:
+                    cuts = []
+                if not cuts or cuts[-1] != k:
+                    cuts.append(k)
+                lo = 0
+                for hi in cuts:
+                    sl = slice(lo, hi)
+                    sc.ingest_many(
+                        covered_a[sl], crps_a[sl], pit_bins[sl], z_a[sl], mae_a[sl], sharp_a[sl]
+                    )
+                    if self.recalibrator is not None:
+                        event = self.recalibrator.control(model, sc)
+                        if event is not None:
+                            self._note_event(event, t)
+                    lo = hi
+                for q in np.unique(quality).tolist():
+                    ii = np.flatnonzero(quality == q)
+                    self.scorer.cohort(QUALITIES[q]).ingest_many(
+                        covered_a[ii], crps_a[ii], pit_bins[ii], z_a[ii], mae_a[ii], sharp_a[ii]
+                    )
+                covered = int(covered_a.sum())
+                m = self.metrics
+                if m is not None:
+                    m.histogram("calib_crps", _CRPS_BUCKETS).observe_many(crps_a)
+                    m.counter("calib_observations_total").inc(k)
+                    m.counter("calib_covered_total").inc(covered)
+                    m.gauge(f"calib_coverage_{model}").set(sc.rolling_coverage)
+                span.set(covered=covered).finish(t)
         except Exception:  # noqa: BLE001 - scoring must never break serving
             if span is not None:
                 span.set(outcome="error").finish(t)

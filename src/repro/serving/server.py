@@ -34,6 +34,7 @@ quality tags every answer carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from operator import is_not
 
 import numpy as np
 
@@ -101,6 +102,8 @@ _STATUS_NAMES = np.array(STATUSES, dtype=object)
 _SHED_OUTCOMES = np.array([f"shed:{r}" for r in REASONS], dtype=object)
 #: A submitted row's span name, indexed by whether it was admitted.
 _SUBMIT_SPANS = np.array(["serving.reject", "request"], dtype=object)
+#: The rich-block entry of an ok answer served without blocks.
+_NO_BLOCKS = (None, None, 0)
 
 
 @dataclass(frozen=True)
@@ -667,7 +670,14 @@ class PredictionServer:
 
     def _deliver(self, to: float) -> ResponseBatch:
         """Computed answers whose completion instant has been reached,
-        stably in completion order, with delivery-time metrics."""
+        stably in completion order.
+
+        Delivery is the one place an answer's side effects happen: its
+        request span closes, its metrics count and, with calibration on,
+        it is queued for scoring.  An answer computed by a worker that
+        crashes or restarts before delivering (discarded by drain() or
+        restart()) therefore never appears as served, and is never
+        scored."""
         if not self._pending:
             return ResponseBatch.empty()
         pending = ResponseBatch.concat(self._pending)
@@ -685,9 +695,6 @@ class PredictionServer:
             self._trace_delivered(out)
             out.span = out.batch_span = None
         out = out.sorted_by_completion()
-        # Answer metrics are observed at *delivery*, not at compute time,
-        # so work computed by a worker that crashes before delivering
-        # (discarded by drain()) never appears as a served answer.
         ok = out.ok_mask
         n_ok = int(ok.sum())
         if n_ok:
@@ -698,7 +705,31 @@ class PredictionServer:
             self.metrics.histogram("staleness_at_answer_s", _STALENESS_BUCKETS).observe_many(
                 np.minimum(out.staleness[ok], 1e9)
             )
+            if self.calib is not None and out.messages is not None:
+                self._score(out, np.flatnonzero(ok))
         return out
+
+    def _score(self, out: ResponseBatch, rows: np.ndarray) -> None:
+        """Queue the delivered ok answers ``out[rows]`` for calibration
+        scoring, one call per distribution block they read (a served
+        batch's, with the parameter values each of its groups stood on),
+        tagged with the forecast quality they were served at."""
+        messages = out.messages
+        _, blocks, group = zip(*[messages[i] or _NO_BLOCKS for i in rows.tolist()])
+        n = len(blocks)
+        cuts = np.flatnonzero(np.fromiter(map(is_not, blocks[1:], blocks[:-1]), bool, n - 1))
+        bounds = [0, *(cuts + 1).tolist(), n]
+        group = np.asarray(group, np.intp)
+        for lo, hi in zip(bounds[:-1], bounds[1:]):
+            if blocks[lo] is not None:
+                first = rows[lo]
+                self.calib.enqueue(
+                    out.models[out.model[first]],
+                    out.quality[rows[lo:hi]],
+                    blocks[lo],
+                    group[lo:hi],
+                    float(out.completed[first]),
+                )
 
     def _trace_delivered(self, out: ResponseBatch) -> None:
         """Close the request spans the delivered answers ``out`` carry."""
@@ -915,7 +946,12 @@ class PredictionServer:
             # answered un-annotated and calib_errors_total counts it.
             try:
                 scale = self.calib.scale(spec.name)
-                dists = self.calib.distributions(samples, mean, std)
+                values = (
+                    [base] * len(reps)
+                    if overrides is None
+                    else [_row_values(base, o) for o in overrides]
+                )
+                dists = self.calib.distributions(samples, mean, std, values)
                 if scale != 1.0:
                     dists = dists.widened(scale)
             except Exception:  # noqa: BLE001 - scoring must never break serving
@@ -938,15 +974,7 @@ class PredictionServer:
 
         rich = None
         if dists is not None or targets is not None:
-            values = (
-                [base] * len(reps)
-                if overrides is None
-                else [_row_values(base, o) for o in overrides]
-            )
-            rich = self._blocks(
-                spec, batch, t_done, (first, codes), quality, targets, outcomes, factor,
-                dists, values,
-            )
+            rich = self._blocks(first, codes, targets, outcomes, factor, dists)
         rb = _answers(
             batch,
             completed=np.full(k, t_done),
@@ -992,20 +1020,14 @@ class PredictionServer:
             codes[i] = code
         return np.asarray(first, np.intp), codes
 
-    def _blocks(
-        self, spec, batch, t_done, groups, quality, targets, outcomes, factor, dists, values
-    ) -> tuple:
+    def _blocks(self, first, codes, targets, outcomes, factor, dists) -> tuple:
         """The answers' precision and distribution blocks, one of each
-        per batch with one row per evaluation group (``groups``: their
-        first rows and each row's code; ``None`` where the batch has
-        none), as the ``messages`` sidecar
+        per batch with one row per evaluation group (``first``: their
+        first rows, ``codes``: each row's group; ``None`` where the batch
+        has none), as the ``messages`` sidecar
         :func:`~repro.serving.columnar.rich_messages` builds; each answer
         reads its group's row.  The ``draws_used`` histogram counts every
-        adaptive row at its group's draws, and every row's distribution
-        is queued for calibration scoring in one call, with the parameter
-        values its group stood on (``values``, one dict per group)."""
-        first, codes = groups
-        k = len(batch)
+        adaptive row at its group's draws."""
         block = None
         if targets is not None:
             live = outcomes.live[codes]
@@ -1021,10 +1043,6 @@ class PredictionServer:
                 shed_factor=factor,
                 reason=DEGRADED_QUEUE_PRESSURE if degraded else "",
             )
-        if dists is not None:
-            # Singleton groups are the rows already.
-            rows = dists if len(first) == k else dists.take(codes)
-            self.calib.enqueue(spec.name, quality[codes], rows, values, codes, t_done)
         return rich_messages(block, dists, codes)
 
     # ------------------------------------------------------------------

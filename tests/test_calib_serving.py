@@ -61,11 +61,11 @@ def _request(i=0, client="c0", model="m", submitted=60.0, **kw):
     )
 
 
-def _distributions(loop, samples):
+def _distributions(loop, samples, values=None):
     """The loop's blocks over ``samples``, given the moments a server
     passes (its answer summary)."""
     mean, std, _ = ragged_summary(samples)
-    return loop.distributions(samples, mean, std)
+    return loop.distributions(samples, mean, std, values)
 
 
 def calib_server(calibration=None, *, config_kw=None, tracer=None):
@@ -258,17 +258,16 @@ class TestDeferredScoring:
         cfg = CalibrationConfig(truth_spread_scale=3.0, flush_every=16)
         spec = calib_server(CalibrationConfig()).calib._truth["m"]
         samples = np.random.default_rng(5).normal(5.0, 0.1, size=(120, 64))
-        values = [{"load": StochasticValue(0.5, 0.1)}]
+        values = [{"load": StochasticValue(0.5, 0.1)}] * 120
         loops = []
         for sizes in ([5, 37, 11, 50, 17], [1] * 120):
             loop = CalibrationLoop(cfg, np.random.default_rng(0))
             loop.register(spec)
-            dists = _distributions(loop, samples)
+            dists = _distributions(loop, samples, values)
             lo = 0
             for k in sizes:
-                rows = slice(lo, lo + k)
-                fresh, codes = np.zeros(k, np.int8), np.zeros(k, np.intp)
-                loop.enqueue("m", fresh, dists.take(rows), values, codes, 60.0)
+                fresh, rows = np.zeros(k, np.int8), np.arange(lo, lo + k)
+                loop.enqueue("m", fresh, dists, rows, 60.0)
                 lo += k
             assert loop.pending() == 120 % 16
             loops.append(loop.summary())
