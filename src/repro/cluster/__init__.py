@@ -1,4 +1,4 @@
-"""Simulated production cluster: machines, shared network, event kernel.
+"""Simulated production cluster: machines, shared network, phase simulator.
 
 This substrate replaces the paper's physical testbed (heterogeneous Sparc
 workstations on shared 10 Mbit ethernet).  Machines deliver a dedicated
@@ -9,7 +9,6 @@ communication skew emerges as in the paper's Figure 7.
 """
 
 from repro.cluster.capacity import completion_time, effective_rate
-from repro.cluster.events import Event, EventQueue, Simulation
 from repro.cluster.machine import Machine
 from repro.cluster.network import Network, SharedEthernet
 from repro.cluster.simulator import (
@@ -23,9 +22,6 @@ from repro.cluster.simulator import (
 __all__ = [
     "completion_time",
     "effective_rate",
-    "Event",
-    "EventQueue",
-    "Simulation",
     "Machine",
     "Network",
     "SharedEthernet",

@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 
-from repro.cluster.events import EventQueue, Simulation
 from repro.cluster.machine import Machine
 from repro.cluster.network import Network, SharedEthernet
 from repro.workload.traces import Trace
@@ -92,94 +91,3 @@ class TestNetwork:
     def test_transfer_finish_delegates(self):
         net = Network(SharedEthernet(dedicated_bytes_per_sec=100.0, latency=0.0))
         assert net.transfer_finish("a", "b", 50.0, 0.0) == pytest.approx(0.5)
-
-
-class TestEventQueue:
-    def test_orders_by_time(self):
-        q = EventQueue()
-        order = []
-        q.push(2.0, lambda: order.append("b"))
-        q.push(1.0, lambda: order.append("a"))
-        q.pop().action()
-        q.pop().action()
-        assert order == ["a", "b"]
-
-    def test_fifo_ties(self):
-        q = EventQueue()
-        order = []
-        q.push(1.0, lambda: order.append(1))
-        q.push(1.0, lambda: order.append(2))
-        q.pop().action()
-        q.pop().action()
-        assert order == [1, 2]
-
-    def test_pop_empty_rejected(self):
-        with pytest.raises(IndexError):
-            EventQueue().pop()
-
-    def test_peek_time(self):
-        q = EventQueue()
-        assert q.peek_time() is None
-        q.push(3.0, lambda: None)
-        assert q.peek_time() == 3.0
-
-    def test_len_and_bool(self):
-        q = EventQueue()
-        assert not q and len(q) == 0
-        q.push(1.0, lambda: None)
-        assert q and len(q) == 1
-
-
-class TestSimulation:
-    def test_run_until_executes_due_events(self):
-        sim = Simulation()
-        hits = []
-        sim.at(1.0, lambda: hits.append(sim.now))
-        sim.at(5.0, lambda: hits.append(sim.now))
-        sim.run_until(3.0)
-        assert hits == [1.0]
-        assert sim.now == 3.0
-        sim.run_until(10.0)
-        assert hits == [1.0, 5.0]
-
-    def test_after(self):
-        sim = Simulation(start=10.0)
-        hits = []
-        sim.after(2.5, lambda: hits.append(sim.now))
-        sim.run_all()
-        assert hits == [12.5]
-
-    def test_events_can_schedule_events(self):
-        sim = Simulation()
-        hits = []
-
-        def first():
-            hits.append("first")
-            sim.after(1.0, lambda: hits.append("second"))
-
-        sim.at(1.0, first)
-        sim.run_until(5.0)
-        assert hits == ["first", "second"]
-
-    def test_every_fixed_cadence(self):
-        sim = Simulation()
-        stamps = []
-        sim.every(5.0, stamps.append, until=22.0)
-        sim.run_until(30.0)
-        assert stamps == [5.0, 10.0, 15.0, 20.0]
-
-    def test_past_scheduling_rejected(self):
-        sim = Simulation(start=5.0)
-        with pytest.raises(ValueError):
-            sim.at(4.0, lambda: None)
-        with pytest.raises(ValueError):
-            sim.after(-1.0, lambda: None)
-
-    def test_rewind_rejected(self):
-        sim = Simulation(start=5.0)
-        with pytest.raises(ValueError):
-            sim.run_until(4.0)
-
-    def test_invalid_period_rejected(self):
-        with pytest.raises(ValueError):
-            Simulation().every(0.0, lambda t: None, until=10.0)
