@@ -104,6 +104,7 @@ from repro.serving.server import (
     PredictionServer,
     ServerConfig,
     _answers,
+    _names,
 )
 from repro.structural.engine import plan_cache_stats
 from repro.util.jsonsafe import sanitise
@@ -465,7 +466,7 @@ class ServingCluster:
                 new_trace=not migrating,
                 instant=True,
                 request_id=batch.request_id[r],
-                client_id=np.array(batch.clients, dtype=object)[batch.client[r]],
+                client_id=_names(batch.clients)[batch.client[r]],
                 shard=shards[batch.model[r]],
                 target=np.array(targets, dtype=object)[target[r]],
                 failover=failover[r],
@@ -847,7 +848,7 @@ class ServingCluster:
                 new_trace=True,
                 instant=True,
                 request_id=rb.request_id,
-                client_id=np.array(rb.clients, dtype=object)[rb.client],
+                client_id=_names(rb.clients)[rb.client],
                 worker=name,
                 failover=False if flags is None else flags,
                 status=_STATUS_NAMES[rb.status],

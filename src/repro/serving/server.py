@@ -34,6 +34,7 @@ quality tags every answer carries.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from operator import is_not
 
 import numpy as np
@@ -104,6 +105,13 @@ _SHED_OUTCOMES = np.array([f"shed:{r}" for r in REASONS], dtype=object)
 _SUBMIT_SPANS = np.array(["serving.reject", "request"], dtype=object)
 #: The rich-block entry of an ok answer served without blocks.
 _NO_BLOCKS = (None, None, 0)
+
+
+@lru_cache(maxsize=64)
+def _names(table: tuple) -> np.ndarray:
+    """An interned string table as an object array that its code
+    columns index (built once per table: drivers reuse theirs)."""
+    return np.array(table, dtype=object)
 
 
 @dataclass(frozen=True)
@@ -550,7 +558,7 @@ class PredictionServer:
             ("client_id", batch.clients, batch.client),
             ("model", batch.models, batch.model),
         ):
-            shared[column] = table[0] if len(table) == 1 else np.array(table, object)[codes]
+            shared[column] = table[0] if len(table) == 1 else _names(table)[codes]
         rows = self.tracer.start_rows(
             "request" if everyone else _SUBMIT_SPANS[admitted.astype(np.intp)],
             np.maximum(batch.submitted, self._clock),
