@@ -9,10 +9,16 @@ Three properties the ISSUE demands of the tracing layer:
   (the goldens in ``tests/goldens/`` separately pin the untraced path).
 * **Provenance** — a cluster trace contains all four pipeline stages,
   and a replica's answer after a worker crash carries the failover hop.
+* **The request-span rule** — over a cluster drive with a crash, an
+  elastic drain and deadline sheds, every ``request`` span ends exactly
+  once with one outcome, links the batch that served it, and a row that
+  failed over opens a fresh span on its replica.
 """
 
 import json
+from collections import Counter
 
+import numpy as np
 import pytest
 
 from repro.obs import (
@@ -26,7 +32,19 @@ from repro.obs import (
     traced_cluster_run,
     traced_server_run,
 )
-from repro.serving import ClosedLoop, LoadDriver, demo_server
+from repro.faults import FaultPlan
+from repro.serving import (
+    ClosedLoop,
+    ClusterConfig,
+    ElasticConfig,
+    LoadDriver,
+    PredictRequest,
+    RequestBatch,
+    ServerConfig,
+    StaticPolicy,
+    demo_cluster,
+    demo_server,
+)
 from repro.structural.engine import clear_plan_cache
 
 SEED = 7
@@ -196,3 +214,125 @@ class TestTracedRunShape:
         tr = Tracer()
         out, _, _ = traced_server_run(rng=SEED, max_requests=10, tracer=tr)
         assert out is tr and len(tr) > 0
+
+
+class _UpdateLog(Tracer):
+    """A tracer that counts, per span id, the row updates that end it
+    and those that set its ``outcome`` (request spans close only there)."""
+
+    def __init__(self):
+        super().__init__()
+        self.ends = Counter()
+        self.outcomes = Counter()
+
+    def update_rows(self, ids, t=None, **columns):
+        ids_list = np.asarray(ids, dtype=np.int64).tolist()
+        if t is not None:
+            self.ends.update(ids_list)
+        if "outcome" in columns:
+            self.outcomes.update(ids_list)
+        super().update_rows(ids, t, **columns)
+
+
+@pytest.fixture(scope="module")
+def churn_run():
+    """A traced 3-worker cluster under deadline pressure: worker-0
+    crashes mid-load, and the busiest worker left is drained with a
+    grace too short to finish its work.  ``(tracer, answers)``."""
+    clear_plan_cache()
+    tracer = _UpdateLog()
+    t0 = 60.0  # demo warm-up
+    cluster, _, _ = demo_cluster(
+        duration=600.0,
+        sizes=(600, 1000, 1600),
+        config=ClusterConfig(
+            n_workers=3,
+            worker=ServerConfig(
+                n_samples=64, service_time_base=0.004, service_time_per_request=0.002
+            ),
+        ),
+        faults=FaultPlan.crashes({"worker-0": [(t0 + 0.41, t0 + 0.73)]}),
+        rng=SEED,
+        tracer=tracer,
+        elastic=ElasticConfig(
+            policy=StaticPolicy(), min_workers=1, max_workers=4, drain_grace=0.01
+        ),
+    )
+    answers, models, window = [], cluster.models, 0.05
+    for w in range(24):
+        to = t0 + window * (w + 1)
+        rows = [
+            PredictRequest(
+                request_id=w * 1000 + i,
+                client_id=f"c{i % 8}",
+                model=models[i % len(models)],
+                submitted=to - window + window * i / 36,
+                deadline=to - window + window * i / 36 + 0.06,
+            )
+            for i in range(36)
+        ]
+        answers.append(cluster.submit_batch(RequestBatch.from_requests(rows)))
+        answers.append(cluster.step_batch(to))
+        if w == 12:
+            name = max(cluster.healthy_workers, key=lambda n: cluster.workers[n].in_flight)
+            cluster.begin_drain(name, to)
+    answers.append(cluster.step_batch(to + 5.0))  # answer everything in flight
+    return tracer, [r for rb in answers for r in rb.to_responses()]
+
+
+class TestRequestSpanRule:
+    def test_the_drive_crashes_drains_and_sheds(self, churn_run):
+        tracer, _ = churn_run
+        migrations = tracer.find(name="cluster.failover", stage=STAGE_CLUSTER)
+        assert sorted(m.attrs.get("drain_deadline", False) for m in migrations) == [False, True]
+        assert all(m.attrs["stranded"] > 0 for m in migrations)
+        assert tracer.find(name="request", outcome="shed:deadline")
+        # Some drained rows had been served: their answers died undelivered.
+        drained = tracer.find(name="request", outcome="drained")
+        assert any("batch_span" in sp.attrs for sp in drained)
+
+    def test_every_request_span_ends_once_with_one_outcome(self, churn_run):
+        tracer, _ = churn_run
+        requests = tracer.find(name="request", stage=STAGE_SERVING)
+        assert requests
+        for sp in requests:
+            assert sp.end is not None and "outcome" in sp.attrs
+            assert tracer.ends[sp.span_id] == 1, sp
+            assert tracer.outcomes[sp.span_id] == 1, sp
+
+    def test_every_served_row_links_its_batch(self, churn_run):
+        tracer, _ = churn_run
+        batches = {sp.span_id: sp for sp in tracer.find(name="serving.batch")}
+        requests = tracer.find(name="request", stage=STAGE_SERVING)
+        for sp in requests:
+            if sp.attrs["outcome"] == "ok":
+                assert sp.attrs["batch_span"] in batches, sp
+        # Each row a batch served, delivered or drained, names that batch.
+        linked = Counter(
+            (sp.attrs["request_id"], sp.attrs["batch_span"])
+            for sp in requests
+            if "batch_span" in sp.attrs
+        )
+        for batch in batches.values():
+            for rid in batch.attrs["request_ids"]:
+                assert linked[(rid, batch.span_id)] == 1, (rid, batch.span_id)
+
+    def test_a_failed_over_row_opens_a_fresh_span_on_its_replica(self, churn_run):
+        tracer, answers = churn_run
+        by_request: dict = {}
+        for sp in tracer.find(name="request", stage=STAGE_SERVING):
+            by_request.setdefault(sp.attrs["request_id"], []).append(sp)
+        ok = {r.request_id: r for r in answers if r.ok}
+        moved = 0
+        for rid, spans in by_request.items():
+            assert [sp.attrs["outcome"] for sp in spans].count("ok") == (rid in ok)
+            for old in (sp for sp in spans if sp.attrs["outcome"] == "drained"):
+                if rid not in ok:
+                    continue
+                (fresh,) = [sp for sp in spans if sp.attrs["outcome"] == "ok"]
+                assert fresh.span_id > old.span_id
+                assert fresh.trace_id != old.trace_id
+                assert fresh.start >= old.end
+                assert ok[rid].failover
+                moved += 1
+        assert moved > 0
