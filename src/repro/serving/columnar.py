@@ -116,10 +116,8 @@ class RequestBatch(Columns):
         tags and degrades.  ``None`` means no row failed over.  Routing
         state, not protocol: :meth:`request` does not carry it.
     seq, span:
-        Serving state a server stamps on the rows it queues: each row's
-        admission number (:meth:`PredictionServer.drain` hands rows back
-        in that order) and, with a live tracer, its open ``request``
-        span id (``None``: untraced).  Neither is protocol.
+        Serving state, not protocol: a queued row's admission number
+        and, with a live tracer, its open ``request`` span id.
 
     Columns are passed by keyword; every row column and table is required.
     """
@@ -201,10 +199,9 @@ class ResponseBatch(Columns):
     :data:`~repro.nws.service.QUALITIES`; ``status`` indexes
     :data:`STATUSES`; ``reason`` indexes :data:`REASONS`.  The optional
     ``failover`` column (``None``: no row failed over) marks answers a
-    standby served; it is carried over from the request rows.  Until
-    delivery a traced server's answer also carries its ``request`` span
-    id (``span``; -1: already closed) and its ``serving.batch`` span id
-    (``batch_span``); delivered answers carry neither.
+    standby served; it is carried over from the request rows.  A traced
+    answer carries its ``request`` and ``serving.batch`` span ids
+    (``span``, ``batch_span``) until it is delivered.
     """
 
     _ROWS = {

@@ -262,12 +262,10 @@ class ServerConfig:
         return self.batch_max / self.service_time(self.batch_max)
 
 
-def _worst_quality(qualities) -> str:
-    """The most degraded tag in ``qualities`` (``fresh`` when empty)."""
-    worst = 0
-    for q in qualities:
-        worst = max(worst, QUALITIES.index(q))
-    return QUALITIES[worst]
+def _worst_quality(forecasts) -> int:
+    """The code of the most degraded quality among ``forecasts`` (0,
+    ``fresh``, when there are none)."""
+    return max((QUALITIES.index(f.quality) for f in forecasts), default=0)
 
 
 def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
@@ -318,12 +316,9 @@ class PredictionServer:
         # Admitted rows awaiting service, as RequestBatch segments in
         # arrival order (coalesced into one segment before each batch is
         # formed); served rows whose answers are not yet delivered, as
-        # (rows, completion instant); and those computed answers.
-        # Together the first two are every unanswered row, which drain()
-        # hands back in admission order.  Each queued row carries its
-        # admission number (``seq``) and, with a live tracer, its open
-        # ``request`` span id (``span``); each computed answer carries
-        # its span ids on to delivery (see ResponseBatch).
+        # (rows, completion instant); and those computed answers.  The
+        # rows carry their admission numbers and span ids (``seq``,
+        # ``span``): drain() hands every unanswered row back in order.
         self._queue: list[RequestBatch] = []
         self._qlen = 0
         self._seq = 0
@@ -480,18 +475,16 @@ class PredictionServer:
             for code, name in enumerate(REASONS):
                 if name and reason_counts[code]:
                     self.metrics.counter(f"shed_{name}").inc(int(reason_counts[code]))
+        span = None
+        if self.tracer.enabled:
+            span = self._trace_submissions(batch, errors, verdict, admitted)
         if n_admitted:
-            span = None
-            if self.tracer.enabled:
-                span = self._trace_submissions(batch, errors, verdict, admitted)
             queued = batch if n_admitted == n else batch.select(admitted)
             seq = np.arange(self._seq, self._seq + n_admitted)
             self._queue.append(queued._with(seq=seq, span=span))
             self._seq += n_admitted
             self._qlen += n_admitted
             self.metrics.gauge("queue_depth").set(self._qlen)
-        elif self.tracer.enabled:
-            self._trace_submissions(batch, errors, verdict, admitted)
         if n_admitted == n:
             return ResponseBatch.empty(), admitted
 
@@ -681,11 +674,9 @@ class PredictionServer:
         stably in completion order.
 
         Delivery is the one place an answer's side effects happen: its
-        request span closes, its metrics count and, with calibration on,
-        it is queued for scoring.  An answer computed by a worker that
-        crashes or restarts before delivering (discarded by drain() or
-        restart()) therefore never appears as served, and is never
-        scored."""
+        request span closes, its metrics count and it is queued for
+        calibration scoring.  An answer that drain() or restart()
+        discards undelivered is never counted or scored."""
         if not self._pending:
             return ResponseBatch.empty()
         pending = ResponseBatch.concat(self._pending)
@@ -722,22 +713,14 @@ class PredictionServer:
         scoring, one call per distribution block they read (a served
         batch's, with the parameter values each of its groups stood on),
         tagged with the forecast quality they were served at."""
-        messages = out.messages
-        _, blocks, group = zip(*[messages[i] or _NO_BLOCKS for i in rows.tolist()])
-        n = len(blocks)
-        cuts = np.flatnonzero(np.fromiter(map(is_not, blocks[1:], blocks[:-1]), bool, n - 1))
-        bounds = [0, *(cuts + 1).tolist(), n]
-        group = np.asarray(group, np.intp)
-        for lo, hi in zip(bounds[:-1], bounds[1:]):
+        _, blocks, group = zip(*[out.messages[i] or _NO_BLOCKS for i in rows.tolist()])
+        n, group = len(blocks), np.asarray(group, np.intp)
+        cuts = np.flatnonzero(np.fromiter(map(is_not, blocks[1:], blocks), bool, n - 1)) + 1
+        for lo, hi in zip([0, *cuts.tolist()], [*cuts.tolist(), n]):
             if blocks[lo] is not None:
-                first = rows[lo]
-                self.calib.enqueue(
-                    out.models[out.model[first]],
-                    out.quality[rows[lo:hi]],
-                    blocks[lo],
-                    group[lo:hi],
-                    float(out.completed[first]),
-                )
+                at = rows[lo:hi]
+                model, t = out.models[out.model[at[0]]], float(out.completed[at[0]])
+                self.calib.enqueue(model, out.quality[at], blocks[lo], group[lo:hi], t)
 
     def _trace_delivered(self, out: ResponseBatch) -> None:
         """Close the request spans the delivered answers ``out`` carry."""
@@ -970,14 +953,14 @@ class PredictionServer:
             p95 = mean + (p95 - mean) * scale
 
         consulted = list(shared.values())
-        worst = QUALITIES.index(_worst_quality(f.quality for f in consulted))
+        worst = _worst_quality(consulted)
         quality = np.full(len(reps), worst, np.int8)
         staleness = np.full(len(reps), max((f.staleness for f in consulted), default=0.0))
         if overrides is not None:
             for g, o in enumerate(overrides):
                 if o:
                     own = [f for p, f in shared.items() if p not in o]
-                    quality[g] = QUALITIES.index(_worst_quality(f.quality for f in own))
+                    quality[g] = _worst_quality(own)
                     staleness[g] = max((f.staleness for f in own), default=0.0)
 
         rich = None
