@@ -277,6 +277,8 @@ def churn_run():
             name = max(cluster.healthy_workers, key=lambda n: cluster.workers[n].in_flight)
             cluster.begin_drain(name, to)
     answers.append(cluster.step_batch(to + 5.0))  # answer everything in flight
+    # Span ids are serving state: no delivered answer carries them out.
+    assert all(rb.span is None and rb.batch_span is None for rb in answers)
     return tracer, [r for rb in answers for r in rb.to_responses()]
 
 
