@@ -251,7 +251,8 @@ class DistributionBatch(Columns):
     or a list), ``modes`` their fitted mixtures (``None``: none fitted)
     and ``values`` the parameter values each row was evaluated on (one
     dict of :class:`~repro.core.stochastic.StochasticValue` per row,
-    which calibration realises outcomes from; ``None``: not known).  The columns stay raw; ``scale`` is the recalibration
+    which calibration realises outcomes from; ``None``: not known).
+    The columns stay raw; ``scale`` is the recalibration
     widening every row carries (``1.0``: none), applied to a read row by
     :meth:`DistributionInfo.widened` — so ``batch[j]`` equals the block
     an eager build would have served, field for field.
