@@ -18,10 +18,13 @@ ratio over the pairs.  Back-to-back pairing cancels slow machine drift
 (thermal/co-tenant effects that individually swing run times by more
 than the 10% budget), and the minimum is the standard robust estimator
 against per-run scheduler noise; a genuine tracing regression inflates
-every pair's ratio, so the minimum still catches it.  Results land in
+every pair's ratio, so the minimum still catches it.  Each pair starts
+with the previous pair's tracer and reports released and garbage
+collected, so no drive runs beside another's spans.  Results land in
 ``benchmarks/out/BENCH_tracing.json``.
 """
 
+import gc
 import json
 import time
 
@@ -48,8 +51,9 @@ def test_tracing_overhead_within_budget(out_dir):
     drive(NULL_TRACER)  # warm-up: imports, allocator, caches
 
     pairs = []
-    tracer = report_on = report_off = None
     for _ in range(REPEATS):
+        tracer = report_on = report_off = None
+        gc.collect()
         wall_off, _, report_off = drive(NULL_TRACER)
         wall_on, tracer, report_on = drive(Tracer())
         pairs.append((wall_off, wall_on))

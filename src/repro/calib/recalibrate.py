@@ -64,10 +64,10 @@ class RecalibrationPolicy:
     max_scale:
         Widest honest correction.  A required scale beyond this flags
         the model for re-fit instead of widening further.
-    shrink:
-        Whether over-coverage relaxes an active scale (on by default;
-        scales never shrink below 1 — narrowing a model's own claimed
-        spread is the modeller's call, not the recalibrator's).
+
+    Over-coverage always relaxes an active scale, but never below 1:
+    narrowing a model's own claimed spread is the modeller's call, not
+    the recalibrator's.
     """
 
     nominal: float = TWO_SIGMA_COVERAGE
@@ -77,7 +77,6 @@ class RecalibrationPolicy:
     control_interval: int = 40
     min_observations: int = 40
     max_scale: float = 4.0
-    shrink: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 < self.slo_low < self.nominal < 1.0:
@@ -189,12 +188,7 @@ class Recalibrator:
                 required_scale=required,
             )
             ctl.scale = new_scale
-        elif (
-            pol.shrink
-            and ctl.scale > 1.0
-            and rolling > pol.slo_high
-            and required < ctl.scale
-        ):
+        elif ctl.scale > 1.0 and rolling > pol.slo_high and required < ctl.scale:
             new_scale = max(required, 1.0)
             event = RecalibrationEvent(
                 model=model,

@@ -143,12 +143,14 @@ class ClusterSimulator:
     machines, network:
         The execution substrate.
     faults:
-        Optional fault schedule (a :class:`~repro.faults.plan.FaultPlan`
-        or a pre-configured :class:`~repro.faults.injector.FaultInjector`
-        when custom retry behaviour is wanted).  With faults installed a
-        crashed machine pauses its compute until restart, and message
-        delivery retries on a bounded exponential backoff; without them
-        the simulation is bit-identical to the fault-free original.
+        The fault schedule (a :class:`~repro.faults.plan.FaultPlan`, or
+        a pre-configured :class:`~repro.faults.injector.FaultInjector`
+        when custom retry behaviour is wanted); ``None`` (default) is the
+        empty plan, :meth:`FaultPlan.none`.  Every run goes through the
+        injector: a crashed machine pauses its compute until restart,
+        and message delivery retries on a bounded exponential backoff.
+        Under the empty plan no machine crashes and every message is
+        delivered on its first attempt.
     """
 
     def __init__(
@@ -165,9 +167,9 @@ class ClusterSimulator:
         if len(set(names)) != len(names):
             raise ValueError(f"machine names must be unique, got {names}")
         self.network = network if network is not None else Network()
-        if isinstance(faults, FaultPlan):
-            faults = FaultInjector(faults)
-        self.injector: FaultInjector | None = faults
+        if not isinstance(faults, FaultInjector):
+            faults = FaultInjector(faults if faults is not None else FaultPlan.none())
+        self.injector = faults
 
     def run(self, program: IterativeProgram, start_time: float = 0.0) -> RunResult:
         """Simulate ``program`` starting at ``start_time``."""
@@ -182,25 +184,17 @@ class ClusterSimulator:
         iteration_ends = np.empty(program.iterations)
         phase_time: dict[str, float] = {p.name: 0.0 for p in program.phases}
         max_skew = 0.0
-        retries_before = injector.message_retries if injector is not None else 0
+        retries_before = injector.message_retries
 
         for it in range(program.iterations):
             for phase in program.phases:
                 phase_start = float(ready.max())
-                if injector is None:
-                    comp_end = np.array(
-                        [
-                            self.machines[p].compute_finish(phase.work[p], float(ready[p]))
-                            for p in range(n)
-                        ]
-                    )
-                else:
-                    comp_end = np.array(
-                        [
-                            injector.compute_finish(self.machines[p], phase.work[p], float(ready[p]))
-                            for p in range(n)
-                        ]
-                    )
+                comp_end = np.array(
+                    [
+                        injector.compute_finish(self.machines[p], phase.work[p], float(ready[p]))
+                        for p in range(n)
+                    ]
+                )
                 next_ready = comp_end.copy()
                 for msg in phase.messages:
                     src_name = self.machines[msg.src].name
@@ -211,10 +205,7 @@ class ClusterSimulator:
                     # until it completes — so one processor's exchanges
                     # serialize, matching the model's SendLR + ReceLR sum.
                     begin = max(float(next_ready[msg.src]), float(next_ready[msg.dst]))
-                    if injector is None:
-                        arrive = self.network.transfer_finish(src_name, dst_name, msg.nbytes, begin)
-                    else:
-                        arrive = injector.deliver(self.network, src_name, dst_name, msg.nbytes, begin)
+                    arrive = injector.deliver(self.network, src_name, dst_name, msg.nbytes, begin)
                     next_ready[msg.src] = arrive
                     next_ready[msg.dst] = arrive
                 ready = next_ready
@@ -223,19 +214,14 @@ class ClusterSimulator:
             iteration_ends[it] = float(ready.max())
 
         end = float(ready.max())
-        message_retries = 0
-        machine_downtime = 0.0
-        if injector is not None:
-            message_retries = injector.message_retries - retries_before
-            machine_downtime = injector.downtime(
-                (m.name for m in self.machines), float(start_time), end
-            )
         return RunResult(
             start=float(start_time),
             end=end,
             iteration_ends=iteration_ends,
             phase_time=phase_time,
             max_skew=max_skew,
-            message_retries=message_retries,
-            machine_downtime=machine_downtime,
+            message_retries=injector.message_retries - retries_before,
+            machine_downtime=injector.downtime(
+                (m.name for m in self.machines), float(start_time), end
+            ),
         )

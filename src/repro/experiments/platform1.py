@@ -26,9 +26,6 @@ from repro.core.intervals import PredictionQuality, assess_predictions
 from repro.core.stochastic import StochasticValue
 from repro.sor.decomposition import equal_strips
 from repro.sor.distributed import simulate_sor
-from repro.structural.expr import DEFAULT_MC_SAMPLES
-from repro.structural.montecarlo import monte_carlo_predict
-from repro.structural.parameters import param_name
 from repro.structural.sor_model import SORModel, bindings_for_platform
 from repro.util.rng import as_generator
 from repro.workload.platforms import PlatformPreset, platform1
@@ -39,26 +36,6 @@ __all__ = ["Platform1Point", "Platform1Result", "run_platform1"]
 #: Preliminary-observation window (seconds) used to fit the stochastic
 #: load value before the timed runs begin, as in the paper's set-up.
 PRELIMINARY_WINDOW = 600.0
-
-#: Clip bounds applied to sampled availability draws under the
-#: ``monte_carlo`` predictor: availabilities are divisors, so draws must
-#: stay positive (and physically at most 1).
-AVAIL_CLIP = (0.02, 1.0)
-
-
-def _availability_clip(nprocs: int) -> dict[str, tuple[float, float]]:
-    """Per-parameter clip bounds for every sampled availability."""
-    clip = {param_name("load", p): AVAIL_CLIP for p in range(nprocs)}
-    clip["bw_avail"] = AVAIL_CLIP
-    return clip
-
-
-def _check_predictor(predictor: str) -> None:
-    if predictor not in ("closed", "monte_carlo"):
-        raise ValueError(
-            f"predictor must be 'closed' or 'monte_carlo', got {predictor!r}"
-        )
-
 
 @dataclass(frozen=True)
 class Platform1Point:
@@ -116,24 +93,15 @@ def run_platform1(
     rng=None,
     platform: PlatformPreset | None = None,
     run_spacing: float = 300.0,
-    predictor: str = "closed",
-    mc_samples: int = DEFAULT_MC_SAMPLES,
 ) -> Platform1Result:
     """Run the Platform 1 experiment across ``sizes``.
 
     Each size is executed once, at successive start times along the
     production trace (the paper's runs are spread over wall-clock time).
     Predictions use the preliminary stochastic load for the slow
-    (Sparc-2) machines and point loads for the others.
-
-    ``predictor`` selects the prediction path: ``"closed"`` (default)
-    evaluates the Table 2 closed forms; ``"monte_carlo"`` propagates
-    ``mc_samples`` sampled draws through the compiled expression
-    (vectorised engine) and summarises the cloud as ``mean +/- 2*std``.
-    The model expression is built once and its compiled plan is reused
-    across problem sizes.
+    (Sparc-2) machines and point loads for the others, and evaluate the
+    Table 2 closed forms of one model expression built before the loop.
     """
-    _check_predictor(predictor)
     gen = as_generator(rng)
     duration = PRELIMINARY_WINDOW + run_spacing * (len(sizes) + 1)
     plat = platform if platform is not None else platform1(duration=duration, rng=gen)
@@ -157,7 +125,6 @@ def run_platform1(
 
     model = SORModel(n_procs=nprocs, iterations=iterations)
     expr = model.expression()
-    clip = _availability_clip(nprocs)
 
     points = []
     for k, n in enumerate(sizes):
@@ -166,12 +133,7 @@ def run_platform1(
         bindings = bindings_for_platform(
             plat.machines, plat.network, dec, loads=loads, bw_avail=bw_point
         )
-        if predictor == "monte_carlo":
-            prediction = monte_carlo_predict(
-                expr, bindings, n_samples=mc_samples, rng=gen, clip=clip
-            ).to_stochastic()
-        else:
-            prediction = expr.evaluate(bindings)
+        prediction = expr.evaluate(bindings)
         actual = simulate_sor(
             plat.machines, plat.network, int(n), iterations, decomposition=dec, start_time=start
         )

@@ -25,12 +25,9 @@ import numpy as np
 
 from repro.core.intervals import PredictionQuality, assess_predictions
 from repro.core.stochastic import StochasticValue
-from repro.experiments.platform1 import _availability_clip, _check_predictor
 from repro.nws.service import NetworkWeatherService
 from repro.sor.decomposition import equal_strips
 from repro.sor.distributed import simulate_sor
-from repro.structural.expr import DEFAULT_MC_SAMPLES
-from repro.structural.montecarlo import monte_carlo_predict
 from repro.structural.sor_model import SORModel, bindings_for_platform
 from repro.util.rng import as_generator
 from repro.workload.platforms import PlatformPreset, platform2
@@ -103,8 +100,6 @@ def run_platform2(
     rng=None,
     platform: PlatformPreset | None = None,
     representative_machine: int = 0,
-    predictor: str = "closed",
-    mc_samples: int = DEFAULT_MC_SAMPLES,
 ) -> Platform2Result:
     """Run the bursty-platform experiment for one problem size.
 
@@ -112,17 +107,12 @@ def run_platform2(
     windowed load statistics (mean +/- 2*std over the trailing window)
     rather than the one-step tournament forecast, because a run spans
     multiple load bursts (see :meth:`NetworkWeatherService.query_window`).
-
-    ``predictor`` selects the prediction path: ``"closed"`` (default)
-    evaluates the Table 2 closed forms; ``"monte_carlo"`` propagates
-    ``mc_samples`` draws per run through the compiled expression
-    (vectorised engine).  The expression is built once before the run
-    loop, so all ``n_runs`` predictions share one cached plan — only the
-    NWS forecast bindings change between runs.
+    Each prediction evaluates the Table 2 closed forms of one model
+    expression built before the run loop; only the NWS forecast bindings
+    change between runs.
     """
     if n_runs < 1:
         raise ValueError(f"n_runs must be >= 1, got {n_runs}")
-    _check_predictor(predictor)
     gen = as_generator(rng)
     duration = warmup + run_spacing * (n_runs + 2)
     plat = platform if platform is not None else platform2(duration=duration, rng=gen)
@@ -138,7 +128,6 @@ def run_platform2(
     dec = equal_strips(problem_size, nprocs)
     model = SORModel(n_procs=nprocs, iterations=iterations)
     expr = model.expression()
-    clip = _availability_clip(nprocs)
 
     points = []
     for k in range(n_runs):
@@ -153,12 +142,7 @@ def run_platform2(
             loads={i: _clamped(load) for i, load in enumerate(loads)},
             bw_avail=_clamped(bw),
         )
-        if predictor == "monte_carlo":
-            prediction = monte_carlo_predict(
-                expr, bindings, n_samples=mc_samples, rng=gen, clip=clip
-            ).to_stochastic()
-        else:
-            prediction = expr.evaluate(bindings)
+        prediction = expr.evaluate(bindings)
         actual = simulate_sor(
             plat.machines,
             plat.network,

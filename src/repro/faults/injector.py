@@ -138,4 +138,4 @@ class FaultInjector:
     # ------------------------------------------------------------------
     def downtime(self, machine_names, t0: float, t1: float) -> float:
         """Total machine-down seconds across ``machine_names`` in ``[t0, t1]``."""
-        return sum(self.plan.machine_downtime(name, t0, t1) for name in machine_names)
+        return sum((self.plan.machine_downtime(name, t0, t1) for name in machine_names), 0.0)

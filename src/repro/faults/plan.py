@@ -35,6 +35,10 @@ __all__ = [
 #: and a sample delivered late.
 CORRUPTION_KINDS = ("nan", "duplicate", "late")
 
+#: Mean delivery delay in seconds of a generated ``"late"`` corruption
+#: (exponentially distributed).
+LATE_DELAY_MEAN = 10.0
+
 #: Link-outage key that applies to every machine pair (a partition of the
 #: shared segment rather than one point-to-point link).
 ALL_LINKS = ("*", "*")
@@ -105,8 +109,9 @@ class FaultPlanConfig:
 
     All rates are Poisson arrival rates (events per simulated second per
     resource/machine/link); durations and delays are exponential with the
-    given means.  Every rate defaults to zero, so the default config
-    generates an empty plan — the fault layer is strictly opt-in.
+    given means (a late sample's delay has mean :data:`LATE_DELAY_MEAN`).
+    Every rate defaults to zero, so the default config generates an
+    empty plan — the fault layer is strictly opt-in.
     """
 
     sensor_dropout_rate: float = 0.0
@@ -117,7 +122,6 @@ class FaultPlanConfig:
     link_outage_mean_duration: float = 15.0
     corruption_rate: float = 0.0
     corruption_kinds: tuple[str, ...] = CORRUPTION_KINDS
-    late_delay_mean: float = 10.0
 
     def __post_init__(self) -> None:
         for name in (
@@ -131,7 +135,6 @@ class FaultPlanConfig:
             "sensor_dropout_mean_duration",
             "machine_restart_mean",
             "link_outage_mean_duration",
-            "late_delay_mean",
         ):
             check_positive(getattr(self, name), name)
         if not self.corruption_kinds:
@@ -182,7 +185,7 @@ def _poisson_corruptions(
         if t >= horizon:
             break
         kind = str(gen.choice(np.asarray(config.corruption_kinds, dtype=object)))
-        delay = float(gen.exponential(config.late_delay_mean)) if kind == "late" else 0.0
+        delay = float(gen.exponential(LATE_DELAY_MEAN)) if kind == "late" else 0.0
         out.append(Corruption(time=t, kind=kind, delay=delay))
     return tuple(out)
 

@@ -5,14 +5,16 @@ paper's NWS deployment measured CPU load at 5-second intervals) and
 feeds an :class:`~repro.nws.predictor.AdaptivePredictor` plus a raw
 :class:`~repro.nws.series.MeasurementSeries`.
 
-With a :class:`~repro.faults.plan.FaultPlan` attached the sensor models
-an unreliable deployment: samples inside a dropout window are missed
-outright, corruption events can turn a reading into NaN (rejected and
-counted), duplicate it, or delay its delivery.  Late samples are held in
-a pending heap and appended when simulated time reaches their delivery
-instant, so the series stays ordered by *delivery* time — which is also
-what staleness is measured against.  Without a plan the fast path is
-byte-identical to the fault-free sensor.
+Every sample goes through the sensor's
+:class:`~repro.faults.plan.FaultPlan`, which models an unreliable
+deployment: samples inside a dropout window are missed outright,
+corruption events can turn a reading into NaN (rejected and counted),
+duplicate it, or delay its delivery.  Late samples are held in a pending
+heap and appended when simulated time reaches their delivery instant, so
+the series stays ordered by *delivery* time — which is also what
+staleness is measured against.  The default plan,
+:meth:`FaultPlan.none() <repro.faults.plan.FaultPlan.none>`, schedules
+nothing: every sample is delivered at its measurement instant.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ class Sensor:
     period:
         Sampling period in seconds.
     faults:
-        Optional fault schedule; ``None`` means a healthy sensor.
+        The fault schedule; the default empty plan is a healthy sensor.
     missed_samples, corrupt_samples, duplicate_samples, late_samples:
         Health counters: measurement windows lost to dropouts, readings
         rejected as non-finite, samples delivered twice, and samples
@@ -58,7 +60,7 @@ class Sensor:
     period: float = NWS_DEFAULT_PERIOD
     series: MeasurementSeries = field(default_factory=MeasurementSeries)
     predictor: AdaptivePredictor = field(default_factory=AdaptivePredictor)
-    faults: FaultPlan | None = None
+    faults: FaultPlan = field(default_factory=FaultPlan.none)
     missed_samples: int = 0
     corrupt_samples: int = 0
     duplicate_samples: int = 0
@@ -79,21 +81,6 @@ class Sensor:
         """
         if self._next_sample is None:
             self._next_sample = self.trace.start
-        if self.faults is None:
-            # Fast path: identical to the fault-free sensor.
-            taken = 0
-            while self._next_sample <= t:
-                ts = self._next_sample
-                value = self.trace.value_at(ts)
-                self.series.append(ts, value)
-                self.predictor.observe(value)
-                self._next_sample = ts + self.period
-                taken += 1
-            return taken
-        return self._advance_faulted(t)
-
-    def _advance_faulted(self, t: float) -> int:
-        """Sample under the fault plan; deliver in delivery-time order."""
         events = self.faults.corruptions_for(self.resource)
         while self._next_sample <= t:
             ts = self._next_sample

@@ -148,7 +148,8 @@ class NetworkWeatherService:
         Staleness/fallback policy; ``None`` (default) preserves the
         strict fault-free behaviour (queries raise rather than degrade).
     faults:
-        Optional fault schedule threaded into every registered sensor.
+        Fault schedule threaded into every registered sensor; ``None``
+        (default) is the empty plan, :meth:`FaultPlan.none`.
     tracer:
         Optional :class:`~repro.obs.tracer.Tracer`; qualified queries
         then record a span per answer (resource, quality, staleness).
@@ -167,7 +168,7 @@ class NetworkWeatherService:
         self._period = period
         self._now = 0.0
         self._degradation = degradation
-        self._faults = faults
+        self._faults = faults if faults is not None else FaultPlan.none()
         self.tracer = as_tracer(tracer)
 
     @property

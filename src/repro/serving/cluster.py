@@ -103,6 +103,7 @@ from repro.serving.server import (
     ModelSpec,
     PredictionServer,
     ServerConfig,
+    _account,
     _answers,
     _names,
 )
@@ -137,8 +138,6 @@ class ClusterConfig:
     replication:
         Owners per shard: the primary plus standby replicas that take
         the shard over when the primary crashes.
-    vnodes:
-        Virtual nodes per worker on the consistent-hash ring.
     cluster_rate, cluster_burst:
         Global token bucket over the whole cluster, metered in requests
         per simulated second; ``cluster_rate=0`` disables it (the
@@ -150,7 +149,6 @@ class ClusterConfig:
 
     n_workers: int = 4
     replication: int = 2
-    vnodes: int = 64
     cluster_rate: float = 0.0
     cluster_burst: float = 64.0
     worker: ServerConfig = field(default_factory=ServerConfig)
@@ -239,9 +237,7 @@ class ServingCluster:
                 tracer=self.tracer,
                 calib=self.calib,
             )
-        self.router = ClusterRouter(
-            self.workers, replication=self.config.replication, vnodes=self.config.vnodes
-        )
+        self.router = ClusterRouter(self.workers, replication=self.config.replication)
 
         self._clock = nws.now
         self._up = {name: not self.faults.machine_down(name, self._clock) for name in self.workers}
@@ -385,7 +381,6 @@ class ServingCluster:
         if known.all():
             return self._admit(batch, now)[1]
         bad, rows = np.flatnonzero(~known), np.flatnonzero(known)
-        self.metrics.counter("errors_total").inc(bad.size)
         errors = _answers(
             batch.select(bad),
             status=np.full(bad.size, _ST_ERROR, np.int8),
@@ -395,6 +390,7 @@ class ServingCluster:
                 for c in batch.model[bad].tolist()
             ),
         )
+        _account(self.metrics, errors)
         if not rows.size:
             return errors
         idx, admitted = self._admit(batch.select(rows), now[rows])
@@ -509,7 +505,8 @@ class ServingCluster:
             return np.zeros(0, dtype=np.int64), ResponseBatch.empty(), routed
         idx = np.concatenate(rows_of)
         order = np.argsort(idx, kind="stable")
-        return idx[order], self._account_batch(ResponseBatch.concat(parts).select(order)), routed
+        out = _account(self.metrics, ResponseBatch.concat(parts).select(order))
+        return idx[order], out, routed
 
     # ------------------------------------------------------------------
     # Event loop
@@ -853,23 +850,7 @@ class ServingCluster:
                 failover=False if flags is None else flags,
                 status=_STATUS_NAMES[rb.status],
             ).set(ok, quality=_QUALITY_NAMES[rb.quality[ok]])
-        return self._account_batch(rb)
-
-    def _account_batch(self, rb: ResponseBatch) -> ResponseBatch:
-        """Count a response batch into the cluster metrics."""
-        counts = rb.status_counts()
-        if counts["ok"]:
-            self.metrics.counter("responses_ok").inc(counts["ok"])
-            for quality, c in rb.quality_counts().items():
-                self.metrics.counter(f"quality_{quality}").inc(c)
-            self.metrics.histogram("latency_s").observe_many(rb.latency[rb.ok_mask])
-        if counts["overloaded"]:
-            self.metrics.counter("shed_total").inc(counts["overloaded"])
-            for reason, c in rb.reason_counts().items():
-                self.metrics.counter(f"shed_{reason}").inc(c)
-        if counts["error"]:
-            self.metrics.counter("errors_total").inc(counts["error"])
-        return rb
+        return _account(self.metrics, rb)
 
     # ------------------------------------------------------------------
     # Introspection

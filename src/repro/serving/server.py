@@ -188,9 +188,6 @@ class ServerConfig:
         ``base + per_request * batch_size``.  This is what creates
         backpressure in simulated time; wall-clock speed is measured
         separately by the benchmark.
-    refresh_interval:
-        Maximum simulated age of a cached NWS forecast
-        (:class:`~repro.serving.forecasts.ForecastCache`).
     admission:
         Queue bound, per-client token-bucket policy, and (optionally)
         the precision-shedding ladder.
@@ -217,7 +214,6 @@ class ServerConfig:
     batch_max: int = 64
     service_time_base: float = 0.004
     service_time_per_request: float = 0.001
-    refresh_interval: float = 5.0
     admission: AdmissionPolicy = field(default_factory=AdmissionPolicy)
     precision: PrecisionTarget | None = None
     calibration: CalibrationConfig | None = None
@@ -227,7 +223,6 @@ class ServerConfig:
         check_count(self.batch_max, "batch_max", 1)
         check_positive(self.service_time_base, "service_time_base")
         check_positive(self.service_time_per_request, "service_time_per_request")
-        check_positive(self.refresh_interval, "refresh_interval")
         if self.precision is not None and not isinstance(self.precision, PrecisionTarget):
             raise TypeError(
                 f"precision must be a PrecisionTarget or None, got {self.precision!r}"
@@ -268,6 +263,28 @@ def _worst_quality(forecasts) -> int:
     return max((QUALITIES.index(f.quality) for f in forecasts), default=0)
 
 
+def _account(metrics: MetricsRegistry, rb: ResponseBatch) -> ResponseBatch:
+    """Count the responses ``rb`` into ``metrics`` and return them: ok
+    answers by quality and latency, sheds by reason, and errors.
+
+    A server and a cluster call it on exactly the responses they return
+    (immediate ones at submission, computed ones at delivery), so an
+    answer computed but never delivered is never counted."""
+    counts = rb.status_counts()
+    if counts["ok"]:
+        metrics.counter("responses_ok").inc(counts["ok"])
+        for quality, c in rb.quality_counts().items():
+            metrics.counter(f"quality_{quality}").inc(c)
+        metrics.histogram("latency_s").observe_many(rb.latency[rb.ok_mask])
+    if counts["overloaded"]:
+        metrics.counter("shed_total").inc(counts["overloaded"])
+        for reason, c in rb.reason_counts().items():
+            metrics.counter(f"shed_{reason}").inc(c)
+    if counts["error"]:
+        metrics.counter("errors_total").inc(counts["error"])
+    return rb
+
+
 def _answers(batch: RequestBatch, **columns) -> ResponseBatch:
     """Responses for every row of ``batch``: the given columns, zeros
     (``ok`` status, no shed reason) for the others."""
@@ -304,12 +321,7 @@ class PredictionServer:
         self.nws = nws
         self.config = config if config is not None else ServerConfig()
         self.tracer = as_tracer(tracer)
-        self.forecasts = ForecastCache(
-            nws,
-            refresh_interval=self.config.refresh_interval,
-            ledger=forecast_ledger,
-            tracer=self.tracer,
-        )
+        self.forecasts = ForecastCache(nws, ledger=forecast_ledger, tracer=self.tracer)
         self.metrics = MetricsRegistry()
         self.admission = AdmissionController(self.config.admission)
         self._models: dict[str, ModelSpec] = {}
@@ -458,7 +470,6 @@ class PredictionServer:
         errors = self._invalid_rows(batch)
         if errors:
             # Invalid rows never reach admission: no token, no queue slot.
-            self.metrics.counter("errors_total").inc(len(errors))
             valid = np.ones(n, dtype=bool)
             valid[list(errors)] = False
             verdict = np.full(n, -1, dtype=np.int8)
@@ -469,12 +480,6 @@ class PredictionServer:
             verdict = admit_batch(self.admission, batch, depth0, self._clock)
         admitted = verdict == ADMIT
         n_admitted = int(np.count_nonzero(admitted))
-        if n_admitted + len(errors) < n:
-            reason_counts = np.bincount(verdict[verdict > 0], minlength=len(REASONS))
-            self.metrics.counter("shed_total").inc(int(reason_counts.sum()))
-            for code, name in enumerate(REASONS):
-                if name and reason_counts[code]:
-                    self.metrics.counter(f"shed_{name}").inc(int(reason_counts[code]))
         span = None
         if self.tracer.enabled:
             span = self._trace_submissions(batch, errors, verdict, admitted)
@@ -507,7 +512,7 @@ class PredictionServer:
             retry_after=retry[rejected],
             messages=messages,
         )
-        return immediate, admitted
+        return _account(self.metrics, immediate), admitted
 
     def _invalid_rows(self, batch: RequestBatch) -> dict[int, tuple[str, str]]:
         """``{row: (why, message)}`` for rows naming an unknown model or
@@ -639,8 +644,6 @@ class PredictionServer:
         retry = self.admission.retry_after(self._qlen, self.config.drain_rate())
         sub = queue.select(expired)
         n = len(sub)
-        self.metrics.counter("shed_total").inc(n)
-        self.metrics.counter(f"shed_{SHED_DEADLINE}").inc(n)
         self._pending.append(
             _answers(
                 sub,
@@ -673,9 +676,10 @@ class PredictionServer:
         """Computed answers whose completion instant has been reached,
         stably in completion order.
 
-        Delivery is the one place an answer's side effects happen: its
-        request span closes, its metrics count and it is queued for
-        calibration scoring.  An answer that drain() or restart()
+        Delivery is the one place a computed answer's side effects
+        happen: its request span closes, it is counted (:func:`_account`,
+        plus the staleness of an ok answer) and an ok answer is queued
+        for calibration scoring.  An answer that drain() or restart()
         discards undelivered is never counted or scored."""
         if not self._pending:
             return ResponseBatch.empty()
@@ -693,14 +697,9 @@ class PredictionServer:
         if out.span is not None:
             self._trace_delivered(out)
             out.span = out.batch_span = None
-        out = out.sorted_by_completion()
+        out = _account(self.metrics, out.sorted_by_completion())
         ok = out.ok_mask
-        n_ok = int(ok.sum())
-        if n_ok:
-            self.metrics.counter("responses_ok").inc(n_ok)
-            for q, c in out.quality_counts().items():
-                self.metrics.counter(f"quality_{q}").inc(c)
-            self.metrics.histogram("latency_s").observe_many(out.latency[ok])
+        if ok.any():
             self.metrics.histogram("staleness_at_answer_s", _STALENESS_BUCKETS).observe_many(
                 np.minimum(out.staleness[ok], 1e9)
             )
@@ -897,7 +896,6 @@ class PredictionServer:
                 tracer=self.tracer,
             )
         except Exception as exc:  # noqa: BLE001 - protocol boundary
-            self.metrics.counter("errors_total").inc(k)
             t_done = t_start + cfg.service_time(k)
             rb = _answers(
                 batch,

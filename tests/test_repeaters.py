@@ -574,11 +574,3 @@ class TestMcSamplesDefaultUnification:
     def test_monte_carlo_predict_default(self):
         sig = inspect.signature(monte_carlo_predict)
         assert sig.parameters["n_samples"].default == DEFAULT_MC_SAMPLES
-
-    def test_experiment_runner_defaults(self):
-        from repro.experiments.platform1 import run_platform1
-        from repro.experiments.platform2 import run_platform2
-
-        for fn in (run_platform1, run_platform2):
-            sig = inspect.signature(fn)
-            assert sig.parameters["mc_samples"].default == DEFAULT_MC_SAMPLES, fn
